@@ -46,8 +46,9 @@ pub enum Rule {
     /// `thread_rng` / `OsRng` / `from_entropy` / `RandomState`: ambient
     /// entropy instead of the seeded splitmix64 chain.
     AmbientRandomness,
-    /// `thread::spawn` outside `zkdet-exec::pool`: unscheduled real
-    /// concurrency invisible to the schedule log.
+    /// `thread::spawn` / `thread::scope` (std or crossbeam) outside
+    /// `zkdet-exec::pool`: unscheduled real concurrency invisible to the
+    /// schedule log.
     RawThreadSpawn,
     /// Iteration over a `HashMap`/`HashSet` in a deterministic crate:
     /// per-instance `RandomState` makes the order differ between two runs
@@ -122,7 +123,9 @@ impl Rule {
             Rule::AmbientRandomness => {
                 "ambient entropy (thread_rng/OsRng/from_entropy/RandomState) instead of seeded randomness"
             }
-            Rule::RawThreadSpawn => "thread::spawn outside the zkdet-exec worker pool",
+            Rule::RawThreadSpawn => {
+                "thread::spawn / thread::scope outside the zkdet-exec worker pool"
+            }
             Rule::UnorderedIteration => {
                 "iteration over HashMap/HashSet whose order is per-instance random"
             }

@@ -146,8 +146,19 @@ pub fn scan_source(file: &str, src: &str, class: FileClass) -> Vec<Finding> {
             n if ENTROPY_IDENTS.contains(&n) => {
                 push(Rule::AmbientRandomness, line, n.to_string());
             }
-            "thread" if punct(i + 1, ':') && punct(i + 2, ':') && ident(i + 3) == Some("spawn") => {
-                push(Rule::RawThreadSpawn, line, "thread::spawn".into());
+            // `std::thread::spawn`, and the scoped forms (`std::thread::scope`,
+            // `crossbeam::thread::scope`) whose `scope.spawn` calls start
+            // real threads just the same.
+            "thread"
+                if punct(i + 1, ':')
+                    && punct(i + 2, ':')
+                    && matches!(ident(i + 3), Some("spawn" | "scope")) =>
+            {
+                push(
+                    Rule::RawThreadSpawn,
+                    line,
+                    format!("thread::{}", ident(i + 3).unwrap_or_default()),
+                );
             }
             "process" if punct(i + 1, ':') && punct(i + 2, ':') && ident(i + 3) == Some("exit") => {
                 push(Rule::ProcessExit, line, "process::exit".into());
@@ -593,6 +604,24 @@ mod tests {
             rules_found("fn f() { std::thread::spawn(|| {}); }"),
             vec![Rule::RawThreadSpawn]
         );
+    }
+
+    #[test]
+    fn scoped_threads_fire_at_the_scope_call() {
+        // Token-level fixture: the scope call is the finding; the
+        // `scope.spawn` method calls inside it are not second ones, and a
+        // path that merely ends in `scope` is not a thread scope.
+        let src = "fn f(xs: &[u8]) {\n    crossbeam::thread::scope(|scope| {\n        scope.spawn(move |_| xs.len());\n    })\n    .unwrap();\n    std::thread::scope(|s| { s.spawn(|| ()); });\n    zkdet_telemetry::scope(\"thread::scope\");\n}";
+        let findings = scan_source("t.rs", src, LIB);
+        let got: Vec<(u32, &str)> = findings
+            .iter()
+            .map(|f| (f.line, f.message.as_str()))
+            .collect();
+        assert_eq!(got, vec![(2, "thread::scope"), (6, "thread::scope")]);
+        assert!(findings.iter().all(|f| f.rule == Rule::RawThreadSpawn));
+        // And it is allowlistable like any other site.
+        let src = "fn f() {\n    // zkdet-analyzer: allow(raw-thread-spawn) joins before returning; result order fixed\n    crossbeam::thread::scope(|s| { s.spawn(|_| ()); }).unwrap();\n}";
+        assert!(rules_found(src).is_empty());
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! never appears on-chain** — any third party sees only `k_c`, which is a
 //! one-time-pad blinding of `k` under `k_v`.
 
+use std::sync::Arc;
+
 use rand::Rng;
 use zkdet_chain::{Address, Event, TokenId, Wei};
 use zkdet_chain::contracts::{ListingId, ListingState, REFUND_TIMEOUT_BLOCKS};
@@ -46,8 +48,9 @@ pub struct ValidationPackage {
     pub proof: Proof,
     /// Statement values `[c_d, predicate publics…]`.
     pub publics: Vec<Fr>,
-    /// Verifying key for the predicate relation (public setup data).
-    pub vk: VerifyingKey,
+    /// Verifying key for the predicate relation (public setup data; the
+    /// key registry's entry, shared by reference).
+    pub vk: Arc<VerifyingKey>,
 }
 
 /// Buyer-side state between locking and recovery.
@@ -194,12 +197,12 @@ impl Marketplace {
             &secret.commitment,
             &secret.opening,
         );
-        let (pk, vk) = Plonk::preprocess(&self.srs, &circuit)?;
-        let proof = Plonk::prove(&pk, &circuit, rng)?;
+        let keys = self.validation_keys(&circuit)?;
+        let proof = Plonk::prove(&keys.pk, &circuit, rng)?;
         Ok(ValidationPackage {
             proof,
             publics: shape.public_inputs(&secret.commitment),
-            vk,
+            vk: keys.vk,
         })
     }
 
@@ -326,7 +329,7 @@ impl Marketplace {
         let Some(witness) = self.settlement_witness(owner, seller_listing, buyer_k_v)? else {
             return Ok(None);
         };
-        let proof = Plonk::prove(&self.keyneg_pk, &witness.circuit, rng)?;
+        let proof = Plonk::prove(&self.keyneg.pk, &witness.circuit, rng)?;
         Ok(Some(SettlementSubmission {
             listing: witness.listing,
             k_c: witness.k_c,

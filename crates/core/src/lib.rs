@@ -5,7 +5,8 @@
 //! the NFT chain) into the two protocols of §IV plus the ZKCP baseline:
 //!
 //! * [`market::Marketplace`] — the deployment: storage network + chain +
-//!   universal SRS + per-relation key registry;
+//!   universal SRS + the deployment-wide proving-key registry
+//!   ([`keys::KeyRegistry`]);
 //! * the **generic data-transformation protocol** (§IV-B) —
 //!   [`market::Marketplace::publish_original`],
 //!   [`market::Marketplace::duplicate`], [`market::Marketplace::aggregate`],
@@ -35,6 +36,7 @@ pub mod error;
 pub mod exchange;
 pub mod fairswap;
 pub mod journal;
+pub mod keys;
 pub mod machine;
 pub mod market;
 pub mod recovery;
@@ -51,6 +53,7 @@ pub use exchange::{
     ValidationPackage,
 };
 pub use journal::{ExchangeRecord, ExchangeWal};
+pub use keys::{KeyPair, KeyRegistry};
 pub use machine::{
     BatcherDaemon, ExchangeMachine, ExchangeResult, ExchangeSpec, MaintenanceDaemon, MarketWorld,
     SwapMachine, SwapSpec, VerifyBatcher,

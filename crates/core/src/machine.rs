@@ -16,7 +16,7 @@
 //! check (`verify_lineage` in batched mode), falling back to per-proof
 //! verification only if a batch rejects.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -25,7 +25,7 @@ use zkdet_chain::contracts::{ListingId, ListingState, REFUND_TIMEOUT_BLOCKS};
 use zkdet_chain::{Address, TokenId, Wei};
 use zkdet_circuits::exchange::{RangePredicate, ValidationCircuit};
 use zkdet_exec::{Step, Task, TaskCx, TaskError};
-use zkdet_plonk::{Plonk, Proof, ProvingKey, VerifyingKey};
+use zkdet_plonk::{CompiledCircuit, Plonk, Proof, VerifyingKey};
 use zkdet_provenance::{verify_lineage, AuditCache, LineageCheck, NodeId, VerifyMode};
 
 use crate::dataset::Dataset;
@@ -36,7 +36,8 @@ use crate::exchange::{
 };
 use crate::fairswap::{FairSwapBuyer, FairSwapSeller};
 use crate::journal::{ExchangeRecord, ExchangeWal};
-use crate::market::{DataOwner, Marketplace};
+use crate::keys::{KeyPair, KeyRegistry, Shape};
+use crate::market::{DataOwner, DatasetSecret, Marketplace};
 use crate::shard::ShardedMarketplace;
 use crate::trace_timeline::exchange_trace;
 
@@ -49,7 +50,8 @@ use crate::trace_timeline::exchange_trace;
 // ~two orders cheaper, folded batches amortize the pairing).
 
 /// Simulated cost of preprocessing the π_p circuit shape (done once per
-/// `(len, bits)` shape, shared through [`MarketWorld::pk_cache`]).
+/// shape and deployment: the result lands in the sharded marketplace's
+/// [`KeyRegistry`], where every later machine on any shard finds it).
 pub const COST_PREPROCESS_PI_P: u64 = 400;
 /// Simulated cost of proving π_p.
 pub const COST_PROVE_PI_P: u64 = 650;
@@ -67,14 +69,6 @@ pub const POLL_TICKS: u64 = 2;
 // ------------------------------------------------------------------ //
 //  Shared world                                                      //
 // ------------------------------------------------------------------ //
-
-/// A preprocessed π_p key pair being shared across machines.
-pub enum PkSlot {
-    /// Some machine is preprocessing this shape; poll until ready.
-    InFlight,
-    /// Keys ready for every machine with this shape.
-    Ready(Arc<(ProvingKey, VerifyingKey)>),
-}
 
 /// Cross-exchange proof-verification batcher: machines enqueue checks
 /// and poll for verdicts; the [`BatcherDaemon`] folds queued checks into
@@ -142,7 +136,7 @@ pub struct ExchangeResult {
 
 /// The world every executor task shares: the sharded deployment,
 /// per-shard participant pools, the verification batcher, the π_p
-/// preprocessing cache and the accumulated results.
+/// shapes being preprocessed and the accumulated results.
 ///
 /// The fields are deliberately separate so a machine can split borrows —
 /// `&mut` the shard it routes to and `&mut` one owner at a time — without
@@ -154,8 +148,10 @@ pub struct MarketWorld {
     pub owners: Vec<Vec<DataOwner>>,
     /// Cross-exchange π_p verification batcher.
     pub batcher: VerifyBatcher,
-    /// Shared preprocessed π_p keys, keyed by `(dataset len, range bits)`.
-    pub pk_cache: BTreeMap<(usize, usize), PkSlot>,
+    /// π_p shapes some machine's preprocessing job is deriving right now;
+    /// machines needing one of them poll the key registry instead of
+    /// shipping a second job.
+    preprocessing: BTreeSet<Shape>,
     /// Terminal results, in completion order (deterministic).
     pub results: Vec<ExchangeResult>,
     /// Swap machines completed (for reports).
@@ -169,7 +165,7 @@ impl MarketWorld {
             sharded,
             owners,
             batcher: VerifyBatcher::default(),
-            pk_cache: BTreeMap::new(),
+            preprocessing: BTreeSet::new(),
             results: Vec::new(),
             swaps_completed: 0,
         }
@@ -206,12 +202,16 @@ pub struct ExchangeSpec {
 
 enum Phase {
     Init,
-    PreprocessWait {
-        job: zkdet_exec::JobId,
+    /// π_p synthesized, its keys not ready: `job` is this machine's own
+    /// preprocessing job, or `None` while another machine's is in flight.
+    AwaitKeys {
+        job: Option<zkdet_exec::JobId>,
+        shape: Shape,
+        circuit: Arc<CompiledCircuit>,
     },
-    PreprocessPoll,
     ProvingValidation {
         job: zkdet_exec::JobId,
+        vk: Arc<VerifyingKey>,
     },
     VerifyWait {
         ticket: u64,
@@ -250,56 +250,38 @@ impl ExchangeMachine {
         }
     }
 
-    fn shape_key(&self, len: usize) -> (usize, usize) {
-        (len, self.spec.bits)
-    }
-
-    /// Synthesizes the seller's π_p circuit (cheap; the proving is not).
-    fn synthesize_validation(
+    /// The seller's π_p relation and the secret it is proved over.
+    fn validation<'a>(
         &self,
-        seller: &DataOwner,
-    ) -> Result<(zkdet_plonk::CompiledCircuit, Vec<zkdet_field::Fr>), ZkdetError> {
+        seller: &'a DataOwner,
+    ) -> Result<(ValidationCircuit<RangePredicate>, &'a DatasetSecret), ZkdetError> {
         let secret = seller
             .secret(self.spec.token)
             .ok_or(ZkdetError::MissingSecret(self.spec.token))?;
-        let shape = ValidationCircuit::new(
+        let relation = ValidationCircuit::new(
             secret.data.len(),
             RangePredicate {
                 bits: self.spec.bits,
             },
         );
-        let circuit = shape.synthesize(secret.data.entries(), &secret.commitment, &secret.opening);
-        let publics = shape.public_inputs(&secret.commitment);
-        Ok((circuit, publics))
+        Ok((relation, secret))
     }
 
-    /// After the shape's keys are ready: ship the π_p proving job.
+    /// With the shape's keys in hand: ship the π_p proving job.
     fn submit_validation_prove(
         &mut self,
-        world: &mut MarketWorld,
+        keys: KeyPair,
+        circuit: Arc<CompiledCircuit>,
         cx: &mut TaskCx<'_>,
-    ) -> Result<Step, TaskError> {
-        let keys = match world.pk_cache.get(&self.shape_key_of(world)?) {
-            Some(PkSlot::Ready(keys)) => Arc::clone(keys),
-            _ => return Err(TaskError("π_p keys vanished from the cache".into())),
-        };
-        let seller = &world.owners[self.spec.shard][self.spec.seller];
-        let (circuit, _publics) = self.synthesize_validation(seller)?;
+    ) -> Step {
         let seed = cx.seed_for(2);
+        let pk = keys.pk;
         let job = cx.submit_job(COST_PROVE_PI_P, move || -> Result<Proof, String> {
             let mut rng = StdRng::seed_from_u64(seed);
-            Plonk::prove(&keys.0, &circuit, &mut rng).map_err(|e| e.to_string())
+            Plonk::prove(&pk, &circuit, &mut rng).map_err(|e| e.to_string())
         });
-        self.phase = Phase::ProvingValidation { job };
-        Ok(Step::AwaitJob(job))
-    }
-
-    fn shape_key_of(&self, world: &MarketWorld) -> Result<(usize, usize), TaskError> {
-        let seller = &world.owners[self.spec.shard][self.spec.seller];
-        let secret = seller
-            .secret(self.spec.token)
-            .ok_or(ZkdetError::MissingSecret(self.spec.token))?;
-        Ok(self.shape_key(secret.data.len()))
+        self.phase = Phase::ProvingValidation { job, vk: keys.vk };
+        Step::AwaitJob(job)
     }
 }
 
@@ -324,7 +306,7 @@ impl Task<MarketWorld> for ExchangeMachine {
         );
         match std::mem::replace(&mut self.phase, Phase::Finished) {
             Phase::Init => {
-                // List the token, then route by the π_p key cache.
+                // List the token.
                 let shard = world.sharded.shard_mut(self.spec.shard);
                 let seller = &world.owners[self.spec.shard][self.spec.seller];
                 let mut rng = StdRng::seed_from_u64(cx.seed_for(0));
@@ -339,63 +321,78 @@ impl Task<MarketWorld> for ExchangeMachine {
                     &mut rng,
                 )?;
                 self.seller_listing = Some(listing);
-                let key = self.shape_key_of(world)?;
-                match world.pk_cache.get(&key) {
-                    Some(PkSlot::Ready(_)) => self.submit_validation_prove(world, cx),
-                    Some(PkSlot::InFlight) => {
-                        self.phase = Phase::PreprocessPoll;
-                        Ok(Step::Yield(POLL_TICKS))
-                    }
-                    None => {
-                        // First machine with this shape preprocesses for
-                        // everyone.
-                        world.pk_cache.insert(key, PkSlot::InFlight);
-                        let seller = &world.owners[self.spec.shard][self.spec.seller];
-                        let (circuit, _publics) = self.synthesize_validation(seller)?;
-                        let srs = Arc::clone(&world.sharded.srs);
-                        let job = cx.submit_job(
-                            COST_PREPROCESS_PI_P,
-                            move || -> Result<(ProvingKey, VerifyingKey), String> {
-                                Plonk::preprocess(&srs, &circuit).map_err(|e| e.to_string())
-                            },
-                        );
-                        self.phase = Phase::PreprocessWait { job };
-                        Ok(Step::AwaitJob(job))
-                    }
+                // Synthesize π_p once (cheap; the proving is not) and route
+                // by the deployment's key registry.
+                let (relation, secret) = self.validation(seller)?;
+                let circuit = Arc::new(relation.synthesize(
+                    secret.data.entries(),
+                    &secret.commitment,
+                    &secret.opening,
+                ));
+                let shape = Shape::Validation(circuit.shape_digest());
+                let registry = shard.market.key_registry();
+                if let Some(keys) = registry.lookup(&shape, shard.market.metrics()) {
+                    return Ok(self.submit_validation_prove(keys, circuit, cx));
                 }
+                let job = if world.preprocessing.insert(shape.clone()) {
+                    // First machine with this shape preprocesses for
+                    // everyone.
+                    let srs = Arc::clone(registry.srs());
+                    let circuit = Arc::clone(&circuit);
+                    Some(
+                        cx.submit_job(COST_PREPROCESS_PI_P, move || -> Result<KeyPair, String> {
+                            KeyRegistry::derive(&srs, &circuit).map_err(|e| e.to_string())
+                        }),
+                    )
+                } else {
+                    None
+                };
+                self.phase = Phase::AwaitKeys {
+                    job,
+                    shape,
+                    circuit,
+                };
+                Ok(job.map_or(Step::Yield(POLL_TICKS), Step::AwaitJob))
             }
-            Phase::PreprocessWait { job } => {
-                let keys = *cx
-                    .take_result::<Result<(ProvingKey, VerifyingKey), String>>(job)
-                    .ok_or_else(|| TaskError("missing preprocess result".into()))?;
-                let keys = keys.map_err(TaskError)?;
-                let key = self.shape_key_of(world)?;
-                world.pk_cache.insert(key, PkSlot::Ready(Arc::new(keys)));
-                self.submit_validation_prove(world, cx)
+            Phase::AwaitKeys {
+                job,
+                shape,
+                circuit,
+            } => {
+                let keys = match job {
+                    Some(job) => {
+                        let keys = *cx
+                            .take_result::<Result<KeyPair, String>>(job)
+                            .ok_or_else(|| TaskError("missing preprocess result".into()))?;
+                        world.preprocessing.remove(&shape);
+                        world.sharded.keys.insert(shape, keys.map_err(TaskError)?)
+                    }
+                    None => match world.sharded.keys.get(&shape) {
+                        Some(keys) => keys,
+                        None => {
+                            self.phase = Phase::AwaitKeys {
+                                job,
+                                shape,
+                                circuit,
+                            };
+                            return Ok(Step::Yield(POLL_TICKS));
+                        }
+                    },
+                };
+                Ok(self.submit_validation_prove(keys, circuit, cx))
             }
-            Phase::PreprocessPoll => match world.pk_cache.get(&self.shape_key_of(world)?) {
-                Some(PkSlot::Ready(_)) => self.submit_validation_prove(world, cx),
-                Some(PkSlot::InFlight) => {
-                    self.phase = Phase::PreprocessPoll;
-                    Ok(Step::Yield(POLL_TICKS))
-                }
-                None => Err(TaskError("π_p key slot vanished while polling".into())),
-            },
-            Phase::ProvingValidation { job } => {
+            Phase::ProvingValidation { job, vk } => {
                 let proof = *cx
                     .take_result::<Result<Proof, String>>(job)
                     .ok_or_else(|| TaskError("missing π_p proving result".into()))?;
                 let proof = proof.map_err(TaskError)?;
-                let keys = match world.pk_cache.get(&self.shape_key_of(world)?) {
-                    Some(PkSlot::Ready(keys)) => Arc::clone(keys),
-                    _ => return Err(TaskError("π_p keys vanished from the cache".into())),
-                };
                 let seller = &world.owners[self.spec.shard][self.spec.seller];
-                let (_circuit, publics) = self.synthesize_validation(seller)?;
+                let (relation, secret) = self.validation(seller)?;
+                let publics = relation.public_inputs(&secret.commitment);
                 let package = ValidationPackage {
                     proof: proof.clone(),
                     publics: publics.clone(),
-                    vk: keys.1.clone(),
+                    vk: Arc::clone(&vk),
                 };
                 // The buyer's binding check runs now (cheap); the pairing
                 // check joins the next folded batch.
@@ -408,7 +405,7 @@ impl Task<MarketWorld> for ExchangeMachine {
                 shard.market.check_validation_binding(listing, &package)?;
                 let ticket = world.batcher.enqueue(LineageCheck {
                     node: NodeId(self.spec.token.0),
-                    vk: Arc::new(keys.1.clone()),
+                    vk,
                     publics,
                     proof,
                     label: "π_p",
@@ -476,7 +473,7 @@ impl Task<MarketWorld> for ExchangeMachine {
                                 Ok(Step::Yield(POLL_TICKS))
                             }
                             Some(witness) => {
-                                let pk = Arc::clone(&shard.market.keyneg_pk);
+                                let pk = Arc::clone(&shard.market.keyneg.pk);
                                 let circuit = witness.circuit;
                                 let seed = cx.seed_for(3);
                                 let job = cx.submit_job(

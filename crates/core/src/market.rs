@@ -2,11 +2,19 @@
 //! data-transformation protocol (§IV-B).
 //!
 //! A [`Marketplace`] bundles the storage network, the chain (with the NFT,
-//! auction and π_k-verifier contracts deployed), the universal SRS, and a
-//! registry of preprocessed circuit keys per relation *shape*. Shapes
-//! depend only on public sizes, so keys are derived once and reused — the
+//! auction and π_k-verifier contracts deployed), the universal SRS, and the
+//! deployment's [`KeyRegistry`]: one entry of preprocessed keys per circuit
+//! *shape*, for every relation (π_e, π_t, π_p, π_k) and every path. A
+//! stand-alone marketplace owns its registry; the shards of a
+//! [`crate::shard::ShardedMarketplace`] share one, handed down through
+//! [`MarketConfig::keys`] together with the SRS it is derived from. It is
+//! never process-global — a new deployment starts empty, which keeps a
+//! replayed run's schedule identical. π_e/π_t/π_k entries are keyed by
+//! their public sizes; π_p, whose predicate is the caller's, by a digest of
+//! the compiled circuit. Keys are derived once and reused — the
 //! universal-setup property the paper evaluates in Fig. 5.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -18,7 +26,7 @@ use zkdet_crypto::commitment::{Commitment, CommitmentScheme, Opening};
 use zkdet_crypto::mimc::{Ciphertext, MimcCtr};
 use zkdet_field::{Field, Fr};
 use zkdet_kzg::Srs;
-use zkdet_plonk::{Proof, Plonk, ProvingKey, VerifyingKey};
+use zkdet_plonk::{CompiledCircuit, Plonk, Proof, VerifyingKey};
 use zkdet_provenance::{
     export, lineage_digest, verify_lineage, AuditCache, LineageCheck, NodeId, VerifyMode,
 };
@@ -28,6 +36,7 @@ use crate::bundle::{ProofBundle, TransformProof};
 use crate::codec::{decode_ciphertext, encode_ciphertext};
 use crate::dataset::Dataset;
 use crate::error::ZkdetError;
+use crate::keys::{KeyPair, KeyRegistry, Shape};
 
 /// Seller-side secrets for one published dataset.
 #[derive(Clone, Debug)]
@@ -113,7 +122,7 @@ pub struct RobustnessMetrics {
 
 /// Canonical metric names shared with the storage layer's own
 /// instrumentation (DESIGN.md §10).
-mod metric {
+pub(crate) mod metric {
     pub const RETRIEVALS: &str = "zkdet.storage.retrieve.calls";
     pub const ATTEMPTS: &str = "zkdet.storage.retrieve.attempts";
     pub const HEDGES: &str = "zkdet.storage.retrieve.hedges";
@@ -122,29 +131,27 @@ mod metric {
     pub const DEGRADED: &str = "zkdet.storage.quorum.read.degraded";
     pub const REPAIRED_SHARES: &str = "zkdet.storage.repair.shares_restored";
     pub const RETRIEVE_LATENCY_US: &str = "zkdet.storage.retrieve.latency_us";
-}
-
-/// Cache key for preprocessed circuit shapes.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum Shape {
-    Enc(usize),
-    Dup(usize),
-    Agg(Vec<usize>),
-    Part(Vec<usize>),
+    /// Key-registry lookups that found the shape's keys ready; the counter
+    /// is `<this>.<relation>` with relation ∈ `pi_e`, `pi_t`, `pi_p`, `pi_k`.
+    pub const KEYS_HIT: &str = "zkdet.core.keys.hit";
+    /// Lookups that did not: the caller derived the keys, or waited for a
+    /// derivation in flight. Same `.<relation>` suffix.
+    pub const KEYS_MISS: &str = "zkdet.core.keys.miss";
 }
 
 /// Deployment parameters for [`Marketplace::bootstrap_with`].
 ///
 /// [`Marketplace::bootstrap`] covers the common single-instance case; this
 /// config exists for sharded deployments (DESIGN.md §16) that share one
-/// SRS across shards, mint from disjoint token-id ranges, and inject a
-/// storage fault plan per shard.
+/// SRS and key registry across shards, mint from disjoint token-id ranges,
+/// and inject a storage fault plan per shard.
 #[derive(Clone)]
 pub struct MarketConfig {
-    /// Pre-built SRS to share (e.g. across shards); `None` runs a fresh
-    /// universal setup sized by `max_constraints`.
-    pub srs: Option<Arc<Srs>>,
-    /// Circuit-size ceiling for a fresh setup (ignored when `srs` is set).
+    /// The deployment's key registry to join (the shared SRS plus every key
+    /// derived from it so far); `None` runs a fresh universal setup sized
+    /// by `max_constraints` and starts an empty registry.
+    pub keys: Option<Arc<KeyRegistry>>,
+    /// Circuit-size ceiling for a fresh setup (ignored when `keys` is set).
     pub max_constraints: usize,
     /// Storage nodes backing this instance's quorum network.
     pub storage_nodes: usize,
@@ -162,7 +169,7 @@ pub struct MarketConfig {
 impl Default for MarketConfig {
     fn default() -> Self {
         MarketConfig {
-            srs: None,
+            keys: None,
             max_constraints: 1 << 12,
             storage_nodes: 8,
             fault_plan: zkdet_storage::FaultPlan::none(),
@@ -186,12 +193,12 @@ pub struct Marketplace {
     pub auction_addr: Address,
     /// The on-chain verifier for the π_k relation.
     pub keyneg_verifier_addr: Address,
-    /// Proving key for π_k (`Arc` so executor proving jobs can carry it to
-    /// worker threads without cloning the key material).
-    pub(crate) keyneg_pk: Arc<ProvingKey>,
-    /// Verifying key for π_k (also embedded in the verifier contract).
+    /// Verifying key for π_k (a copy of the registry's, like the one
+    /// embedded in the verifier contract).
     pub keyneg_vk: VerifyingKey,
-    keys: BTreeMap<Shape, Arc<(ProvingKey, VerifyingKey)>>,
+    /// The registry's π_k entry, read once at bootstrap.
+    pub(crate) keyneg: KeyPair,
+    keys: Arc<KeyRegistry>,
     /// Registered processing relations (§IV-D 4): formula name → vk.
     processing_vks: BTreeMap<String, VerifyingKey>,
     next_owner_seed: u64,
@@ -240,9 +247,12 @@ impl Marketplace {
         span.record("max_constraints", config.max_constraints as u64);
         span.record("storage_nodes", config.storage_nodes as u64);
         span.record("token_base", config.token_base);
-        let srs = match config.srs {
-            Some(srs) => srs,
-            None => Arc::new(Srs::universal_setup(config.max_constraints + 8, rng)),
+        let keys = match config.keys {
+            Some(keys) => keys,
+            None => Arc::new(KeyRegistry::new(Arc::new(Srs::universal_setup(
+                config.max_constraints + 8,
+                rng,
+            )))),
         };
         // Byzantine-quorum storage is the default backend: blobs are
         // erasure-coded k-of-n with w-ack durability (8/4/6 at ≥ 8 nodes),
@@ -259,28 +269,34 @@ impl Marketplace {
         let (nft_addr, _) = chain.deploy_nft_with_base(operator, config.token_base);
         let (auction_addr, _) = chain.deploy_auction(operator);
 
-        // Preprocess the (fixed-shape) π_k relation and deploy its verifier.
+        // The (fixed-shape) π_k relation: the first bootstrap of a
+        // deployment preprocesses it, later shards find it in the registry.
+        // The blinder is drawn either way, so every shard consumes the same
+        // randomness whether or not it derived the key.
+        let metrics = zkdet_telemetry::Registry::new();
         let dummy_key = Fr::from(1u64);
         let (c, o) = CommitmentScheme::commit_scalar(dummy_key, rng);
-        let circuit = KeyNegotiationCircuit.synthesize(dummy_key, Fr::from(2u64), &c, &o);
-        let (keyneg_pk, keyneg_vk) = Plonk::preprocess(&srs, &circuit)?;
+        let keyneg = keys.get_or_derive(Shape::KeyNeg, &metrics, || {
+            KeyNegotiationCircuit.synthesize(dummy_key, Fr::from(2u64), &c, &o)
+        })?;
+        let keyneg_vk = VerifyingKey::clone(&keyneg.vk);
         let (keyneg_verifier_addr, _) = chain.deploy_verifier(operator, keyneg_vk.clone());
         chain.mine_block();
 
         Ok(Marketplace {
-            srs,
+            srs: Arc::clone(keys.srs()),
             storage,
             chain,
             nft_addr,
             auction_addr,
             keyneg_verifier_addr,
-            keyneg_pk: Arc::new(keyneg_pk),
             keyneg_vk,
-            keys: BTreeMap::new(),
+            keyneg,
+            keys,
             processing_vks: BTreeMap::new(),
             next_owner_seed: config.owner_seed_base.max(1),
             retrieval_policy: RetrievalPolicy::default(),
-            metrics: zkdet_telemetry::Registry::new(),
+            metrics,
             audit_cache: AuditCache::new(),
             audit_threads: 4,
         })
@@ -364,7 +380,7 @@ impl Marketplace {
             &derived_commitment,
             &derived_opening,
         );
-        let pi_e = Plonk::prove(&keys.0, &circuit, rng)?;
+        let pi_e = Plonk::prove(&keys.pk, &circuit, rng)?;
         let secret = DatasetSecret {
             key,
             nonce,
@@ -404,25 +420,33 @@ impl Marketplace {
         }
     }
 
-    fn keys_for(
-        &mut self,
+    /// The deployment's key registry (shared with sibling shards, if any).
+    pub fn key_registry(&self) -> &Arc<KeyRegistry> {
+        &self.keys
+    }
+
+    /// The shape's keys from the registry, preprocessing `synthesize()`'s
+    /// circuit (owned or borrowed) if this deployment has not seen the
+    /// shape yet.
+    fn keys_for<C: Borrow<CompiledCircuit>>(
+        &self,
         shape: Shape,
-        synthesize: impl FnOnce() -> zkdet_plonk::CompiledCircuit,
-    ) -> Result<Arc<(ProvingKey, VerifyingKey)>, ZkdetError> {
-        if let Some(k) = self.keys.get(&shape) {
-            return Ok(k.clone());
-        }
-        let circuit = synthesize();
-        let keys = Arc::new(Plonk::preprocess(&self.srs, &circuit)?);
-        self.keys.insert(shape, keys.clone());
-        Ok(keys)
+        synthesize: impl FnOnce() -> C,
+    ) -> Result<KeyPair, ZkdetError> {
+        Ok(self.keys.get_or_derive(shape, &self.metrics, synthesize)?)
+    }
+
+    /// The π_p keys for a synthesized validation circuit, keyed by its
+    /// shape digest so that no predicate can alias another's relation.
+    pub(crate) fn validation_keys(&self, circuit: &CompiledCircuit) -> Result<KeyPair, ZkdetError> {
+        self.keys_for(Shape::Validation(circuit.shape_digest()), || circuit)
     }
 
     pub(crate) fn enc_keys(
-        &mut self,
+        &self,
         n: usize,
         rng: &mut (impl Rng + ?Sized),
-    ) -> Result<Arc<(ProvingKey, VerifyingKey)>, ZkdetError> {
+    ) -> Result<KeyPair, ZkdetError> {
         // Dummy instance with the right shape for preprocessing.
         let plaintext = vec![Fr::ZERO; n];
         let key = Fr::random(rng);
@@ -480,7 +504,7 @@ impl Marketplace {
             &commitment,
             &opening,
         );
-        let pi_e = Plonk::prove(&keys.0, &circuit, rng)?;
+        let pi_e = Plonk::prove(&keys.pk, &circuit, rng)?;
         Ok((
             DatasetSecret {
                 key,
@@ -535,27 +559,15 @@ impl Marketplace {
         let data = src.data.clone();
         let (secret, ciphertext, pi_e) = self.encrypt_and_prove(&data, rng)?;
         let n = data.len();
-        let shape = DuplicationCircuit::new(n);
-        let keys = {
-            let (ds, c_s, o_s, c_d, o_d) = (
-                data.entries().to_vec(),
-                src.commitment,
-                src.opening,
-                secret.commitment,
-                secret.opening,
-            );
-            self.keys_for(Shape::Dup(n), || {
-                shape.synthesize(&ds, &c_s, &o_s, &c_d, &o_d)
-            })?
-        };
-        let circuit = shape.synthesize(
+        let circuit = DuplicationCircuit::new(n).synthesize(
             data.entries(),
             &src.commitment,
             &src.opening,
             &secret.commitment,
             &secret.opening,
         );
-        let proof = Plonk::prove(&keys.0, &circuit, rng)?;
+        let keys = self.keys_for(Shape::Dup(n), || &circuit)?;
+        let proof = Plonk::prove(&keys.pk, &circuit, rng)?;
         let bundle = ProofBundle {
             pi_e,
             len: n,
@@ -606,25 +618,14 @@ impl Marketplace {
             .iter()
             .map(|s| (s.commitment, s.opening))
             .collect();
-        let keys = {
-            let (se, sc, cd, od) = (
-                source_entries.clone(),
-                source_commits.clone(),
-                secret.commitment,
-                secret.opening,
-            );
-            let shape2 = shape.clone();
-            self.keys_for(Shape::Agg(source_lens), || {
-                shape2.synthesize(&se, &sc, &cd, &od)
-            })?
-        };
         let circuit = shape.synthesize(
             &source_entries,
             &source_commits,
             &secret.commitment,
             &secret.opening,
         );
-        let proof = Plonk::prove(&keys.0, &circuit, rng)?;
+        let keys = self.keys_for(Shape::Agg(source_lens), || &circuit)?;
+        let proof = Plonk::prove(&keys.pk, &circuit, rng)?;
         let bundle = ProofBundle {
             pi_e,
             len: merged.len(),
@@ -677,25 +678,14 @@ impl Marketplace {
 
         // One shared partition proof.
         let shape = PartitionCircuit::new(sizes.to_vec());
-        let keys = {
-            let (se, cs, os, pc) = (
-                src.data.entries().to_vec(),
-                src.commitment,
-                src.opening,
-                part_commits.clone(),
-            );
-            let shape2 = shape.clone();
-            self.keys_for(Shape::Part(sizes.to_vec()), || {
-                shape2.synthesize(&se, &cs, &os, &pc)
-            })?
-        };
         let circuit = shape.synthesize(
             src.data.entries(),
             &src.commitment,
             &src.opening,
             &part_commits,
         );
-        let proof = Plonk::prove(&keys.0, &circuit, rng)?;
+        let keys = self.keys_for(Shape::Part(sizes.to_vec()), || &circuit)?;
+        let proof = Plonk::prove(&keys.pk, &circuit, rng)?;
 
         let mut tokens = Vec::with_capacity(parts.len());
         for (idx, (secret, ciphertext, pi_e)) in encrypted.into_iter().enumerate() {
@@ -939,7 +929,7 @@ impl Marketplace {
             let commitment = Commitment(meta.commitment);
             checks.push(LineageCheck {
                 node: NodeId(cur.0),
-                vk: std::sync::Arc::new(enc_keys.1.clone()),
+                vk: enc_keys.vk,
                 publics: enc_shape.public_inputs(&ciphertext, &commitment),
                 proof: bundle.pi_e.clone(),
                 label: "π_e",
@@ -968,7 +958,7 @@ impl Marketplace {
                     );
                     checks.push(LineageCheck {
                         node: NodeId(cur.0),
-                        vk: std::sync::Arc::new(keys.1.clone()),
+                        vk: keys.vk,
                         publics,
                         proof: proof.clone(),
                         label: "π_t (duplication)",
@@ -986,7 +976,7 @@ impl Marketplace {
                     let publics = shape.public_inputs(&commitment, &parents);
                     checks.push(LineageCheck {
                         node: NodeId(cur.0),
-                        vk: std::sync::Arc::new(keys.1.clone()),
+                        vk: keys.vk,
                         publics,
                         proof: proof.clone(),
                         label: "π_t (aggregation)",
@@ -1015,7 +1005,7 @@ impl Marketplace {
                         shape.public_inputs(&Commitment(parent_commitments[0]), &parts);
                     checks.push(LineageCheck {
                         node: NodeId(cur.0),
-                        vk: std::sync::Arc::new(keys.1.clone()),
+                        vk: keys.vk,
                         publics,
                         proof: proof.clone(),
                         label: "π_t (partition)",
@@ -1086,11 +1076,7 @@ impl Marketplace {
         ))
     }
 
-    fn dup_keys(
-        &mut self,
-        n: usize,
-        rng: &mut (impl Rng + ?Sized),
-    ) -> Result<Arc<(ProvingKey, VerifyingKey)>, ZkdetError> {
+    fn dup_keys(&self, n: usize, rng: &mut (impl Rng + ?Sized)) -> Result<KeyPair, ZkdetError> {
         let data: Vec<Fr> = vec![Fr::ZERO; n];
         let (c_s, o_s) = CommitmentScheme::commit(&data, rng);
         let (c_d, o_d) = CommitmentScheme::commit(&data, rng);
@@ -1100,10 +1086,10 @@ impl Marketplace {
     }
 
     fn agg_keys(
-        &mut self,
+        &self,
         lens: Vec<usize>,
         rng: &mut (impl Rng + ?Sized),
-    ) -> Result<Arc<(ProvingKey, VerifyingKey)>, ZkdetError> {
+    ) -> Result<KeyPair, ZkdetError> {
         let sources: Vec<Vec<Fr>> = lens.iter().map(|l| vec![Fr::ZERO; *l]).collect();
         let commits: Vec<(Commitment, Opening)> = sources
             .iter()
@@ -1118,10 +1104,10 @@ impl Marketplace {
     }
 
     fn part_keys(
-        &mut self,
+        &self,
         lens: Vec<usize>,
         rng: &mut (impl Rng + ?Sized),
-    ) -> Result<Arc<(ProvingKey, VerifyingKey)>, ZkdetError> {
+    ) -> Result<KeyPair, ZkdetError> {
         let total: usize = lens.iter().sum();
         let data: Vec<Fr> = vec![Fr::ZERO; total];
         let (c_s, o_s) = CommitmentScheme::commit(&data, rng);

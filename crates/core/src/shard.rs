@@ -2,8 +2,9 @@
 //!
 //! A [`ShardedMarketplace`] is N independent [`Marketplace`] instances —
 //! each with its own chain, storage quorum, contracts and write-ahead
-//! exchange journal — sharing one universal SRS (the paper's one-time
-//! ceremony output is deployment-global; everything else is per-shard
+//! exchange journal — sharing one universal SRS and the proving-key
+//! registry derived from it (the paper's one-time ceremony and per-relation
+//! `KeyGen` outputs are deployment-global; everything else is per-shard
 //! state). Shards mint from disjoint token-id ranges spaced
 //! [`SHARD_TOKEN_STRIDE`] apart, so a bare [`TokenId`] routes to its
 //! shard with one division and no cross-shard lookup table.
@@ -22,6 +23,7 @@ use zkdet_storage::FaultPlan;
 
 use crate::error::ZkdetError;
 use crate::journal::ExchangeWal;
+use crate::keys::KeyRegistry;
 use crate::market::{DataOwner, MarketConfig, Marketplace};
 use crate::recovery::RecoveryReport;
 
@@ -79,11 +81,13 @@ pub struct ShardParties {
     pub fairswap: Option<Address>,
 }
 
-/// N marketplaces behind a token-range router, sharing one SRS.
+/// N marketplaces behind a token-range router, sharing one SRS and one
+/// key registry.
 pub struct ShardedMarketplace {
     shards: Vec<MarketShard>,
-    /// The shared universal SRS.
-    pub srs: Arc<Srs>,
+    /// The deployment's key registry (and, through it, the universal SRS):
+    /// a shape preprocessed on one shard is ready on all of them.
+    pub keys: Arc<KeyRegistry>,
 }
 
 impl ShardedMarketplace {
@@ -105,9 +109,10 @@ impl ShardedMarketplace {
         )
     }
 
-    /// Bootstraps per [`ShardPlanConfig`]: one SRS ceremony, then one
-    /// marketplace per shard with its own token-id range, participant-seed
-    /// range, storage quorum (with that shard's fault plan) and WAL.
+    /// Bootstraps per [`ShardPlanConfig`]: one SRS ceremony and one key
+    /// registry over it, then one marketplace per shard with its own
+    /// token-id range, participant-seed range, storage quorum (with that
+    /// shard's fault plan) and WAL.
     pub fn bootstrap_with<R: Rng + ?Sized>(
         config: ShardPlanConfig,
         rng: &mut R,
@@ -119,7 +124,10 @@ impl ShardedMarketplace {
                 "a sharded marketplace needs at least one shard".into(),
             ));
         }
-        let srs = Arc::new(Srs::universal_setup(config.max_constraints + 8, rng));
+        let keys = Arc::new(KeyRegistry::new(Arc::new(Srs::universal_setup(
+            config.max_constraints + 8,
+            rng,
+        ))));
         let mut shards = Vec::with_capacity(config.shards);
         for i in 0..config.shards {
             let fault_plan = config
@@ -129,7 +137,7 @@ impl ShardedMarketplace {
                 .unwrap_or_else(FaultPlan::none);
             let market = Marketplace::bootstrap_with(
                 MarketConfig {
-                    srs: Some(Arc::clone(&srs)),
+                    keys: Some(Arc::clone(&keys)),
                     max_constraints: config.max_constraints,
                     storage_nodes: config.storage_nodes,
                     fault_plan,
@@ -143,7 +151,7 @@ impl ShardedMarketplace {
                 wal: ExchangeWal::new(),
             });
         }
-        Ok(ShardedMarketplace { shards, srs })
+        Ok(ShardedMarketplace { shards, keys })
     }
 
     /// Number of shards.

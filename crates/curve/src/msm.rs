@@ -92,6 +92,7 @@ pub fn msm<C: CurveParams>(bases: &[Affine<C>], scalars: &[Fr]) -> Projective<C>
         // there is a library bug, never an input condition, so joining
         // with `expect` is the right escalation.
         #[allow(clippy::expect_used)]
+        // zkdet-analyzer: allow(raw-thread-spawn) one worker per window, all joined here; sums are combined in window order, so the result does not depend on thread timing
         crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..num_windows)
                 .map(|w| {

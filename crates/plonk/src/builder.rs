@@ -645,6 +645,42 @@ impl CompiledCircuit {
         &self.public_values
     }
 
+    /// SHA-256 over exactly what [`crate::Plonk::preprocess`] reads: row
+    /// count, public-input count, every selector and every wire's copy
+    /// class. Two circuits with the same digest preprocess to the same keys
+    /// under one SRS, whatever their witnesses — so the digest can key a
+    /// proving-key cache without aliasing two relations. (Copy classes are
+    /// hashed by representative label, so a relabelled but equal
+    /// permutation hashes differently: a spurious miss, never a wrong hit.)
+    pub fn shape_digest(&self) -> [u8; 32] {
+        // A zero selector (the common case) is one tag byte, any other
+        // value a tag plus its 32 bytes: still injective, with far fewer
+        // bytes to hash than a flat encoding.
+        fn put(buf: &mut Vec<u8>, x: &Fr) {
+            if x.is_zero() {
+                buf.push(0);
+            } else {
+                buf.push(1);
+                buf.extend_from_slice(&x.to_bytes());
+            }
+        }
+        let mut buf = Vec::with_capacity(16 + self.rows * 64);
+        buf.extend_from_slice(&(self.rows as u64).to_le_bytes());
+        buf.extend_from_slice(&(self.num_public_inputs as u64).to_le_bytes());
+        for (s, w) in self.selectors.iter().zip(&self.wires) {
+            for q in [&s.q_l, &s.q_r, &s.q_o, &s.q_m, &s.q_c] {
+                put(&mut buf, q);
+            }
+            for v in [w.a, w.b, w.c] {
+                buf.extend_from_slice(&(self.representatives[v.0] as u64).to_le_bytes());
+            }
+        }
+        let mut h = zkdet_crypto::sha256::Sha256::new();
+        h.update(b"zkdet-circuit-shape-v1");
+        h.update(&buf);
+        h.finalize()
+    }
+
     /// Overwrites one witness value — a deliberately unsafe hook for
     /// adversarial tests that need to hand the prover a corrupted witness.
     #[doc(hidden)]
@@ -704,6 +740,34 @@ mod tests {
         let c = b.build();
         assert!(c.is_satisfied());
         assert!(c.rows().is_power_of_two());
+    }
+
+    #[test]
+    fn shape_digest_tracks_structure_not_witness() {
+        // x·y + k = out, with `public` choosing whether `out` is public.
+        let circuit = |x: u64, y: u64, k: u64, public: bool, tie: bool| {
+            let mut b = CircuitBuilder::new();
+            let xv = b.alloc(Fr::from(x));
+            let yv = b.alloc(Fr::from(y));
+            let p = b.mul(xv, yv);
+            let s = b.add_const(p, Fr::from(k));
+            let out = if public {
+                b.public_input(Fr::from(x * y + k))
+            } else {
+                b.alloc(Fr::from(x * y + k))
+            };
+            b.assert_equal(s, out);
+            if tie {
+                b.assert_equal(xv, yv);
+            }
+            b.build()
+        };
+        let base = circuit(3, 4, 5, true, false).shape_digest();
+        assert_eq!(base, circuit(7, 9, 5, true, false).shape_digest());
+        // A selector value, the public-input count and the wiring each move it.
+        assert_ne!(base, circuit(3, 4, 6, true, false).shape_digest());
+        assert_ne!(base, circuit(3, 4, 5, false, false).shape_digest());
+        assert_ne!(base, circuit(3, 3, 5, true, true).shape_digest());
     }
 
     #[test]

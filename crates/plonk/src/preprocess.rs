@@ -270,6 +270,7 @@ pub(crate) fn preprocess(
     let mut pre_span = zkdet_telemetry::span("plonk.preprocess");
     pre_span.record("n", n as u64);
     pre_span.record("public_inputs", circuit.num_public_inputs as u64);
+    zkdet_telemetry::counter_add("zkdet.plonk.preprocess.calls", 1);
 
     // Selector columns → polynomials.
     let phase_span = zkdet_telemetry::span("plonk.preprocess.selectors");
@@ -358,7 +359,7 @@ pub(crate) fn preprocess(
 
     Ok((
         ProvingKey {
-            srs: Arc::new(srs.clone()),
+            srs: Arc::new(srs.trim(n + 5)),
             domain,
             domain4,
             q_polys,
@@ -371,4 +372,30 @@ pub(crate) fn preprocess(
         },
         vk,
     ))
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+mod tests {
+    use rand::{rngs::StdRng, SeedableRng};
+
+    use super::*;
+    use crate::{CircuitBuilder, Plonk};
+
+    #[test]
+    fn proving_key_keeps_only_the_srs_prefix_it_commits_with() {
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut b = CircuitBuilder::new();
+        let x = b.alloc(Fr::from(6u64));
+        let y = b.mul(x, x);
+        let out = b.public_input(Fr::from(36u64));
+        b.assert_equal(y, out);
+        let circuit = b.build();
+        let n = circuit.rows();
+        let srs = Srs::universal_setup(1 << 10, &mut rng);
+        let (pk, vk) = Plonk::preprocess(&srs, &circuit).unwrap();
+        assert_eq!(pk.srs.max_degree(), n + 5);
+        let proof = Plonk::prove(&pk, &circuit, &mut rng).unwrap();
+        assert!(Plonk::verify(&vk, &[Fr::from(36u64)], &proof));
+    }
 }

@@ -101,6 +101,7 @@ pub(crate) fn prove<R: Rng + ?Sized>(
     let [a_c, b_c, c_c] = {
         let polys = [&a_poly, &b_poly, &c_poly];
         let mut out = [zkdet_kzg::KzgCommitment(zkdet_curve::G1Affine::identity()); 3];
+        // zkdet-analyzer: allow(raw-thread-spawn) three wire commitments, joined in wire order before the transcript absorbs them; no RNG on the workers
         crossbeam::thread::scope(|scope| -> Result<(), PlonkError> {
             let handles: Vec<_> = polys
                 .iter()
@@ -184,6 +185,7 @@ pub(crate) fn prove<R: Rng + ?Sized>(
     let [a4, b4, c4, z4, pi4, zw4] = {
         let polys = [&a_poly, &b_poly, &c_poly, &z_poly, &pi_poly, &z_shift_poly];
         let mut out: [Vec<Fr>; 6] = Default::default();
+        // zkdet-analyzer: allow(raw-thread-spawn) six pure coset FFTs, joined in a fixed order into fixed slots
         crossbeam::thread::scope(|scope| -> Result<(), PlonkError> {
             let handles: Vec<_> = polys
                 .iter()
@@ -226,6 +228,7 @@ pub(crate) fn prove<R: Rng + ?Sized>(
         .unwrap_or(1)
         .min(8);
     let chunk_len = n4.div_ceil(threads);
+    // zkdet-analyzer: allow(raw-thread-spawn) quotient evaluations over disjoint output chunks; each value is a pure function of its index, whatever the chunking
     crossbeam::thread::scope(|scope| {
         for (chunk_idx, out_chunk) in t4.chunks_mut(chunk_len).enumerate() {
             let (a4, b4, c4, z4, pi4, zw4) = (&a4, &b4, &c4, &z4, &pi4, &zw4);

@@ -163,6 +163,7 @@ pub fn verify_lineage<R: Rng + ?Sized>(
                 // escalation (same policy as the MSM worker pool).
                 #[allow(clippy::expect_used)]
                 let outcome: Result<(), ProofRejected> =
+                    // zkdet-analyzer: allow(raw-thread-spawn) chunks and their seeds are fixed before the scope; workers are joined in chunk order and the first failure in that order is reported
                     crossbeam::thread::scope(|scope| {
                         let handles: Vec<_> = chunks
                             .iter()

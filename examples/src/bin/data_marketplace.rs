@@ -156,8 +156,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    banner("telemetry: metrics summary for this run");
+    // Was an operation slow because it derived a proving key? One line per
+    // relation: registry hits and misses, then the preprocess calls behind
+    // the misses.
+    for (name, count) in market.metrics().counters_snapshot() {
+        if let Some(rest) = name.strip_prefix("zkdet.core.keys.") {
+            println!("  key registry {rest}: {count}");
+        }
+    }
     let snap = zkdet_telemetry::snapshot();
+    if let Some((_, calls)) = snap
+        .counters
+        .iter()
+        .find(|(name, _)| name == "zkdet.plonk.preprocess.calls")
+    {
+        println!(
+            "  {calls} Plonk::preprocess calls for {} shapes in the registry",
+            market.key_registry().len()
+        );
+    }
+
+    banner("telemetry: metrics summary for this run");
     print!(
         "{}",
         zkdet_telemetry::render_summary(&snap.counters, &snap.histograms)
