@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use zkdet_bench::bench_rng;
 use zkdet_crypto::{Mimc, Poseidon};
-use zkdet_curve::{msm, pairing, G1Affine, G1Projective, G2Affine};
+use zkdet_curve::{fixed_base_batch_mul, msm, pairing, G1Affine, G1Projective, G2Affine};
 use zkdet_field::{Field, Fr};
 use zkdet_poly::EvaluationDomain;
 
@@ -37,12 +37,12 @@ fn bench_curve(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("msm");
     group.sample_size(10);
-    for n in [256usize, 1024] {
-        let bases: Vec<G1Affine> = {
-            let pts: Vec<G1Projective> =
-                (0..n).map(|_| G1Projective::random(&mut rng)).collect();
-            G1Projective::batch_to_affine(&pts)
-        };
+    // The two sizes the prover issues (2048- and 32768-row circuits), i.e.
+    // the benchmark ladder's `curve.msm_2048.ms` / `curve.msm_32768.ms` rows.
+    for n in [2048usize, 32768] {
+        let logs: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+        let bases: Vec<G1Affine> =
+            G1Projective::batch_to_affine(&fixed_base_batch_mul(&G1Projective::generator(), &logs));
         let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
             bench.iter(|| msm(&bases, &scalars))

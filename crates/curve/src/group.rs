@@ -324,29 +324,9 @@ impl<C: CurveParams> Projective<C> {
 
     /// Batch conversion to affine form (one inversion for the whole slice).
     pub fn batch_to_affine(points: &[Self]) -> Vec<Affine<C>> {
+        // Identity points have `z = 0`, which batch inversion leaves at zero.
         let mut zs: Vec<C::Base> = points.iter().map(|p| p.z).collect();
-        // Montgomery batch inversion over an arbitrary field.
-        let mut prod = Vec::with_capacity(zs.len());
-        let mut acc = C::Base::ONE;
-        for z in &zs {
-            prod.push(acc);
-            if !z.is_zero() {
-                acc *= *z;
-            }
-        }
-        // `acc` is a product of non-zero factors (identity points are
-        // skipped), hence invertible; fall back to the per-point path
-        // rather than panicking if that invariant is ever violated.
-        let Some(mut inv) = acc.inverse() else {
-            return points.iter().map(|p| p.to_affine()).collect();
-        };
-        for i in (0..zs.len()).rev() {
-            if !zs[i].is_zero() {
-                let new = inv * prod[i];
-                inv *= zs[i];
-                zs[i] = new;
-            }
-        }
+        C::Base::batch_inverse(&mut zs);
         points
             .iter()
             .zip(zs)

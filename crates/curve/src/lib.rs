@@ -6,7 +6,9 @@
 //!   `E'/F_{p²} : y² = x³ + 3/ξ` with `ξ = 9 + i`,
 //! * [`pairing`] / [`multi_pairing`] — the optimal ate pairing
 //!   `e : G1 × G2 → F_{p¹²}` (non-degenerate, bilinear),
-//! * [`msm`] — Pippenger multi-scalar multiplication, the prover hot path.
+//! * [`msm`] — Pippenger multi-scalar multiplication, the prover hot path:
+//!   signed-digit windows sized by a cost model, batch-affine bucket sums,
+//!   one worker per core; the result never depends on the core count.
 //!
 //! # Example
 //!

@@ -1,23 +1,51 @@
 //! Pippenger multi-scalar multiplication.
 //!
-//! Computes `Σ scalarᵢ · baseᵢ` in windows of `c` bits with bucket
-//! accumulation; windows are processed in parallel with scoped threads. This
-//! is the dominant cost of PLONK proving, so it gets the only real
-//! optimisation effort in the curve crate.
+//! Computes `Σ scalarᵢ · baseᵢ` window by window. Each scalar is recoded
+//! into signed `c`-bit digits, so a window needs `2^(c−1)` buckets rather
+//! than `2^c − 1`; `c` is the argmin of a two-term cost model, not a table.
+//! Within a window the terms are counting-sorted by bucket and every bucket
+//! is summed in *affine* coordinates, in rounds of pairwise additions that
+//! share one field inversion per round, so an accumulation costs ~6 base
+//! field multiplications instead of the 11 of a Jacobian mixed add. One
+//! scoped worker per core sums an interleaved subset of the windows. This
+//! is the dominant cost of PLONK proving (nine KZG commitments per proof),
+//! so it gets the only real optimisation effort in the curve crate.
 
-use zkdet_field::{Fr, PrimeField};
+use zkdet_field::{Field, Fr, PrimeField};
 
 use crate::group::{Affine, CurveParams, Projective};
 
-/// Window size heuristic (bits per window) for `n` terms.
+/// Scalars are below `r < 2^254`; recoding `SCALAR_BITS = 255` bits leaves
+/// the top window room to absorb the last carry.
+const SCALAR_BITS: usize = 255;
+
+/// Relative cost of adding one term into its bucket: a batch-affine add is
+/// 3 base-field multiplications for its share of the batch inversion and 3
+/// for λ, λ², y₃, plus the counting sort.
+const ACCUMULATE_COST: u128 = 2;
+/// Relative cost of one more bucket: its suffix-sum step (a Jacobian mixed
+/// add and a full Jacobian add, ~27 multiplications) less the accumulation
+/// add that the first point to land in a bucket does not need.
+///
+/// Both are per-phase timings of G1 at the benchmark ladder's two sizes
+/// (`curve.msm_2048.ms`, `curve.msm_32768.ms`; 2-core box), which agree
+/// across c = 8 / 11 / 12 / 13: sort + denominators + inversion + slope
+/// arithmetic come to 0.20–0.22 µs per term, a suffix-sum step to
+/// 0.73–0.77 µs per bucket, so 0.21 : (0.74 − 0.21) ≈ 2 : 5. The model then
+/// picks c = 8 at n = 2048 (measured 8.9 / 8.2 / 8.6 ms for c = 7 / 8 / 9)
+/// and c = 12 at n = 32768 (measured 91 / 88 / 88 / 93 ms for
+/// c = 10 / 11 / 12 / 13).
+const BUCKET_COST: u128 = 5;
+
+/// Bits per window for `n` terms: the `c` minimising
+/// `windows(c) · (ACCUMULATE_COST · n + BUCKET_COST · 2^(c−1))`.
 fn window_size(n: usize) -> usize {
-    match n {
-        0..=15 => 3,
-        16..=127 => 5,
-        128..=1023 => 8,
-        1024..=32767 => 11,
-        _ => 13,
-    }
+    // u128: the cost of `usize::MAX` terms must not saturate into a tie.
+    let cost = |c: usize| {
+        let per_window = ACCUMULATE_COST * n as u128 + (BUCKET_COST << (c - 1));
+        per_window * SCALAR_BITS.div_ceil(c) as u128
+    };
+    (2..=16).min_by_key(|&c| cost(c)).unwrap_or(2)
 }
 
 /// Extracts the `w`-th `c`-bit window of a canonical scalar.
@@ -36,31 +64,174 @@ fn scalar_window(limbs: &[u64; 4], w: usize, c: usize) -> usize {
     (v as usize) & ((1 << c) - 1)
 }
 
-/// Computes one window's bucket sum `Σ_b b · bucket[b]` over the given terms.
+/// Recodes a canonical scalar into `ceil(255/c)` signed digits, least
+/// significant first, with `Σ_w d_w · 2^(c·w)` equal to the scalar and every
+/// `d_w` in `[−2^(c−1), 2^(c−1)]`: a window above `2^(c−1)` becomes
+/// `window − 2^c` and carries one into the next. Returns the carry out of
+/// the top window, which is 0 for any scalar below `2^254`.
+#[inline]
+fn signed_digits(limbs: &[u64; 4], c: usize, mut emit: impl FnMut(usize, i32)) -> usize {
+    let half = 1usize << (c - 1);
+    let mut carry = 0;
+    for w in 0..SCALAR_BITS.div_ceil(c) {
+        let v = scalar_window(limbs, w, c) + carry;
+        carry = usize::from(v > half);
+        // `c ≤ 16`, so both `v` and `2^c` fit an `i32`.
+        emit(w, v as i32 - ((carry as i32) << c));
+    }
+    carry
+}
+
+/// Per-worker scratch, reused across the worker's windows: O(n) points and
+/// O(2^(c−1)) counters, whatever the number of windows.
+struct Scratch<C: CurveParams> {
+    /// The window's terms grouped by bucket (bucket 0 first), sign applied.
+    /// Always `n` long; the buckets own a prefix of it.
+    points: Vec<Affine<C>>,
+    /// How many of `points` each bucket currently owns.
+    lens: Vec<usize>,
+    /// Scatter cursors during the sort.
+    cursors: Vec<usize>,
+    /// One slope denominator per pair of the current round.
+    denoms: Vec<C::Base>,
+}
+
+/// Computes one window's bucket sum `Σ_b b · bucket[b]`, where `bucket[b]`
+/// collects `sign(dᵢ) · baseᵢ` over the terms with `|dᵢ| = b`.
 fn window_sum<C: CurveParams>(
     bases: &[Affine<C>],
-    scalars: &[[u64; 4]],
-    w: usize,
-    c: usize,
+    digits: &[i32],
+    scratch: &mut Scratch<C>,
 ) -> Projective<C> {
-    let mut buckets = vec![Projective::<C>::identity(); (1 << c) - 1];
-    for (base, scalar) in bases.iter().zip(scalars) {
-        let idx = scalar_window(scalar, w, c);
-        if idx != 0 {
-            buckets[idx - 1] = buckets[idx - 1].add_mixed(base);
+    let Scratch {
+        points,
+        lens,
+        cursors,
+        denoms,
+    } = scratch;
+
+    // Counting sort by bucket; zero digits and identity bases contribute
+    // nothing and are dropped here.
+    let live = |base: &Affine<C>, d: i32| d != 0 && !base.infinity;
+    lens.fill(0);
+    for (base, &d) in bases.iter().zip(digits) {
+        if live(base, d) {
+            lens[d.unsigned_abs() as usize - 1] += 1;
         }
     }
+    let mut start = 0;
+    for (cursor, len) in cursors.iter_mut().zip(lens.iter()) {
+        *cursor = start;
+        start += len;
+    }
+    for (base, &d) in bases.iter().zip(digits) {
+        if live(base, d) {
+            let cursor = &mut cursors[d.unsigned_abs() as usize - 1];
+            points[*cursor] = if d < 0 { -*base } else { *base };
+            *cursor += 1;
+        }
+    }
+
+    // Halve every bucket per round: adjacent pairs are added in affine
+    // form, all slopes of a round sharing one inversion. A zero denominator
+    // marks a pair that sums to infinity (P + (−P), or doubling a point
+    // with y = 0) and simply disappears.
+    loop {
+        denoms.clear();
+        let mut start = 0;
+        for &len in lens.iter() {
+            for pair in points[start..start + len].chunks_exact(2) {
+                let (p, q) = (&pair[0], &pair[1]);
+                denoms.push(if p.x != q.x {
+                    q.x - p.x
+                } else if p.y == q.y {
+                    p.y.double()
+                } else {
+                    C::Base::ZERO
+                });
+            }
+            start += len;
+        }
+        if denoms.is_empty() {
+            break;
+        }
+        C::Base::batch_inverse(denoms);
+
+        // Results are compacted in place: `write` never overtakes `read`.
+        let (mut read, mut write, mut pair) = (0, 0, 0);
+        for len in lens.iter_mut() {
+            let (end, first) = (read + *len, write);
+            while read + 1 < end {
+                let (p, q) = (points[read], points[read + 1]);
+                read += 2;
+                let inv = denoms[pair];
+                pair += 1;
+                if inv.is_zero() {
+                    continue;
+                }
+                let lambda = if p.x != q.x {
+                    (q.y - p.y) * inv
+                } else {
+                    let xx = p.x.square();
+                    (xx.double() + xx) * inv
+                };
+                let x3 = lambda.square() - p.x - q.x;
+                let y3 = lambda * (p.x - x3) - p.y;
+                points[write] = Affine::new_unchecked(x3, y3);
+                write += 1;
+            }
+            if read < end {
+                points[write] = points[read];
+                read += 1;
+                write += 1;
+            }
+            *len = write - first;
+        }
+    }
+
+    // Every bucket now holds at most one point, in bucket order.
     // Suffix-sum trick: Σ b·B_b = Σ_j (Σ_{b ≥ j} B_b).
+    let mut next = lens.iter().sum::<usize>();
     let mut running = Projective::<C>::identity();
     let mut acc = Projective::<C>::identity();
-    for bucket in buckets.iter().rev() {
-        running += *bucket;
+    for &len in lens.iter().rev() {
+        if len == 1 {
+            next -= 1;
+            running = running.add_mixed(&points[next]);
+        }
         acc += running;
     }
     acc
 }
 
+/// Sums windows `first, first + stride, …` of the digit matrix, in that order.
+fn window_sums<C: CurveParams>(
+    bases: &[Affine<C>],
+    digits: &[i32],
+    c: usize,
+    first: usize,
+    stride: usize,
+) -> Vec<Projective<C>> {
+    let buckets = 1usize << (c - 1);
+    let mut scratch = Scratch {
+        points: vec![Affine::identity(); bases.len()],
+        lens: vec![0; buckets],
+        cursors: vec![0; buckets],
+        denoms: Vec::with_capacity(bases.len() / 2),
+    };
+    digits
+        .chunks_exact(bases.len())
+        .skip(first)
+        .step_by(stride)
+        .map(|window| window_sum(bases, window, &mut scratch))
+        .collect()
+}
+
 /// Multi-scalar multiplication `Σ scalarsᵢ · basesᵢ`.
+///
+/// The returned group element depends only on the inputs: window sums land
+/// in fixed slots and are combined in window order, whatever the core count
+/// or thread timing.
 ///
 /// # Panics
 ///
@@ -78,42 +249,53 @@ pub fn msm<C: CurveParams>(bases: &[Affine<C>], scalars: &[Fr]) -> Projective<C>
     if bases.is_empty() {
         return Projective::identity();
     }
-    let c = window_size(bases.len());
-    let num_windows = 254usize.div_ceil(c);
-    let canonical: Vec<[u64; 4]> = scalars.iter().map(|s| s.to_canonical()).collect();
+    pippenger(bases, scalars, window_size(bases.len()))
+}
 
-    // One thread per window (bounded: ≤ 85 windows, typically ~20).
-    let mut window_sums = vec![Projective::<C>::identity(); num_windows];
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if threads > 1 && bases.len() >= 256 {
-        // Workers run pure field arithmetic on borrowed slices; a panic
-        // there is a library bug, never an input condition, so joining
-        // with `expect` is the right escalation.
-        #[allow(clippy::expect_used)]
-        // zkdet-analyzer: allow(raw-thread-spawn) one worker per window, all joined here; sums are combined in window order, so the result does not depend on thread timing
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..num_windows)
-                .map(|w| {
-                    let canonical = &canonical;
-                    scope.spawn(move |_| window_sum(bases, canonical, w, c))
-                })
-                .collect();
-            for (w, h) in handles.into_iter().enumerate() {
-                window_sums[w] = h.join().expect("msm worker panicked");
-            }
-        })
-        .expect("msm scope");
-    } else {
-        for (w, slot) in window_sums.iter_mut().enumerate() {
-            *slot = window_sum(bases, &canonical, w, c);
-        }
+/// [`msm`] over non-empty, equally long inputs with `c`-bit windows,
+/// `2 ≤ c ≤ 16`.
+fn pippenger<C: CurveParams>(bases: &[Affine<C>], scalars: &[Fr], c: usize) -> Projective<C> {
+    let n = bases.len();
+    let num_windows = SCALAR_BITS.div_ceil(c);
+
+    // Window-major digit matrix: window `w` is `digits[w·n..(w+1)·n]`.
+    let mut digits = vec![0i32; num_windows * n];
+    for (i, s) in scalars.iter().enumerate() {
+        let carry = signed_digits(&s.to_canonical(), c, |w, d| digits[w * n + i] = d);
+        debug_assert_eq!(carry, 0, "canonical scalars are below 2^254");
     }
+
+    // Worker `k` sums windows k, k + workers, …; the calling thread is
+    // worker 0, so a single core spawns nothing.
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |cores| cores.get())
+        .min(num_windows);
+    let mut sums = vec![Projective::<C>::identity(); num_windows];
+    let mut place = |k: usize, worker_sums: Vec<Projective<C>>| {
+        for (j, sum) in worker_sums.into_iter().enumerate() {
+            sums[k + j * workers] = sum;
+        }
+    };
+    // Workers run pure field arithmetic on borrowed slices; a panic there
+    // is a library bug, never an input condition, so joining with `expect`
+    // is the right escalation.
+    #[allow(clippy::expect_used)]
+    // zkdet-analyzer: allow(raw-thread-spawn) one worker per core over an interleaved subset of windows, all joined here; each sum lands in its window's slot and slots are combined in window order, so the result does not depend on thread timing or core count
+    crossbeam::thread::scope(|scope| {
+        let digits = &digits;
+        let handles: Vec<_> = (1..workers)
+            .map(|k| scope.spawn(move |_| window_sums(bases, digits, c, k, workers)))
+            .collect();
+        place(0, window_sums(bases, digits, c, 0, workers));
+        for (k, h) in (1..workers).zip(handles) {
+            place(k, h.join().expect("msm worker panicked"));
+        }
+    })
+    .expect("msm scope");
 
     // Combine windows MSB-first: acc = acc·2^c + window.
     let mut acc = Projective::<C>::identity();
-    for sum in window_sums.into_iter().rev() {
+    for sum in sums.into_iter().rev() {
         for _ in 0..c {
             acc = acc.double();
         }
@@ -125,9 +307,10 @@ pub fn msm<C: CurveParams>(bases: &[Affine<C>], scalars: &[Fr]) -> Projective<C>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::{G1Projective, G2Projective};
+    use crate::group::{G1Affine, G1Projective, G2Affine, G2Projective, G1, G2};
     use rand::{rngs::StdRng, SeedableRng};
-    use zkdet_field::Field;
+    use zkdet_field::bigint::BigInt;
+    use zkdet_field::{Fq, Fq2};
 
     fn naive<C: CurveParams>(bases: &[Affine<C>], scalars: &[Fr]) -> Projective<C> {
         bases
@@ -138,34 +321,149 @@ mod tests {
             })
     }
 
+    fn random_bases<C: CurveParams>(n: usize, rng: &mut StdRng) -> Vec<Affine<C>> {
+        let logs = random_scalars(n, rng);
+        Projective::batch_to_affine(&fixed_base_batch_mul(&Projective::<C>::generator(), &logs))
+    }
+
+    fn random_scalars(n: usize, rng: &mut StdRng) -> Vec<Fr> {
+        (0..n).map(|_| Fr::random(rng)).collect()
+    }
+
+    /// Inputs that steer the bucket reduction into each of its special
+    /// cases: a single-bucket doubling chain, both ways a pair can cancel,
+    /// identity bases, and windows with nothing in them.
+    fn edge_case_table<C: CurveParams>(rng: &mut StdRng) -> Vec<(Vec<Affine<C>>, Vec<Fr>)> {
+        let p = Projective::<C>::random(rng).to_affine();
+        let q = Projective::<C>::random(rng).to_affine();
+        let (s, t) = (Fr::random(rng), Fr::random(rng));
+        vec![
+            (vec![p; 300], vec![s; 300]),
+            (vec![p, -p], vec![s, s]),
+            (vec![p, p], vec![s, -s]),
+            // At c = 2 (two terms) the low digits are +1 and −1.
+            (vec![p, p], vec![Fr::ONE, Fr::from(3u64)]),
+            (vec![p, -p, q, p, -p], vec![s, s, t, s, s]),
+            (
+                vec![Affine::identity(), q, Affine::identity()],
+                vec![s, t, -s],
+            ),
+            (vec![Affine::identity(); 5], vec![s; 5]),
+            (vec![p, q, p], vec![Fr::ZERO; 3]),
+        ]
+    }
+
     #[test]
     fn msm_matches_naive_small() {
         let mut rng = StdRng::seed_from_u64(31);
-        for n in [0usize, 1, 2, 3, 17, 64, 300] {
-            let bases: Vec<_> = (0..n)
-                .map(|_| G1Projective::random(&mut rng).to_affine())
-                .collect();
-            let scalars: Vec<_> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+        // Beyond the trivial sizes, pairs that sit on both sides of each
+        // size at which `window_size` moves to the next c, up to c = 7 | 8.
+        let sizes = [
+            0usize, 1, 2, 3, 4, 5, 20, 21, 58, 59, 175, 176, 300, 413, 414, 864, 865,
+        ];
+        for n in sizes {
+            let bases = random_bases::<G1>(n, &mut rng);
+            let scalars = random_scalars(n, &mut rng);
             assert_eq!(msm(&bases, &scalars), naive(&bases, &scalars), "n = {n}");
+        }
+        for (i, (bases, scalars)) in edge_case_table::<G1>(&mut rng).iter().enumerate() {
+            assert_eq!(msm(bases, scalars), naive(bases, scalars), "edge case {i}");
+        }
+    }
+
+    #[test]
+    fn window_size_changes_exactly_where_the_sizes_above_say() {
+        let first_n_with_c = [
+            (1usize, 2usize),
+            (5, 3),
+            (21, 4),
+            (59, 5),
+            (176, 6),
+            (414, 7),
+            (865, 8),
+            (2774, 9),
+            (4907, 10),
+            (14081, 11),
+            (25601, 12),
+            (46081, 13),
+        ];
+        for (n, c) in first_n_with_c {
+            assert_eq!(window_size(n), c, "n = {n}");
+            if n > 1 {
+                assert_eq!(window_size(n - 1), c - 1, "n = {}", n - 1);
+            }
+        }
+        assert_eq!(window_size(usize::MAX), 16);
+    }
+
+    /// Past c = 8 the naive sum is too slow for tier-1, so the bases are
+    /// known multiples `bᵢ·G` and the reference is `(Σ sᵢ·bᵢ)·G`.
+    #[test]
+    fn msm_matches_known_discrete_logs_across_the_larger_windows() {
+        let mut rng = StdRng::seed_from_u64(35);
+        let max = 46081;
+        let logs = random_scalars(max, &mut rng);
+        let g = G1Projective::generator();
+        let bases = G1Projective::batch_to_affine(&fixed_base_batch_mul(&g, &logs));
+        let scalars = random_scalars(max, &mut rng);
+        for n in [
+            2773usize, 2774, 4906, 4907, 14080, 14081, 25600, 25601, 46080, 46081,
+        ] {
+            let dot = logs[..n]
+                .iter()
+                .zip(&scalars[..n])
+                .fold(Fr::ZERO, |acc, (b, s)| acc + *b * *s);
+            assert_eq!(msm(&bases[..n], &scalars[..n]), g * dot, "n = {n}");
+        }
+    }
+
+    /// Every window width, including those `window_size` only reaches at
+    /// sizes far beyond a test (c = 15, 16) or never (c = 14), on an input
+    /// with far fewer terms than buckets and on the edge-case table.
+    #[test]
+    fn every_window_width_matches_naive() {
+        let mut rng = StdRng::seed_from_u64(36);
+        let bases = random_bases::<G1>(40, &mut rng);
+        let scalars = random_scalars(40, &mut rng);
+        let expected = naive(&bases, &scalars);
+        let edges = edge_case_table::<G1>(&mut rng);
+        let p = bases[0];
+        for c in 2..=16 {
+            assert_eq!(pippenger(&bases, &scalars, c), expected, "c = {c}");
+            // 2^c − 1 recodes to (−1, +1): the low window holds P and −P.
+            let (one, all_ones) = (Fr::ONE, Fr::from((1u64 << c) - 1));
+            assert_eq!(
+                pippenger(&[p, p], &[one, all_ones], c),
+                p * (one + all_ones),
+                "c = {c}, opposite digits"
+            );
+            for (i, (bases, scalars)) in edges.iter().enumerate() {
+                assert_eq!(
+                    pippenger(bases, scalars, c),
+                    naive(bases, scalars),
+                    "c = {c}, edge case {i}"
+                );
+            }
         }
     }
 
     #[test]
     fn msm_g2_matches_naive() {
         let mut rng = StdRng::seed_from_u64(32);
-        let bases: Vec<_> = (0..40)
-            .map(|_| G2Projective::random(&mut rng).to_affine())
-            .collect();
-        let scalars: Vec<_> = (0..40).map(|_| Fr::random(&mut rng)).collect();
-        assert_eq!(msm(&bases, &scalars), naive(&bases, &scalars));
+        for n in [40usize, 300] {
+            let bases = random_bases::<G2>(n, &mut rng);
+            let scalars = random_scalars(n, &mut rng);
+            assert_eq!(msm(&bases, &scalars), naive(&bases, &scalars), "n = {n}");
+        }
+        for (i, (bases, scalars)) in edge_case_table::<G2>(&mut rng).iter().enumerate() {
+            assert_eq!(msm(bases, scalars), naive(bases, scalars), "edge case {i}");
+        }
     }
 
     #[test]
     fn msm_handles_special_scalars() {
         let mut rng = StdRng::seed_from_u64(33);
-        let bases: Vec<_> = (0..8)
-            .map(|_| G1Projective::random(&mut rng).to_affine())
-            .collect();
+        let bases = random_bases::<G1>(8, &mut rng);
         let mut scalars = vec![Fr::ZERO; 8];
         scalars[1] = Fr::ONE;
         scalars[2] = -Fr::ONE;
@@ -173,16 +471,94 @@ mod tests {
         assert_eq!(msm(&bases, &scalars), naive(&bases, &scalars));
     }
 
+    /// A 2-torsion point has y = 0, so doubling it must give infinity rather
+    /// than divide by zero. BN254 has none, so this one is off-curve; the
+    /// addition law never reads `b`.
     #[test]
-    fn scalar_window_covers_all_bits() {
-        let limbs = [u64::MAX; 4];
-        let c = 11;
-        let mut total_bits = 0;
-        for w in 0..254usize.div_ceil(c) {
-            let v = scalar_window(&limbs, w, c);
-            total_bits += (v as u64).count_ones();
+    fn doubling_a_point_with_zero_y_gives_infinity() {
+        let p = G1Affine::new_unchecked(Fq::from(7u64), Fq::ZERO);
+        let q = G2Affine::new_unchecked(Fq2::from(7u64), Fq2::ZERO);
+        let two = [Fr::ONE, Fr::ONE];
+        assert_eq!(msm(&[p, p], &two), G1Projective::identity());
+        assert_eq!(msm(&[q, q], &two), G2Projective::identity());
+    }
+
+    /// `Σ_w d_w · 2^(c·w)`, as (sum of the positive terms, sum of the
+    /// negated negative terms).
+    fn recompose(digits: &[i32], c: usize) -> (BigInt, BigInt) {
+        let mut sums = (BigInt::zero(), BigInt::zero());
+        for &d in digits.iter().rev() {
+            for _ in 0..c {
+                sums = (sums.0.shl1(), sums.1.shl1());
+            }
+            let magnitude = BigInt::from_limbs(&[u64::from(d.unsigned_abs())]);
+            if d >= 0 {
+                sums.0 = sums.0.add(&magnitude);
+            } else {
+                sums.1 = sums.1.add(&magnitude);
+            }
         }
-        assert!(total_bits >= 254, "windows must cover at least 254 bits");
+        sums
+    }
+
+    #[test]
+    fn signed_digits_round_trip() {
+        fn pow2(k: usize) -> [u64; 4] {
+            let mut limbs = [0u64; 4];
+            limbs[k / 64] = 1 << (k % 64);
+            limbs
+        }
+        fn minus_one(mut limbs: [u64; 4]) -> [u64; 4] {
+            for l in limbs.iter_mut() {
+                let (v, borrow) = l.overflowing_sub(1);
+                *l = v;
+                if !borrow {
+                    break;
+                }
+            }
+            limbs
+        }
+
+        let mut scalars = vec![[0u64; 4], pow2(0), minus_one(Fr::MODULUS)];
+        for k in 0..254 {
+            scalars.push(pow2(k));
+            scalars.push(minus_one(pow2(k)));
+        }
+        for c in 2..=16usize {
+            // Every window exactly at 2^(c−1) (the largest digit kept
+            // positive) and at 2^(c−1) + 1 (the smallest that borrows), as
+            // far up as fits below 2^254.
+            for low in [1u64 << (c - 1), (1 << (c - 1)) + 1] {
+                let mut limbs = [0u64; 4];
+                for w in 0..253 / c {
+                    let bit = w * c;
+                    limbs[bit / 64] |= low << (bit % 64);
+                    if bit % 64 + c > 64 {
+                        limbs[bit / 64 + 1] |= low >> (64 - bit % 64);
+                    }
+                }
+                scalars.push(limbs);
+            }
+        }
+
+        for c in 2..=16usize {
+            let half = 1i32 << (c - 1);
+            for limbs in &scalars {
+                let mut digits = vec![i32::MIN; SCALAR_BITS.div_ceil(c)];
+                let carry = signed_digits(limbs, c, |w, d| digits[w] = d);
+                assert_eq!(carry, 0, "c = {c}, scalar {limbs:x?}");
+                assert!(
+                    digits.iter().all(|d| (-half..=half).contains(d)),
+                    "c = {c}, scalar {limbs:x?}: {digits:?}"
+                );
+                let (pos, neg) = recompose(&digits, c);
+                assert_eq!(
+                    pos,
+                    neg.add(&BigInt::from_limbs(limbs)),
+                    "c = {c}, scalar {limbs:x?}"
+                );
+            }
+        }
     }
 }
 

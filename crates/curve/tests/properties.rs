@@ -13,6 +13,43 @@ fn arb_g1() -> impl Strategy<Value = G1Projective> {
     arb_fr().prop_map(|s| G1Projective::generator() * s)
 }
 
+/// Recipe for one MSM term, `(base pool, negate base, scalar pool, random)`.
+/// Both pools are small, so a short vector repeats bases, pairs a point with
+/// its negative, and mixes in identity bases and zero scalars — the inputs
+/// that steer bucket accumulation into its doubling and cancelling cases.
+fn arb_msm_term() -> impl Strategy<Value = (u64, bool, u64, Fr)> {
+    (0u64..6, any::<bool>(), 0u64..6, arb_fr())
+}
+
+/// `msm` against the term-by-term sum, over `$projective`'s group.
+macro_rules! msm_matches_naive {
+    ($terms:expr, $projective:ty) => {{
+        let g = <$projective>::generator();
+        let (bases, scalars): (Vec<_>, Vec<_>) = $terms
+            .iter()
+            .map(|&(base, negate, scalar, random)| {
+                let base = match base {
+                    0 => <$projective>::identity(),
+                    1..=3 => g * Fr::from(base),
+                    _ => g * random,
+                };
+                let scalar = match scalar {
+                    0 => Fr::ZERO,
+                    1..=2 => Fr::from(scalar),
+                    3 => -Fr::from(scalar),
+                    _ => random.square(),
+                };
+                (if negate { -base } else { base }.to_affine(), scalar)
+            })
+            .unzip();
+        let naive = bases
+            .iter()
+            .zip(&scalars)
+            .fold(<$projective>::identity(), |acc, (b, s)| acc + *b * *s);
+        prop_assert_eq!(msm(&bases, &scalars), naive);
+    }};
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -56,6 +93,16 @@ proptest! {
         let lhs = msm(&[p, q], &[s, t]);
         let rhs = p.to_projective() * s + q.to_projective() * t;
         prop_assert_eq!(lhs, rhs);
+    }
+
+    #[test]
+    fn msm_g1_matches_naive(terms in proptest::collection::vec(arb_msm_term(), 0..48)) {
+        msm_matches_naive!(terms, G1Projective);
+    }
+
+    #[test]
+    fn msm_g2_matches_naive(terms in proptest::collection::vec(arb_msm_term(), 0..24)) {
+        msm_matches_naive!(terms, G2Projective);
     }
 }
 

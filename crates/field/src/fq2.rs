@@ -259,6 +259,22 @@ mod tests {
     }
 
     #[test]
+    fn batch_inverse_works_over_the_extension() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut v: Vec<Fq2> = (0..19).map(|_| Fq2::random(&mut rng)).collect();
+        v[0] = Fq2::ZERO;
+        v[11] = Fq2::ZERO;
+        let expected: Vec<Fq2> = v.iter().map(|x| x.inverse().unwrap_or(Fq2::ZERO)).collect();
+        Fq2::batch_inverse(&mut v);
+        assert_eq!(v, expected);
+
+        let mut zeros = [Fq2::ZERO; 3];
+        Fq2::batch_inverse(&mut zeros);
+        assert_eq!(zeros, [Fq2::ZERO; 3]);
+        Fq2::batch_inverse(&mut []);
+    }
+
+    #[test]
     fn frobenius_is_order_two() {
         let mut rng = StdRng::seed_from_u64(8);
         let a = Fq2::random(&mut rng);

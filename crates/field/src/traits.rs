@@ -75,6 +75,32 @@ pub trait Field:
         }
         res
     }
+
+    /// Batch inversion via Montgomery's trick: one [`inverse`](Self::inverse)
+    /// plus about three multiplications per element. Zero entries stay zero.
+    /// The running product skips zeros, so it is invertible in any field; if
+    /// an implementation's `inverse` refuses it anyway, `elems` is left
+    /// untouched.
+    fn batch_inverse(elems: &mut [Self]) {
+        let mut prod = Vec::with_capacity(elems.len());
+        let mut acc = Self::ONE;
+        for e in elems.iter() {
+            prod.push(acc);
+            if !e.is_zero() {
+                acc *= *e;
+            }
+        }
+        let Some(mut inv) = acc.inverse() else {
+            return;
+        };
+        for (e, p) in elems.iter_mut().zip(prod).rev() {
+            if !e.is_zero() {
+                let new = inv * p;
+                inv *= *e;
+                *e = new;
+            }
+        }
+    }
 }
 
 /// A prime field `F_p` with a canonical little-endian integer representation.
@@ -109,24 +135,4 @@ pub trait PrimeField: Field + From<u64> + Ord {
     /// Interprets 64 little-endian bytes as an integer and reduces mod p
     /// (used to derive unbiased field elements from hash output).
     fn from_bytes_wide(bytes: &[u8; 64]) -> Self;
-
-    /// Batch inversion via Montgomery's trick; zero entries stay zero.
-    fn batch_inverse(elems: &mut [Self]) {
-        let mut prod = Vec::with_capacity(elems.len());
-        let mut acc = Self::ONE;
-        for e in elems.iter() {
-            prod.push(acc);
-            if !e.is_zero() {
-                acc *= *e;
-            }
-        }
-        let mut inv = acc.inverse().expect("product of non-zero elements");
-        for (e, p) in elems.iter_mut().zip(prod).rev() {
-            if !e.is_zero() {
-                let new = inv * p;
-                inv *= *e;
-                *e = new;
-            }
-        }
-    }
 }

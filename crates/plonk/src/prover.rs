@@ -5,7 +5,7 @@
 //! polynomial, and two batched KZG openings at `ζ` and `ζω`.
 
 use rand::Rng;
-use zkdet_field::{Field, Fr, PrimeField};
+use zkdet_field::{Field, Fr};
 use zkdet_poly::DensePolynomial;
 
 use crate::builder::CompiledCircuit;

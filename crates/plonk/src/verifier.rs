@@ -6,7 +6,7 @@
 //! of §VI-B3), and **2 pairings**.
 
 use zkdet_curve::{multi_pairing, G1Projective};
-use zkdet_field::{Field, Fq12, Fr, PrimeField};
+use zkdet_field::{Field, Fq12, Fr};
 
 use crate::preprocess::VerifyingKey;
 use crate::proof::Proof;
