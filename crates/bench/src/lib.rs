@@ -15,9 +15,8 @@
 //! | `fig_storage` | quorum availability and repair latency vs. node-failure fraction |
 //! | `fig_throughput` | concurrent exchanges/sec on the deterministic executor, vs. a serial baseline |
 //!
-//! Criterion benches (`cargo bench -p zkdet-bench`) cover the same pipeline
-//! at reduced sizes plus substrate micro-benchmarks (MSM, FFT, pairing,
-//! MiMC, Poseidon).
+//! Substrate micro-benchmarks (MSM, FFT, pairing, MiMC, Poseidon) are rows
+//! of the wall-clock ladder in `benchmark/src/ladder.rs`.
 
 #![forbid(unsafe_code)]
 

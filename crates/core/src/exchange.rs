@@ -16,8 +16,8 @@
 use std::sync::Arc;
 
 use rand::Rng;
-use zkdet_chain::{Address, Event, TokenId, Wei};
 use zkdet_chain::contracts::{ListingId, ListingState, REFUND_TIMEOUT_BLOCKS};
+use zkdet_chain::{Address, Event, TokenId, Wei};
 use zkdet_circuits::exchange::{KeyNegotiationCircuit, ValidationCircuit, ValidationPredicate};
 use zkdet_crypto::commitment::{Commitment, CommitmentScheme, Opening};
 use zkdet_crypto::mimc::MimcCtr;
@@ -26,8 +26,9 @@ use zkdet_field::{Field, Fr};
 use zkdet_plonk::{Plonk, Proof, VerifyingKey};
 
 use crate::dataset::Dataset;
-use crate::error::ZkdetError;
-use crate::market::{DataOwner, Marketplace};
+use crate::error::{Recovery, ZkdetError};
+use crate::journal::{ExchangeRecord, Journal, NoJournal};
+use crate::market::{DataOwner, DatasetSecret, Marketplace};
 
 /// Seller-side state for an open listing.
 #[derive(Clone, Debug)]
@@ -152,15 +153,49 @@ impl Marketplace {
         predicate_description: String,
         rng: &mut R,
     ) -> Result<SellerListing, ZkdetError> {
+        self.journaled_list_for_sale(
+            &mut NoJournal,
+            owner,
+            token,
+            start_price,
+            floor_price,
+            decay_per_block,
+            predicate_description,
+            rng,
+        )
+    }
+
+    /// [`Marketplace::list_for_sale`] over a journal: the freshly drawn
+    /// key opening is durable before the listing lands on-chain.
+    #[allow(clippy::too_many_arguments)]
+    pub fn journaled_list_for_sale<R: Rng + ?Sized>(
+        &mut self,
+        journal: &mut impl Journal,
+        owner: &DataOwner,
+        token: TokenId,
+        start_price: Wei,
+        floor_price: Wei,
+        decay_per_block: Wei,
+        predicate_description: String,
+        rng: &mut R,
+    ) -> Result<SellerListing, ZkdetError> {
         let _trace = zkdet_telemetry::enter_trace(zkdet_telemetry::TraceId::for_exchange(token.0));
         let _span = zkdet_telemetry::span("exchange.list");
         let secret = owner
             .secret(token)
             .ok_or(ZkdetError::MissingSecret(token))?;
         let (key_commitment, key_opening) = CommitmentScheme::commit_scalar(secret.key, rng);
-        let (listing, _) = self.chain.auction_create(
-            self.auction_addr,
-            self.nft_addr,
+        journal.append(&ExchangeRecord::ListIntent {
+            token,
+            start_price,
+            floor_price,
+            decay_per_block,
+            key_commitment: key_commitment.0,
+            key_opening: key_opening.0,
+            predicate: predicate_description.clone(),
+        })?;
+        let listing = self.create_listing(
+            journal,
             owner.address,
             token,
             start_price,
@@ -174,6 +209,37 @@ impl Marketplace {
             token,
             key_opening,
         })
+    }
+
+    /// The effect half of the list step: lands the listing of an
+    /// already-journaled `ListIntent` and confirms it. Crash recovery
+    /// re-executes an unconfirmed intent through here, with the
+    /// *journaled* commitment.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn create_listing(
+        &mut self,
+        journal: &mut impl Journal,
+        seller: Address,
+        token: TokenId,
+        start_price: Wei,
+        floor_price: Wei,
+        decay_per_block: Wei,
+        key_commitment: Fr,
+        predicate_description: String,
+    ) -> Result<ListingId, ZkdetError> {
+        let (listing, _) = self.chain.auction_create(
+            self.auction_addr,
+            self.nft_addr,
+            seller,
+            token,
+            start_price,
+            floor_price,
+            decay_per_block,
+            key_commitment,
+            predicate_description,
+        )?;
+        journal.append(&ExchangeRecord::ListDone { listing, token })?;
+        Ok(listing)
     }
 
     /// Seller produces the validation package `π_p` for a predicate φ
@@ -221,13 +287,27 @@ impl Marketplace {
         package: &ValidationPackage,
         rng: &mut R,
     ) -> Result<BuyerSession, ZkdetError> {
+        self.journaled_validate_and_lock(&mut NoJournal, buyer, listing_id, package, rng)
+    }
+
+    /// [`Marketplace::buyer_validate_and_lock`] over a journal: `k_v` is
+    /// durable before the payment locks, so a crash-restart can rebuild
+    /// the session and still unblind `k_c`.
+    pub fn journaled_validate_and_lock<R: Rng + ?Sized>(
+        &mut self,
+        journal: &mut impl Journal,
+        buyer: &DataOwner,
+        listing_id: ListingId,
+        package: &ValidationPackage,
+        rng: &mut R,
+    ) -> Result<BuyerSession, ZkdetError> {
         let token = self.check_validation_binding(listing_id, package)?;
         let _trace = zkdet_telemetry::enter_trace(zkdet_telemetry::TraceId::for_exchange(token.0));
         let _span = zkdet_telemetry::span("exchange.validate_and_lock");
         if !Plonk::verify(&package.vk, &package.publics, &package.proof) {
             return Err(ZkdetError::ProofInvalid("π_p"));
         }
-        self.lock_prevalidated(buyer, listing_id, package, rng)
+        self.lock_checked(journal, buyer, listing_id, token, rng)
     }
 
     /// The binding half of the buyer's π_p check: the proof's statement must
@@ -240,12 +320,11 @@ impl Marketplace {
         listing_id: ListingId,
         package: &ValidationPackage,
     ) -> Result<TokenId, ZkdetError> {
-        let listing = self
+        let token = self
             .chain
             .auction(&self.auction_addr)?
             .listing(listing_id)?
-            .clone();
-        let token = listing.token;
+            .token;
         let on_chain_commitment = self.chain.nft(&self.nft_addr)?.token_meta(token)?.commitment;
         if package.publics.first() != Some(&on_chain_commitment) {
             return Err(ZkdetError::Inconsistent(
@@ -266,28 +345,76 @@ impl Marketplace {
         package: &ValidationPackage,
         rng: &mut R,
     ) -> Result<BuyerSession, ZkdetError> {
-        let token = self.check_validation_binding(listing_id, package)?;
-        let listing = self
-            .chain
-            .auction(&self.auction_addr)?
-            .listing(listing_id)?
-            .clone();
-        let _trace = zkdet_telemetry::enter_trace(zkdet_telemetry::TraceId::for_exchange(token.0));
-        let on_chain_commitment = self.chain.nft(&self.nft_addr)?.token_meta(token)?.commitment;
+        self.journaled_lock_prevalidated(&mut NoJournal, buyer, listing_id, package, rng)
+    }
 
+    /// [`Marketplace::lock_prevalidated`] over a journal — the executor's
+    /// exchange machines lock through here once their folded batch vouched
+    /// for π_p (DESIGN.md §16).
+    pub fn journaled_lock_prevalidated<R: Rng + ?Sized>(
+        &mut self,
+        journal: &mut impl Journal,
+        buyer: &DataOwner,
+        listing_id: ListingId,
+        package: &ValidationPackage,
+        rng: &mut R,
+    ) -> Result<BuyerSession, ZkdetError> {
+        let token = self.check_validation_binding(listing_id, package)?;
+        let _trace = zkdet_telemetry::enter_trace(zkdet_telemetry::TraceId::for_exchange(token.0));
+        let _span = zkdet_telemetry::span("exchange.validate_and_lock");
+        self.lock_checked(journal, buyer, listing_id, token, rng)
+    }
+
+    /// The lock step once π_p and its binding are checked: draws `k_v`,
+    /// journals it, escrows the payment.
+    fn lock_checked<R: Rng + ?Sized>(
+        &mut self,
+        journal: &mut impl Journal,
+        buyer: &DataOwner,
+        listing: ListingId,
+        token: TokenId,
+        rng: &mut R,
+    ) -> Result<BuyerSession, ZkdetError> {
+        let expected_commitment = self.chain.nft(&self.nft_addr)?.token_meta(token)?.commitment;
         let k_v = Fr::random(rng);
-        let h_v = Poseidon::hash(&[k_v]);
-        let price = listing.price_at(self.chain.height());
-        self.chain
-            .auction_lock(self.auction_addr, buyer.address, listing_id, price, h_v)?;
+        journal.append(&ExchangeRecord::PayIntent {
+            listing,
+            token,
+            buyer: buyer.address,
+            k_v,
+            expected_commitment,
+        })?;
+        let price = self.lock_payment(journal, buyer.address, listing, k_v)?;
         Ok(BuyerSession {
             buyer: buyer.address,
-            listing: listing_id,
+            listing,
             token,
             price,
             k_v,
-            expected_commitment: on_chain_commitment,
+            expected_commitment,
         })
+    }
+
+    /// The effect half of the lock step: escrows the current clock price
+    /// under `h_v = H(k_v)` for an already-journaled `PayIntent` and
+    /// confirms it. Crash recovery re-executes an unconfirmed intent
+    /// through here, with the *journaled* `k_v`.
+    pub(crate) fn lock_payment(
+        &mut self,
+        journal: &mut impl Journal,
+        buyer: Address,
+        listing: ListingId,
+        k_v: Fr,
+    ) -> Result<Wei, ZkdetError> {
+        let price = self
+            .chain
+            .auction(&self.auction_addr)?
+            .listing(listing)?
+            .price_at(self.chain.height());
+        let h_v = Poseidon::hash(&[k_v]);
+        self.chain.auction_lock(self.auction_addr, buyer, listing, price, h_v)?;
+        journal.append(&ExchangeRecord::PayDone { listing, price })?;
+        Ok(price)
     }
 
     /// Seller settles (phase 2): derives `k_c = k + k_v`, proves `π_k`, and
@@ -299,49 +426,90 @@ impl Marketplace {
         buyer_k_v: Fr,
         rng: &mut R,
     ) -> Result<(), ZkdetError> {
-        let _trace = zkdet_telemetry::enter_trace(zkdet_telemetry::TraceId::for_exchange(
-            seller_listing.token.0,
-        ));
-        let _span = zkdet_telemetry::span("exchange.settle");
-        match self.seller_prove_settlement(owner, seller_listing, buyer_k_v, rng)? {
-            // Already settled: idempotent success.
-            None => Ok(()),
-            Some(submission) => self.seller_submit_settlement(owner.address, &submission),
-        }
+        self.journaled_seller_settle(&mut NoJournal, owner, seller_listing, buyer_k_v, rng)
     }
 
-    /// The prove half of [`Marketplace::seller_settle`]: checks the lock,
-    /// derives `k_c` and produces `π_k` — **no side effect**. Returns
-    /// `None` if the listing already settled (idempotency: an earlier
-    /// submission may have been confirmed, re-orged and replayed — the
-    /// chain's settlement journal guarantees no funds move twice).
-    pub fn seller_prove_settlement<R: Rng + ?Sized>(
+    /// [`Marketplace::seller_settle`] over a journal, with the
+    /// prove/submit boundary exposed as a crash point:
+    /// [`Marketplace::seller_begin_settlement`] and
+    /// [`Marketplace::seller_finish_settlement`] joined by an inline
+    /// `Plonk::prove`.
+    pub fn journaled_seller_settle<R: Rng + ?Sized>(
         &mut self,
+        journal: &mut impl Journal,
         owner: &DataOwner,
         seller_listing: &SellerListing,
         buyer_k_v: Fr,
         rng: &mut R,
-    ) -> Result<Option<SettlementSubmission>, ZkdetError> {
+    ) -> Result<(), ZkdetError> {
         let _trace = zkdet_telemetry::enter_trace(zkdet_telemetry::TraceId::for_exchange(
             seller_listing.token.0,
         ));
-        let _span = zkdet_telemetry::span("exchange.prove_settlement");
-        let Some(witness) = self.settlement_witness(owner, seller_listing, buyer_k_v)? else {
-            return Ok(None);
+        let _span = zkdet_telemetry::span("exchange.settle");
+        // Already settled: idempotent success.
+        let Some(witness) =
+            self.seller_begin_settlement(journal, owner, seller_listing, buyer_k_v)?
+        else {
+            return Ok(());
         };
-        let proof = Plonk::prove(&self.keyneg.pk, &witness.circuit, rng)?;
-        Ok(Some(SettlementSubmission {
+        let proof = {
+            let _span = zkdet_telemetry::span("exchange.prove_settlement");
+            Plonk::prove(&self.keyneg.pk, &witness.circuit, rng)?
+        };
+        let submission = SettlementSubmission {
             listing: witness.listing,
             k_c: witness.k_c,
             proof,
-        }))
+        };
+        self.seller_finish_settlement(journal, owner.address, &submission)
     }
 
-    /// The check-and-synthesize half of π_k proving: runs every protocol
-    /// check of [`Marketplace::seller_prove_settlement`] and assembles the
-    /// circuit, but leaves the CPU-bound `Plonk::prove` to the caller (the
-    /// executor machines ship it to a worker thread). Returns `None` for an
-    /// already-settled listing, mirroring the prove path's idempotency.
+    /// The begin half of the settle step: journals the intent, runs every
+    /// protocol check and assembles the π_k witness — the proving itself
+    /// is the caller's (inline in [`Marketplace::journaled_seller_settle`],
+    /// a pool job in the executor's exchange machine). Returns `None`,
+    /// with the step already journaled complete, if the listing had
+    /// settled before.
+    pub fn seller_begin_settlement(
+        &self,
+        journal: &mut impl Journal,
+        owner: &DataOwner,
+        seller_listing: &SellerListing,
+        buyer_k_v: Fr,
+    ) -> Result<Option<SettlementWitness>, ZkdetError> {
+        let listing = seller_listing.listing;
+        journal.append(&ExchangeRecord::SettleIntent {
+            listing,
+            token: seller_listing.token,
+            k_v: buyer_k_v,
+        })?;
+        let witness = self.settlement_witness(owner, seller_listing, buyer_k_v)?;
+        if witness.is_none() {
+            journal.append(&ExchangeRecord::SettleDone { listing })?;
+        }
+        Ok(witness)
+    }
+
+    /// The finish half of the settle step: journals that `π_k` exists,
+    /// submits `(k_c, π_k)` to the arbiter and confirms the settlement.
+    pub fn seller_finish_settlement(
+        &mut self,
+        journal: &mut impl Journal,
+        seller: Address,
+        submission: &SettlementSubmission,
+    ) -> Result<(), ZkdetError> {
+        let listing = submission.listing;
+        journal.append(&ExchangeRecord::ProveDone { listing })?;
+        self.seller_submit_settlement(seller, submission)?;
+        journal.append(&ExchangeRecord::SettleDone { listing })
+    }
+
+    /// The check-and-synthesize half of π_k proving: checks the lock,
+    /// derives `k_c` and assembles the circuit — **no side effect**, and
+    /// the CPU-bound `Plonk::prove` is left to the caller. Returns `None`
+    /// if the listing already settled (idempotency: an earlier submission
+    /// may have been confirmed, re-orged and replayed — the chain's
+    /// settlement journal guarantees no funds move twice).
     pub fn settlement_witness(
         &self,
         owner: &DataOwner,
@@ -363,17 +531,13 @@ impl Marketplace {
         let listing = self
             .chain
             .auction(&self.auction_addr)?
-            .listing(seller_listing.listing)?
-            .clone();
-        let locked_h_v = match &listing.state {
-            zkdet_chain::contracts::ListingState::Locked { h_v, .. } => *h_v,
-            _ => {
-                return Err(ZkdetError::Protocol(
-                    "listing is not locked by a buyer".into(),
-                ))
-            }
+            .listing(seller_listing.listing)?;
+        let ListingState::Locked { h_v, .. } = listing.state else {
+            return Err(ZkdetError::Protocol(
+                "listing is not locked by a buyer".into(),
+            ));
         };
-        if Poseidon::hash(&[buyer_k_v]) != locked_h_v {
+        if Poseidon::hash(&[buyer_k_v]) != h_v {
             return Err(ZkdetError::Protocol(
                 "buyer's k_v does not match the locked h_v".into(),
             ));
@@ -422,20 +586,23 @@ impl Marketplace {
         Ok(())
     }
 
+    /// The first event in the chain log, oldest block first, that `pick`
+    /// maps to a value.
+    pub(crate) fn find_event<T>(&self, pick: impl Fn(&Event) -> Option<T>) -> Option<T> {
+        self.chain
+            .blocks()
+            .iter()
+            .flat_map(|block| &block.receipts)
+            .flat_map(|receipt| &receipt.events)
+            .find_map(pick)
+    }
+
     /// The blinded key `k_c` published for a listing, if settled.
     pub fn published_k_c(&self, listing: ListingId) -> Option<Fr> {
-        for block in self.chain.blocks() {
-            for receipt in &block.receipts {
-                for event in &receipt.events {
-                    if let Event::KeyPublished { listing: l, k_c } = event {
-                        if *l == listing {
-                            return Some(*k_c);
-                        }
-                    }
-                }
-            }
-        }
-        None
+        self.find_event(|event| match event {
+            Event::KeyPublished { listing: l, k_c } if *l == listing => Some(*k_c),
+            _ => None,
+        })
     }
 
     /// Buyer recovery: unblinds `k = k_c − k_v`, fetches and decrypts the
@@ -449,37 +616,28 @@ impl Marketplace {
         let _trace = zkdet_telemetry::enter_trace(zkdet_telemetry::TraceId::for_exchange(
             session.token.0,
         ));
-        let _span = zkdet_telemetry::span("exchange.recover");
-        let (k, ciphertext) = self.buyer_fetch(session)?;
-        self.buyer_decrypt(buyer, session, k, &ciphertext)
-    }
-
-    /// The retrieve half of [`Marketplace::buyer_recover`]: unblinds the
-    /// key and fetches the ciphertext artefacts — no buyer state changes,
-    /// so the journaled flow can crash-test the retrieve/decrypt boundary.
-    pub(crate) fn buyer_fetch(
-        &mut self,
-        session: &BuyerSession,
-    ) -> Result<(Fr, zkdet_crypto::mimc::Ciphertext), ZkdetError> {
         let k_c = self
             .published_k_c(session.listing)
             .ok_or_else(|| ZkdetError::Protocol("listing not settled yet".into()))?;
-        let k = k_c - session.k_v;
-        let (ciphertext, _bundle) = self.fetch_artefacts(session.token)?;
-        Ok((k, ciphertext))
+        self.recover_attempt(&mut NoJournal, buyer, session, k_c)
     }
 
-    /// The decrypt half of [`Marketplace::buyer_recover`]: decrypts,
-    /// re-encrypt-checks, verifies token ownership and records the learned
-    /// secrets.
-    pub(crate) fn buyer_decrypt(
+    /// One recovery attempt against the published `k_c`. Retrieve and
+    /// decrypt are separate journal steps: the first changes no buyer
+    /// state, so a crash between the two resumes at the decrypt.
+    fn recover_attempt(
         &mut self,
+        journal: &mut impl Journal,
         buyer: &mut DataOwner,
         session: &BuyerSession,
-        k: Fr,
-        ciphertext: &zkdet_crypto::mimc::Ciphertext,
+        k_c: Fr,
     ) -> Result<Dataset, ZkdetError> {
-        let ciphertext = ciphertext.clone();
+        let _span = zkdet_telemetry::span("exchange.recover");
+        let listing = session.listing;
+        let k = k_c - session.k_v;
+        let (ciphertext, _bundle) = self.fetch_artefacts(session.token)?;
+        journal.append(&ExchangeRecord::RetrieveDone { listing })?;
+
         let ctr = MimcCtr::new(k, ciphertext.nonce);
         let plaintext = ctr.decrypt(&ciphertext);
         // Defense in depth: re-encrypt and compare (the ciphertext is bound
@@ -497,10 +655,9 @@ impl Marketplace {
                 "token was not transferred to the buyer".into(),
             ));
         }
-        let _ = session.expected_commitment;
         buyer.learn_secret(
             session.token,
-            crate::market::DatasetSecret {
+            DatasetSecret {
                 key: k,
                 nonce: ciphertext.nonce,
                 // The buyer does not learn the original opening; a resale
@@ -510,6 +667,7 @@ impl Marketplace {
                 commitment: Commitment(session.expected_commitment),
             },
         );
+        journal.append(&ExchangeRecord::DecryptDone { listing })?;
         Ok(data)
     }
 
@@ -524,11 +682,12 @@ impl Marketplace {
         Ok(ExchangeOutcome::Refunded)
     }
 
-    /// Drives a locked exchange to a terminal state, whatever the
-    /// infrastructure does.
-    ///
-    /// The loop enforces the deadline discipline of §IV-F against the
-    /// simulated chain height:
+    /// One iteration of the buyer's drive towards a terminal state, under
+    /// the deadline discipline of §IV-F against the simulated chain
+    /// height. Returns the report once the exchange is terminal, `None`
+    /// while it is not — the caller decides how time passes before the
+    /// next iteration (the inline loops mine a block, the executor's
+    /// machine yields to its shard's block producer).
     ///
     /// - once the seller's `k_c` is published, recovery is attempted with
     ///   transient storage faults retried up to [`MAX_RECOVER_ATTEMPTS`]
@@ -536,9 +695,11 @@ impl Marketplace {
     ///   [`crate::market::Marketplace::fetch_artefacts`]); unrecoverable
     ///   artefacts end in [`ExchangeOutcome::Aborted`] — the escrow was
     ///   already released, nothing is wedged;
-    /// - while unsettled, blocks are mined until either the seller settles
-    ///   or `locked_at + REFUND_TIMEOUT_BLOCKS` passes, at which point the
-    ///   escrow is reclaimed ([`ExchangeOutcome::Refunded`]);
+    /// - while unsettled, nothing happens until
+    ///   `locked_at + REFUND_TIMEOUT_BLOCKS` passes, at which point the
+    ///   escrow is reclaimed ([`ExchangeOutcome::Refunded`]); a listing
+    ///   already back in `Open` means that refund landed earlier (a crash
+    ///   ate its completion record, or the session was driven twice);
     /// - [`crate::error::Recovery::Fatal`] errors (proof or protocol
     ///   violations) propagate as `Err` immediately;
     /// - every iteration ticks the storage layer's deterministic repair
@@ -546,13 +707,106 @@ impl Marketplace {
     ///   so erasure shares lost to churn or Byzantine corruption are
     ///   re-placed while the exchange is still in flight — a degraded read
     ///   on one attempt can find full redundancy restored on the next.
+    pub fn advance_exchange(
+        &mut self,
+        journal: &mut impl Journal,
+        buyer: &mut DataOwner,
+        session: &BuyerSession,
+        recover_attempts: &mut u32,
+    ) -> Result<Option<ExchangeReport>, ZkdetError> {
+        const MISSED_DEADLINE: &str = "seller missed the settlement deadline";
+        let listing = session.listing;
+        self.tick_storage_repairs();
+        let (outcome, data, reason) = if let Some(k_c) = self.published_k_c(listing) {
+            *recover_attempts += 1;
+            journal.append(&ExchangeRecord::RetrieveIntent {
+                listing,
+                attempt: *recover_attempts,
+            })?;
+            match self.recover_attempt(journal, buyer, session, k_c) {
+                Ok(data) => (ExchangeOutcome::Settled, Some(data), String::new()),
+                // Storage was flaky, not wrong — try again later.
+                Err(e)
+                    if e.recovery() == Recovery::Transient
+                        && *recover_attempts < MAX_RECOVER_ATTEMPTS =>
+                {
+                    return Ok(None)
+                }
+                // Settled on-chain: the refund path is closed, but every
+                // party is in a clean terminal state.
+                Err(e) if e.recovery() != Recovery::Fatal => {
+                    (ExchangeOutcome::Aborted, None, e.to_string())
+                }
+                Err(e) => return Err(e),
+            }
+        } else {
+            let auction = self.chain.auction(&self.auction_addr)?;
+            match auction.listing(listing)?.state {
+                ListingState::Locked { locked_at, .. } => {
+                    if self.chain.height() < locked_at + REFUND_TIMEOUT_BLOCKS {
+                        return Ok(None);
+                    }
+                    journal.append(&ExchangeRecord::RefundIntent { listing })?;
+                    match self.buyer_refund(session) {
+                        Ok(outcome) => {
+                            journal.append(&ExchangeRecord::RefundDone { listing })?;
+                            (outcome, None, MISSED_DEADLINE.to_string())
+                        }
+                        Err(e) if e.recovery() == Recovery::Transient => return Ok(None),
+                        Err(e) => return Err(e),
+                    }
+                }
+                ListingState::Open => {
+                    journal.append(&ExchangeRecord::RefundDone { listing })?;
+                    let reason = "refund landed before the crash".to_string();
+                    (ExchangeOutcome::Refunded, None, reason)
+                }
+                ref state => {
+                    return Err(ZkdetError::Protocol(format!(
+                        "exchange for listing {listing:?} is neither locked nor settled ({state:?})"
+                    )))
+                }
+            }
+        };
+        journal.append(&ExchangeRecord::Terminal {
+            listing,
+            outcome: outcome.clone(),
+            reason: reason.clone(),
+        })?;
+        let failure = match outcome {
+            ExchangeOutcome::Settled => None,
+            ExchangeOutcome::Refunded => Some(MISSED_DEADLINE.to_string()),
+            ExchangeOutcome::Aborted => Some(reason),
+        };
+        Ok(Some(ExchangeReport {
+            outcome,
+            data,
+            recover_attempts: *recover_attempts,
+            blocks_waited: 0,
+            failure,
+        }))
+    }
+
+    /// Drives a locked exchange to a terminal state, whatever the
+    /// infrastructure does: [`Marketplace::advance_exchange`] with one
+    /// block mined between iterations.
     pub fn drive_exchange_to_completion(
         &mut self,
         buyer: &mut DataOwner,
         session: &BuyerSession,
     ) -> Result<ExchangeReport, ZkdetError> {
-        use crate::error::Recovery;
+        self.journaled_drive_to_completion(&mut NoJournal, buyer, session)
+    }
 
+    /// [`Marketplace::drive_exchange_to_completion`] over a journal: every
+    /// retrieve attempt, the decrypt, and the refund path are step
+    /// boundaries a crash-restart resumes across.
+    pub fn journaled_drive_to_completion(
+        &mut self,
+        journal: &mut impl Journal,
+        buyer: &mut DataOwner,
+        session: &BuyerSession,
+    ) -> Result<ExchangeReport, ZkdetError> {
         // The exchange's causal trace: deterministically minted from the
         // token, so telemetry from every layer this loop touches (prover,
         // storage quorum, repair ticks, chain settlement) carries one id.
@@ -563,87 +817,18 @@ impl Marketplace {
         let mut recover_attempts = 0u32;
         let mut blocks_waited = 0u64;
         loop {
+            let step = self.advance_exchange(journal, buyer, session, &mut recover_attempts);
             // Last write wins, so the finished span carries final values.
             drive_span.record("recover_attempts", u64::from(recover_attempts));
             drive_span.record("blocks_waited", blocks_waited);
-            self.tick_storage_repairs();
-            if self.published_k_c(session.listing).is_some() {
-                recover_attempts += 1;
-                drive_span.record("recover_attempts", u64::from(recover_attempts));
-                match self.buyer_recover(buyer, session) {
-                    Ok(data) => {
-                        return Ok(ExchangeReport {
-                            outcome: ExchangeOutcome::Settled,
-                            data: Some(data),
-                            recover_attempts,
-                            blocks_waited,
-                            failure: None,
-                        })
-                    }
-                    Err(e) if e.recovery() == Recovery::Transient
-                        && recover_attempts < MAX_RECOVER_ATTEMPTS =>
-                    {
-                        // Storage was flaky, not wrong — let simulated time
-                        // pass and try again.
-                        self.chain.mine_block();
-                        blocks_waited += 1;
-                    }
-                    Err(e) if e.recovery() != Recovery::Fatal => {
-                        // Settled on-chain: the refund path is closed, but
-                        // every party is in a clean terminal state.
-                        return Ok(ExchangeReport {
-                            outcome: ExchangeOutcome::Aborted,
-                            data: None,
-                            recover_attempts,
-                            blocks_waited,
-                            failure: Some(e.to_string()),
-                        });
-                    }
-                    Err(e) => return Err(e),
-                }
-                continue;
+            if let Some(report) = step? {
+                return Ok(ExchangeReport {
+                    blocks_waited,
+                    ..report
+                });
             }
-
-            // Unsettled: wait for the seller or for the refund deadline.
-            let listing = self
-                .chain
-                .auction(&self.auction_addr)?
-                .listing(session.listing)?
-                .clone();
-            let deadline = match &listing.state {
-                ListingState::Locked { locked_at, .. } => {
-                    locked_at + REFUND_TIMEOUT_BLOCKS
-                }
-                state => {
-                    return Err(ZkdetError::Protocol(format!(
-                        "exchange for listing {:?} is neither locked nor settled ({state:?})",
-                        session.listing
-                    )))
-                }
-            };
-            if self.chain.height() >= deadline {
-                match self.buyer_refund(session) {
-                    Ok(outcome) => {
-                        return Ok(ExchangeReport {
-                            outcome,
-                            data: None,
-                            recover_attempts,
-                            blocks_waited,
-                            failure: Some(
-                                "seller missed the settlement deadline".into(),
-                            ),
-                        })
-                    }
-                    Err(e) if e.recovery() == Recovery::Transient => {
-                        self.chain.mine_block();
-                        blocks_waited += 1;
-                    }
-                    Err(e) => return Err(e),
-                }
-            } else {
-                self.chain.mine_block();
-                blocks_waited += 1;
-            }
+            self.chain.mine_block();
+            blocks_waited += 1;
         }
     }
 }

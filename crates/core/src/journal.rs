@@ -662,6 +662,31 @@ impl ExchangeWal {
     }
 }
 
+/// Where the exchange steps in [`crate::exchange`] write their intent and
+/// completion records: a durable [`ExchangeWal`], or [`NoJournal`] for a
+/// caller that runs the protocol without crash recovery.
+pub trait Journal {
+    /// Records one state transition; fails as [`ExchangeWal::append`] does.
+    fn append(&mut self, record: &ExchangeRecord) -> Result<(), ZkdetError>;
+}
+
+impl Journal for ExchangeWal {
+    fn append(&mut self, record: &ExchangeRecord) -> Result<(), ZkdetError> {
+        ExchangeWal::append(self, record).map(|_seq| ())
+    }
+}
+
+/// The journal of the plain (non-recoverable) exchange path: discards
+/// every record.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NoJournal;
+
+impl Journal for NoJournal {
+    fn append(&mut self, _record: &ExchangeRecord) -> Result<(), ZkdetError> {
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {

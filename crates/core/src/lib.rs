@@ -52,7 +52,7 @@ pub use exchange::{
     BuyerSession, ExchangeOutcome, ExchangeReport, SellerListing, SettlementSubmission,
     ValidationPackage,
 };
-pub use journal::{ExchangeRecord, ExchangeWal};
+pub use journal::{ExchangeRecord, ExchangeWal, Journal, NoJournal};
 pub use keys::{KeyPair, KeyRegistry};
 pub use machine::{
     BatcherDaemon, ExchangeMachine, ExchangeResult, ExchangeSpec, MaintenanceDaemon, MarketWorld,

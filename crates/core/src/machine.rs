@@ -5,10 +5,11 @@
 //! stepping through *list → pay(π_p verify) → settle-prove(π_k) →
 //! retrieve → decrypt → settle/refund*. Control-thread steps touch the
 //! shared [`MarketWorld`]; the CPU-bound proofs run as priced pool jobs
-//! whose completion ticks the simulated clock decides. Every WAL record a
-//! machine writes matches the stream the journaled step wrappers in
-//! [`crate::recovery`] emit, so [`crate::market::Marketplace::recover`]
-//! replays machine-driven exchanges without knowing the executor exists.
+//! whose completion ticks the simulated clock decides. The machine owns
+//! the scheduling only: the protocol steps, and every WAL record they
+//! write, are the ones in [`crate::exchange`] that the inline paths call,
+//! so [`crate::market::Marketplace::recover`] replays machine-driven
+//! exchanges without knowing the executor exists.
 //!
 //! Independent π_p verifications from concurrent exchanges are not
 //! checked one by one: machines enqueue them on the world's
@@ -21,7 +22,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkdet_chain::contracts::{ListingId, ListingState, REFUND_TIMEOUT_BLOCKS};
+use zkdet_chain::contracts::ListingId;
 use zkdet_chain::{Address, TokenId, Wei};
 use zkdet_circuits::exchange::{RangePredicate, ValidationCircuit};
 use zkdet_exec::{Step, Task, TaskCx, TaskError};
@@ -29,15 +30,13 @@ use zkdet_plonk::{CompiledCircuit, Plonk, Proof, VerifyingKey};
 use zkdet_provenance::{verify_lineage, AuditCache, LineageCheck, NodeId, VerifyMode};
 
 use crate::dataset::Dataset;
-use crate::error::{Recovery, ZkdetError};
+use crate::error::ZkdetError;
 use crate::exchange::{
     BuyerSession, ExchangeOutcome, SellerListing, SettlementSubmission, ValidationPackage,
-    MAX_RECOVER_ATTEMPTS,
 };
 use crate::fairswap::{FairSwapBuyer, FairSwapSeller};
-use crate::journal::{ExchangeRecord, ExchangeWal};
 use crate::keys::{KeyPair, KeyRegistry, Shape};
-use crate::market::{DataOwner, DatasetSecret, Marketplace};
+use crate::market::{DataOwner, DatasetSecret};
 use crate::shard::ShardedMarketplace;
 use crate::trace_timeline::exchange_trace;
 
@@ -426,18 +425,17 @@ impl Task<MarketWorld> for ExchangeMachine {
                     Some(true) => {
                         // Lock: the batch vouched for π_p, so take the
                         // pre-validated path (same WAL records).
-                        let listing = self
+                        let seller_listing = self
                             .seller_listing
                             .as_ref()
-                            .ok_or_else(|| TaskError("no listing before lock".into()))?
-                            .listing;
+                            .ok_or_else(|| TaskError("no listing before lock".into()))?;
                         let shard = world.sharded.shard_mut(self.spec.shard);
                         let buyer = &world.owners[self.spec.shard][self.spec.buyer];
                         let mut rng = StdRng::seed_from_u64(cx.seed_for(1));
                         let session = shard.market.journaled_lock_prevalidated(
                             &mut shard.wal,
                             buyer,
-                            listing,
+                            seller_listing.listing,
                             &package,
                             &mut rng,
                         )?;
@@ -449,49 +447,33 @@ impl Task<MarketWorld> for ExchangeMachine {
                             self.phase = Phase::Driving;
                             return Ok(Step::Yield(BLOCK_TICKS));
                         }
-                        // Seller settles: journal the intent, assemble
-                        // the witness, ship π_k proving to the pool.
-                        let seller_listing = self
-                            .seller_listing
-                            .clone()
-                            .ok_or_else(|| TaskError("no seller listing at settle".into()))?;
-                        shard.wal.append(&ExchangeRecord::SettleIntent {
-                            listing: seller_listing.listing,
-                            token: seller_listing.token,
-                            k_v,
-                        })?;
+                        // Seller settles: begin the step on the control
+                        // thread, ship π_k proving to the pool.
                         let seller = &world.owners[self.spec.shard][self.spec.seller];
-                        match shard
-                            .market
-                            .settlement_witness(seller, &seller_listing, k_v)?
-                        {
-                            None => {
-                                shard.wal.append(&ExchangeRecord::SettleDone {
-                                    listing: seller_listing.listing,
-                                })?;
-                                self.phase = Phase::Driving;
-                                Ok(Step::Yield(POLL_TICKS))
-                            }
-                            Some(witness) => {
-                                let pk = Arc::clone(&shard.market.keyneg.pk);
-                                let circuit = witness.circuit;
-                                let seed = cx.seed_for(3);
-                                let job = cx.submit_job(
-                                    COST_PROVE_PI_K,
-                                    move || -> Result<Proof, String> {
-                                        let mut rng = StdRng::seed_from_u64(seed);
-                                        Plonk::prove(&pk, &circuit, &mut rng)
-                                            .map_err(|e| e.to_string())
-                                    },
-                                );
-                                self.phase = Phase::SettleProving {
-                                    job,
-                                    listing: witness.listing,
-                                    k_c: witness.k_c,
-                                };
-                                Ok(Step::AwaitJob(job))
-                            }
-                        }
+                        let Some(witness) = shard.market.seller_begin_settlement(
+                            &mut shard.wal,
+                            seller,
+                            seller_listing,
+                            k_v,
+                        )?
+                        else {
+                            self.phase = Phase::Driving;
+                            return Ok(Step::Yield(POLL_TICKS));
+                        };
+                        let pk = Arc::clone(&shard.market.keyneg.pk);
+                        let circuit = witness.circuit;
+                        let seed = cx.seed_for(3);
+                        let job =
+                            cx.submit_job(COST_PROVE_PI_K, move || -> Result<Proof, String> {
+                                let mut rng = StdRng::seed_from_u64(seed);
+                                Plonk::prove(&pk, &circuit, &mut rng).map_err(|e| e.to_string())
+                            });
+                        self.phase = Phase::SettleProving {
+                            job,
+                            listing: witness.listing,
+                            k_c: witness.k_c,
+                        };
+                        Ok(Step::AwaitJob(job))
                     }
                 }
             }
@@ -501,11 +483,9 @@ impl Task<MarketWorld> for ExchangeMachine {
                     .ok_or_else(|| TaskError("missing π_k proving result".into()))?;
                 let proof = proof.map_err(TaskError)?;
                 let shard = world.sharded.shard_mut(self.spec.shard);
-                shard
-                    .wal
-                    .append(&ExchangeRecord::ProveDone { listing })?;
                 let seller_addr = world.owners[self.spec.shard][self.spec.seller].address;
-                shard.market.seller_submit_settlement(
+                shard.market.seller_finish_settlement(
+                    &mut shard.wal,
                     seller_addr,
                     &SettlementSubmission {
                         listing,
@@ -513,9 +493,6 @@ impl Task<MarketWorld> for ExchangeMachine {
                         proof,
                     },
                 )?;
-                shard
-                    .wal
-                    .append(&ExchangeRecord::SettleDone { listing })?;
                 self.phase = Phase::Driving;
                 Ok(Step::Yield(POLL_TICKS))
             }
@@ -526,25 +503,25 @@ impl Task<MarketWorld> for ExchangeMachine {
                     .ok_or_else(|| TaskError("driving without a session".into()))?;
                 let shard = world.sharded.shard_mut(self.spec.shard);
                 let buyer = &mut world.owners[self.spec.shard][self.spec.buyer];
-                match drive_exchange_once(
-                    &mut shard.market,
+                match shard.market.advance_exchange(
                     &mut shard.wal,
                     buyer,
                     &session,
                     &mut self.attempts,
                 )? {
+                    // The shard's block producer owns the chain's pace.
                     None => {
                         self.phase = Phase::Driving;
                         Ok(Step::Yield(BLOCK_TICKS))
                     }
-                    Some(outcome) => {
+                    Some(report) => {
                         world.results.push(ExchangeResult {
                             token: self.spec.token,
                             shard: self.spec.shard,
                             seller: self.spec.seller,
                             buyer: self.spec.buyer,
                             price: Some(session.price),
-                            outcome,
+                            outcome: report.outcome,
                             start_tick: self.start_tick.unwrap_or(0),
                             end_tick: cx.now(),
                             recover_attempts: self.attempts,
@@ -555,112 +532,6 @@ impl Task<MarketWorld> for ExchangeMachine {
             }
             Phase::Finished => Err(TaskError("stepped a finished machine".into())),
         }
-    }
-}
-
-/// One iteration of the journaled drive loop: same WAL records as
-/// [`Marketplace::journaled_drive_to_completion`], but it returns `None`
-/// instead of mining-and-looping, so the executor interleaves other
-/// exchanges between iterations and the shard's block-producer daemon
-/// owns the chain's pace.
-fn drive_exchange_once(
-    market: &mut Marketplace,
-    wal: &mut ExchangeWal,
-    buyer: &mut DataOwner,
-    session: &BuyerSession,
-    attempts: &mut u32,
-) -> Result<Option<ExchangeOutcome>, ZkdetError> {
-    let listing_id = session.listing;
-    market.tick_storage_repairs();
-    if market.published_k_c(listing_id).is_some() {
-        *attempts += 1;
-        wal.append(&ExchangeRecord::RetrieveIntent {
-            listing: listing_id,
-            attempt: *attempts,
-        })?;
-        let step = market.buyer_fetch(session).and_then(|(k, ciphertext)| {
-            wal.append(&ExchangeRecord::RetrieveDone {
-                listing: listing_id,
-            })?;
-            market.buyer_decrypt(buyer, session, k, &ciphertext)?;
-            wal.append(&ExchangeRecord::DecryptDone {
-                listing: listing_id,
-            })?;
-            Ok(())
-        });
-        return match step {
-            Ok(()) => {
-                wal.append(&ExchangeRecord::Terminal {
-                    listing: listing_id,
-                    outcome: ExchangeOutcome::Settled,
-                    reason: String::new(),
-                })?;
-                Ok(Some(ExchangeOutcome::Settled))
-            }
-            Err(e)
-                if e.recovery() == Recovery::Transient && *attempts < MAX_RECOVER_ATTEMPTS =>
-            {
-                Ok(None)
-            }
-            Err(e) if e.recovery() != Recovery::Fatal => {
-                wal.append(&ExchangeRecord::Terminal {
-                    listing: listing_id,
-                    outcome: ExchangeOutcome::Aborted,
-                    reason: e.to_string(),
-                })?;
-                Ok(Some(ExchangeOutcome::Aborted))
-            }
-            Err(e) => Err(e),
-        };
-    }
-
-    let listing = market
-        .chain
-        .auction(&market.auction_addr)?
-        .listing(listing_id)?
-        .clone();
-    let deadline = match &listing.state {
-        ListingState::Locked { locked_at, .. } => locked_at + REFUND_TIMEOUT_BLOCKS,
-        ListingState::Open => {
-            // Refund landed without our completion record (mirrors the
-            // journaled loop's crash-backfill branch).
-            wal.append(&ExchangeRecord::RefundDone {
-                listing: listing_id,
-            })?;
-            wal.append(&ExchangeRecord::Terminal {
-                listing: listing_id,
-                outcome: ExchangeOutcome::Refunded,
-                reason: "refund landed before the crash".into(),
-            })?;
-            return Ok(Some(ExchangeOutcome::Refunded));
-        }
-        state => {
-            return Err(ZkdetError::Protocol(format!(
-                "exchange for listing {listing_id:?} is neither locked nor settled ({state:?})"
-            )))
-        }
-    };
-    if market.chain.height() >= deadline {
-        wal.append(&ExchangeRecord::RefundIntent {
-            listing: listing_id,
-        })?;
-        match market.buyer_refund(session) {
-            Ok(outcome) => {
-                wal.append(&ExchangeRecord::RefundDone {
-                    listing: listing_id,
-                })?;
-                wal.append(&ExchangeRecord::Terminal {
-                    listing: listing_id,
-                    outcome: outcome.clone(),
-                    reason: "seller missed the settlement deadline".into(),
-                })?;
-                Ok(Some(outcome))
-            }
-            Err(e) if e.recovery() == Recovery::Transient => Ok(None),
-            Err(e) => Err(e),
-        }
-    } else {
-        Ok(None)
     }
 }
 

@@ -1,14 +1,15 @@
-//! Journaled exchange steps and crash recovery (DESIGN.md §13).
+//! Crash recovery, and the journaled FairSwap steps (DESIGN.md §13).
 //!
-//! The journaled variants of the exchange steps wrap the plain
-//! [`crate::exchange`] / [`crate::fairswap`] APIs with write-ahead
-//! records: an intent record (carrying any freshly drawn randomness)
-//! lands in the [`ExchangeWal`] *before* the side effect, a completion
-//! record after. [`crate::market::Marketplace::recover`] replays the
-//! journal against durable chain state and resumes every in-flight
-//! exchange from its last completed step — or drives it to a refund —
-//! with exactly-once settlement guaranteed by the chain's settlement
-//! journal and the idempotent submit paths.
+//! Every exchange step writes an intent record (carrying any freshly
+//! drawn randomness) to its journal *before* the side effect and a
+//! completion record after — the key-secure steps in [`crate::exchange`],
+//! the FairSwap ones here, as thin intent/call/done wrappers over
+//! [`crate::fairswap`]. [`crate::market::Marketplace::recover`] replays
+//! an [`ExchangeWal`] against durable chain state and resumes every
+//! in-flight exchange from its last completed step — or drives it to a
+//! refund — by calling those same steps, with exactly-once settlement
+//! guaranteed by the chain's settlement journal and the idempotent
+//! submit paths.
 //!
 //! The durability model: process memory (sessions, drawn secrets like
 //! `k_v`) is volatile and lost at a crash; the WAL bytes, the chain and
@@ -19,19 +20,15 @@
 use rand::Rng;
 use zkdet_chain::contracts::{ListingId, ListingState, SwapId, SwapState};
 use zkdet_chain::{Address, Event, TokenId, Wei};
-use zkdet_chain::contracts::REFUND_TIMEOUT_BLOCKS;
-use zkdet_crypto::commitment::{CommitmentScheme, Opening};
+use zkdet_crypto::commitment::Opening;
 use zkdet_crypto::mimc::MimcCtr;
 use zkdet_crypto::poseidon::Poseidon;
 use zkdet_crypto::MerkleTree;
 use zkdet_field::{Field, Fr};
 
 use crate::dataset::Dataset;
-use crate::error::{Recovery, ZkdetError};
-use crate::exchange::{
-    BuyerSession, ExchangeOutcome, ExchangeReport, SellerListing, ValidationPackage,
-    MAX_RECOVER_ATTEMPTS,
-};
+use crate::error::ZkdetError;
+use crate::exchange::{BuyerSession, ExchangeOutcome, ExchangeReport, SellerListing};
 use crate::fairswap::{FairSwapBuyer, FairSwapSeller};
 use crate::journal::{ExchangeRecord, ExchangeWal};
 use crate::market::{DataOwner, Marketplace};
@@ -139,303 +136,6 @@ impl Progress {
 }
 
 impl Marketplace {
-    // ------------------------------------------------------------------ //
-    //  Journaled step wrappers (key-secure exchange)                     //
-    // ------------------------------------------------------------------ //
-
-    /// Journaled [`Marketplace::list_for_sale`]: the freshly drawn key
-    /// opening is durable before the listing lands on-chain.
-    #[allow(clippy::too_many_arguments)]
-    pub fn journaled_list_for_sale<R: Rng + ?Sized>(
-        &mut self,
-        wal: &mut ExchangeWal,
-        owner: &DataOwner,
-        token: TokenId,
-        start_price: Wei,
-        floor_price: Wei,
-        decay_per_block: Wei,
-        predicate_description: String,
-        rng: &mut R,
-    ) -> Result<SellerListing, ZkdetError> {
-        let _trace = zkdet_telemetry::enter_trace(zkdet_telemetry::TraceId::for_exchange(token.0));
-        let _span = zkdet_telemetry::span("exchange.list");
-        let secret = owner
-            .secret(token)
-            .ok_or(ZkdetError::MissingSecret(token))?;
-        let (key_commitment, key_opening) = CommitmentScheme::commit_scalar(secret.key, rng);
-        wal.append(&ExchangeRecord::ListIntent {
-            token,
-            start_price,
-            floor_price,
-            decay_per_block,
-            key_commitment: key_commitment.0,
-            key_opening: key_opening.0,
-            predicate: predicate_description.clone(),
-        })?;
-        let (listing, _) = self.chain.auction_create(
-            self.auction_addr,
-            self.nft_addr,
-            owner.address,
-            token,
-            start_price,
-            floor_price,
-            decay_per_block,
-            key_commitment.0,
-            predicate_description,
-        )?;
-        wal.append(&ExchangeRecord::ListDone { listing, token })?;
-        Ok(SellerListing {
-            listing,
-            token,
-            key_opening,
-        })
-    }
-
-    /// Journaled [`Marketplace::buyer_validate_and_lock`]: `k_v` is
-    /// durable before the payment locks, so a crash-restart can rebuild
-    /// the session and still unblind `k_c`.
-    pub fn journaled_validate_and_lock<R: Rng + ?Sized>(
-        &mut self,
-        wal: &mut ExchangeWal,
-        buyer: &DataOwner,
-        listing_id: ListingId,
-        package: &ValidationPackage,
-        rng: &mut R,
-    ) -> Result<BuyerSession, ZkdetError> {
-        let token = self.check_validation_binding(listing_id, package)?;
-        let _trace = zkdet_telemetry::enter_trace(zkdet_telemetry::TraceId::for_exchange(token.0));
-        if !zkdet_plonk::Plonk::verify(&package.vk, &package.publics, &package.proof) {
-            return Err(ZkdetError::ProofInvalid("π_p"));
-        }
-        self.journaled_lock_prevalidated(wal, buyer, listing_id, package, rng)
-    }
-
-    /// The lock half of [`Marketplace::journaled_validate_and_lock`], for
-    /// callers whose π_p was already verified through a batched pairing
-    /// check (the executor's exchange machines, DESIGN.md §16). Emits the
-    /// exact same `PayIntent`/`PayDone` record stream, so recovery replays
-    /// both flows identically.
-    pub fn journaled_lock_prevalidated<R: Rng + ?Sized>(
-        &mut self,
-        wal: &mut ExchangeWal,
-        buyer: &DataOwner,
-        listing_id: ListingId,
-        package: &ValidationPackage,
-        rng: &mut R,
-    ) -> Result<BuyerSession, ZkdetError> {
-        let token = self.check_validation_binding(listing_id, package)?;
-        let listing = self
-            .chain
-            .auction(&self.auction_addr)?
-            .listing(listing_id)?
-            .clone();
-        let _trace = zkdet_telemetry::enter_trace(zkdet_telemetry::TraceId::for_exchange(token.0));
-        let _span = zkdet_telemetry::span("exchange.validate_and_lock");
-        let on_chain_commitment = self.chain.nft(&self.nft_addr)?.token_meta(token)?.commitment;
-        let k_v = Fr::random(rng);
-        wal.append(&ExchangeRecord::PayIntent {
-            listing: listing_id,
-            token,
-            buyer: buyer.address,
-            k_v,
-            expected_commitment: on_chain_commitment,
-        })?;
-        let h_v = Poseidon::hash(&[k_v]);
-        let price = listing.price_at(self.chain.height());
-        self.chain
-            .auction_lock(self.auction_addr, buyer.address, listing_id, price, h_v)?;
-        wal.append(&ExchangeRecord::PayDone {
-            listing: listing_id,
-            price,
-        })?;
-        Ok(BuyerSession {
-            buyer: buyer.address,
-            listing: listing_id,
-            token,
-            price,
-            k_v,
-            expected_commitment: on_chain_commitment,
-        })
-    }
-
-    /// Journaled [`Marketplace::seller_settle`], with the prove/submit
-    /// boundary exposed as a crash point.
-    pub fn journaled_seller_settle<R: Rng + ?Sized>(
-        &mut self,
-        wal: &mut ExchangeWal,
-        owner: &DataOwner,
-        seller_listing: &SellerListing,
-        buyer_k_v: Fr,
-        rng: &mut R,
-    ) -> Result<(), ZkdetError> {
-        let _trace = zkdet_telemetry::enter_trace(zkdet_telemetry::TraceId::for_exchange(
-            seller_listing.token.0,
-        ));
-        let _span = zkdet_telemetry::span("exchange.settle");
-        wal.append(&ExchangeRecord::SettleIntent {
-            listing: seller_listing.listing,
-            token: seller_listing.token,
-            k_v: buyer_k_v,
-        })?;
-        match self.seller_prove_settlement(owner, seller_listing, buyer_k_v, rng)? {
-            None => {
-                wal.append(&ExchangeRecord::SettleDone {
-                    listing: seller_listing.listing,
-                })?;
-                Ok(())
-            }
-            Some(submission) => {
-                wal.append(&ExchangeRecord::ProveDone {
-                    listing: seller_listing.listing,
-                })?;
-                self.seller_submit_settlement(owner.address, &submission)?;
-                wal.append(&ExchangeRecord::SettleDone {
-                    listing: seller_listing.listing,
-                })?;
-                Ok(())
-            }
-        }
-    }
-
-    /// Journaled [`Marketplace::drive_exchange_to_completion`]: every
-    /// retrieve attempt, the decrypt, and the refund path are step
-    /// boundaries a crash-restart resumes across.
-    pub fn journaled_drive_to_completion(
-        &mut self,
-        wal: &mut ExchangeWal,
-        buyer: &mut DataOwner,
-        session: &BuyerSession,
-    ) -> Result<ExchangeReport, ZkdetError> {
-        let _trace = zkdet_telemetry::enter_trace(zkdet_telemetry::TraceId::for_exchange(
-            session.token.0,
-        ));
-        let mut drive_span = zkdet_telemetry::span("exchange.drive");
-        let listing_id = session.listing;
-        let mut recover_attempts = 0u32;
-        let mut blocks_waited = 0u64;
-        loop {
-            drive_span.record("recover_attempts", u64::from(recover_attempts));
-            drive_span.record("blocks_waited", blocks_waited);
-            // Same repair discipline as the plain drive loop: redundancy
-            // lost to churn or corruption heals while the journaled
-            // exchange is in flight (and the repair spans join its trace).
-            self.tick_storage_repairs();
-            if self.published_k_c(listing_id).is_some() {
-                recover_attempts += 1;
-                drive_span.record("recover_attempts", u64::from(recover_attempts));
-                wal.append(&ExchangeRecord::RetrieveIntent {
-                    listing: listing_id,
-                    attempt: recover_attempts,
-                })?;
-                let step = self.buyer_fetch(session).and_then(|(k, ciphertext)| {
-                    wal.append(&ExchangeRecord::RetrieveDone { listing: listing_id })?;
-                    let data = self.buyer_decrypt(buyer, session, k, &ciphertext)?;
-                    wal.append(&ExchangeRecord::DecryptDone { listing: listing_id })?;
-                    Ok(data)
-                });
-                match step {
-                    Ok(data) => {
-                        wal.append(&ExchangeRecord::Terminal {
-                            listing: listing_id,
-                            outcome: ExchangeOutcome::Settled,
-                            reason: String::new(),
-                        })?;
-                        return Ok(ExchangeReport {
-                            outcome: ExchangeOutcome::Settled,
-                            data: Some(data),
-                            recover_attempts,
-                            blocks_waited,
-                            failure: None,
-                        });
-                    }
-                    Err(e)
-                        if e.recovery() == Recovery::Transient
-                            && recover_attempts < MAX_RECOVER_ATTEMPTS =>
-                    {
-                        self.chain.mine_block();
-                        blocks_waited += 1;
-                    }
-                    Err(e) if e.recovery() != Recovery::Fatal => {
-                        wal.append(&ExchangeRecord::Terminal {
-                            listing: listing_id,
-                            outcome: ExchangeOutcome::Aborted,
-                            reason: e.to_string(),
-                        })?;
-                        return Ok(ExchangeReport {
-                            outcome: ExchangeOutcome::Aborted,
-                            data: None,
-                            recover_attempts,
-                            blocks_waited,
-                            failure: Some(e.to_string()),
-                        });
-                    }
-                    Err(e) => return Err(e),
-                }
-                continue;
-            }
-
-            let listing = self
-                .chain
-                .auction(&self.auction_addr)?
-                .listing(listing_id)?
-                .clone();
-            let deadline = match &listing.state {
-                ListingState::Locked { locked_at, .. } => locked_at + REFUND_TIMEOUT_BLOCKS,
-                // An unsettled listing back in `Open` with a live session
-                // means the refund landed but the crash ate the completion
-                // record: close the journal out.
-                ListingState::Open => {
-                    wal.append(&ExchangeRecord::RefundDone { listing: listing_id })?;
-                    wal.append(&ExchangeRecord::Terminal {
-                        listing: listing_id,
-                        outcome: ExchangeOutcome::Refunded,
-                        reason: "refund landed before the crash".into(),
-                    })?;
-                    return Ok(ExchangeReport {
-                        outcome: ExchangeOutcome::Refunded,
-                        data: None,
-                        recover_attempts,
-                        blocks_waited,
-                        failure: Some("seller missed the settlement deadline".into()),
-                    });
-                }
-                state => {
-                    return Err(ZkdetError::Protocol(format!(
-                        "exchange for listing {listing_id:?} is neither locked nor settled ({state:?})"
-                    )))
-                }
-            };
-            if self.chain.height() >= deadline {
-                wal.append(&ExchangeRecord::RefundIntent { listing: listing_id })?;
-                match self.buyer_refund(session) {
-                    Ok(outcome) => {
-                        wal.append(&ExchangeRecord::RefundDone { listing: listing_id })?;
-                        wal.append(&ExchangeRecord::Terminal {
-                            listing: listing_id,
-                            outcome: outcome.clone(),
-                            reason: "seller missed the settlement deadline".into(),
-                        })?;
-                        return Ok(ExchangeReport {
-                            outcome,
-                            data: None,
-                            recover_attempts,
-                            blocks_waited,
-                            failure: Some("seller missed the settlement deadline".into()),
-                        });
-                    }
-                    Err(e) if e.recovery() == Recovery::Transient => {
-                        self.chain.mine_block();
-                        blocks_waited += 1;
-                    }
-                    Err(e) => return Err(e),
-                }
-            } else {
-                self.chain.mine_block();
-                blocks_waited += 1;
-            }
-        }
-    }
-
     // ------------------------------------------------------------------ //
     //  Journaled step wrappers (FairSwap baseline)                       //
     // ------------------------------------------------------------------ //
@@ -590,7 +290,7 @@ impl Marketplace {
         &mut self,
         wal: &mut ExchangeWal,
         token: TokenId,
-        mut p: Progress,
+        p: Progress,
         seller: Option<&DataOwner>,
         buyer: &mut DataOwner,
         rng: &mut R,
@@ -612,7 +312,9 @@ impl Marketplace {
         // 1. List intent without completion: find the listing on-chain by
         //    its idempotency key, else re-create it with the journaled
         //    commitment and opening.
-        if p.listing.is_none() {
+        let listing_id = if let Some(listing) = p.listing {
+            listing
+        } else {
             let Some(intent) = p.list_intent.clone() else {
                 // A journal fragment with neither a listing nor the intent
                 // to create one — nothing to recover.
@@ -633,22 +335,21 @@ impl Marketplace {
                         && seller.is_none_or(|s| l.seller == s.address)
                 })
                 .map(|(id, _)| id);
-            let listing = match (found, seller) {
-                (Some(id), _) => id,
-                (None, Some(seller_owner)) => {
-                    let (id, _) = self.chain.auction_create(
-                        self.auction_addr,
-                        self.nft_addr,
-                        seller_owner.address,
-                        token,
-                        intent.start_price,
-                        intent.floor_price,
-                        intent.decay_per_block,
-                        intent.key_commitment,
-                        intent.predicate.clone(),
-                    )?;
-                    id
+            match (found, seller) {
+                (Some(listing), _) => {
+                    wal.append(&ExchangeRecord::ListDone { listing, token })?;
+                    listing
                 }
+                (None, Some(seller_owner)) => self.create_listing(
+                    wal,
+                    seller_owner.address,
+                    token,
+                    intent.start_price,
+                    intent.floor_price,
+                    intent.decay_per_block,
+                    intent.key_commitment,
+                    intent.predicate,
+                )?,
                 // The listing never landed and the seller is gone: the
                 // intent is abandoned with nothing durable to unwind.
                 (None, None) => {
@@ -659,13 +360,8 @@ impl Marketplace {
                         outcome: RecoveryOutcome::Listed,
                     })
                 }
-            };
-            wal.append(&ExchangeRecord::ListDone { listing, token })?;
-            p.listing = Some(listing);
-        }
-        let listing_id = p.listing.ok_or_else(|| {
-            ZkdetError::Protocol("recovery lost the listing id it just resolved".into())
-        })?;
+            }
+        };
 
         // No buyer engaged: the listing stands, nothing further to drive.
         let Some((buyer_addr, k_v, expected_commitment)) = p.pay_intent else {
@@ -704,35 +400,20 @@ impl Marketplace {
                 })?;
                 payment
             }
-            (None, ListingState::Open) => {
-                // The lock never landed: re-lock at the current clock
-                // price with the journaled k_v.
-                let listing = self
-                    .chain
-                    .auction(&self.auction_addr)?
-                    .listing(listing_id)?
-                    .clone();
-                let price = listing.price_at(self.chain.height());
-                self.chain.auction_lock(
-                    self.auction_addr,
-                    buyer_addr,
-                    listing_id,
-                    price,
-                    Poseidon::hash(&[k_v]),
-                )?;
-                wal.append(&ExchangeRecord::PayDone {
-                    listing: listing_id,
-                    price,
-                })?;
-                price
-            }
+            // The lock never landed: re-lock at the current clock price
+            // with the journaled k_v.
+            (None, ListingState::Open) => self.lock_payment(wal, buyer_addr, listing_id, k_v)?,
             (None, _) => {
                 // Settled without a journaled payment: the lock landed in
                 // a previous life — reconstruct it from the chain's log.
-                self.locked_payment_from_events(listing_id).ok_or_else(|| {
-                    ZkdetError::Protocol(
-                        "settled listing has no AuctionLocked event".into(),
-                    )
+                self.find_event(|event| match event {
+                    Event::AuctionLocked {
+                        listing, payment, ..
+                    } if *listing == listing_id => Some(*payment),
+                    _ => None,
+                })
+                .ok_or_else(|| {
+                    ZkdetError::Protocol("settled listing has no AuctionLocked event".into())
                 })?
             }
         };
@@ -929,27 +610,6 @@ impl Marketplace {
                 SwapState::Refunded => "refunded",
             },
         })
-    }
-
-    /// The escrowed payment a listing's lock recorded in the chain log.
-    fn locked_payment_from_events(&self, listing: ListingId) -> Option<Wei> {
-        for block in self.chain.blocks() {
-            for receipt in &block.receipts {
-                for event in &receipt.events {
-                    if let Event::AuctionLocked {
-                        listing: l,
-                        payment,
-                        ..
-                    } = event
-                    {
-                        if *l == listing {
-                            return Some(*payment);
-                        }
-                    }
-                }
-            }
-        }
-        None
     }
 }
 

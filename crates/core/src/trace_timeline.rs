@@ -1,7 +1,7 @@
 //! Causal timeline reconstruction for one exchange (DESIGN.md §15).
 //!
 //! Every exchange carries a deterministic [`TraceId`] (minted from its
-//! token by [`exchange_trace`]); the journaled step wrappers stamp it
+//! token by [`exchange_trace`]); the journaled exchange steps stamp it
 //! into WAL records and the ambient context stamps it into every span
 //! opened while the exchange is driven — including prover invocations,
 //! quorum storage reads, repair ticks, and chain settlement. This module

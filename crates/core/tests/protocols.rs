@@ -5,7 +5,7 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use zkdet_circuits::exchange::RangePredicate;
-use zkdet_core::{Dataset, Marketplace, ZkdetError};
+use zkdet_core::{Dataset, ExchangeOutcome, Marketplace, ZkdetError};
 use zkdet_field::{Field, Fr};
 
 fn small_dataset(vals: &[u64]) -> Dataset {
@@ -227,6 +227,17 @@ fn buyer_gets_refund_after_seller_timeout() {
     }
     m.buyer_refund(&session).unwrap();
     assert_eq!(m.chain.state.balance(&buyer.address), balance_before);
+
+    // Driving the session after its refund landed reports the refund — the
+    // same answer the journaled and executor paths give — and moves nothing.
+    let mut buyer = buyer;
+    let seller_balance = m.chain.state.balance(&seller.address);
+    let report = m.drive_exchange_to_completion(&mut buyer, &session).unwrap();
+    assert_eq!(report.outcome, ExchangeOutcome::Refunded);
+    assert!(report.data.is_none());
+    assert_eq!(m.chain.state.balance(&buyer.address), balance_before);
+    assert_eq!(m.chain.state.balance(&seller.address), seller_balance);
+    assert_eq!(m.chain.state.balance(&m.auction_addr), 0);
 }
 
 #[test]

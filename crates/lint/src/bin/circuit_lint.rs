@@ -12,9 +12,6 @@
 //! ```text
 //! circuit_lint [--severity info|warning|error] [--json-out report.json]
 //! ```
-//!
-//! `--out` is accepted as a deprecated alias for `--json-out` (same
-//! behaviour; the flag was renamed to match `zkdet_analyzer`).
 
 // The report and summary are this binary's contract with CI; printing *is*
 // the job here, unlike in the library crates the workspace lints police.
@@ -54,9 +51,7 @@ fn parse_args(args: &[String]) -> Result<Options, ()> {
                 let label = it.next().ok_or(())?;
                 opts.threshold = Severity::parse(label).ok_or(())?;
             }
-            // `--out` predates the analyzer binary; both spellings write
-            // the same artefact.
-            "--json-out" | "--out" => {
+            "--json-out" => {
                 opts.out = Some(it.next().ok_or(())?.clone());
             }
             _ => return Err(()),

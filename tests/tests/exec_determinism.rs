@@ -111,3 +111,17 @@ fn different_seeds_change_the_schedule() {
         "different seeds must produce different interleavings"
     );
 }
+
+/// The executor-side analogue of `crates/plonk/tests/golden_bytes.rs`:
+/// the `fig_throughput --small` row committed in
+/// `BENCH_fig_throughput.json` (seed 31427), pinned across commits. A
+/// change that keeps "the same protocol" keeps every step the machines
+/// take, every job they price and every journal byte they write.
+#[test]
+fn small_preset_reproduces_the_committed_schedule_and_journal() {
+    let out = run_load(&LoadConfig::small(31427)).expect("small preset");
+    assert_eq!(out.schedule_digest, 0x674e_fe1c_e0c6_ae8f);
+    assert_eq!(out.summary.ticks, 1922);
+    let journal_bytes: usize = out.replay.journals.iter().map(Vec::len).sum();
+    assert_eq!(journal_bytes, 7734);
+}
