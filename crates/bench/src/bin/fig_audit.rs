@@ -3,19 +3,17 @@
 //! traceability half of the title deserves its own measurement).
 //!
 //! Builds one deep token lineage by cycling aggregation → partition →
-//! duplication, then audits the tip four ways:
+//! duplication, then audits the tip twice:
 //!
-//! * `serial/cold` — one `Plonk::verify` per lineage proof;
-//! * `batched/cold` — every proof folded into a single pairing check;
-//! * `parallel/cold` — the proofs partitioned across worker threads, one
-//!   folded pairing check per partition;
-//! * `batched/warm` — a re-audit against a warm audit cache: every check
-//!   hits, so no pairing is evaluated at all.
+//! * `cold` — from an empty audit cache: every lineage proof folded into
+//!   one pairing check, each side of it one MSM (`meta.msm_terms` counts
+//!   the terms of both after equal bases are merged, `meta.proofs` the
+//!   proofs they stand for);
+//! * `warm` — a re-audit against the cache the cold run filled: every
+//!   check hits, so no group arithmetic runs at all.
 //!
-//! The interesting ratios are `warm_speedup` (cold serial vs. warm —
-//! re-auditing an already-audited lineage only pays for hashing) and
-//! `parallel_speedup` (cold serial vs. cold parallel — folding wins even
-//! on one core, because T folded checks replace N full verifications).
+//! `warm_speedup` is cold over warm: what is left of a re-audit is
+//! fetching and hashing the artefacts.
 //!
 //! Emits `BENCH_fig_audit.json` (schema `zkdet-bench-v1`).
 //!
@@ -81,27 +79,27 @@ fn main() {
         + 1;
     report.meta("lineage_nodes", nodes as u64);
     println!("Audit cost over a {nodes}-node lineage (tip {tip})");
-    println!("{:<16} {:>12} {:>12} {:>12}", "mode", "time", "hits", "misses");
+    println!("{:<8} {:>12} {:>12} {:>12}", "mode", "time", "hits", "misses");
 
     // Untimed warmup: preprocess every circuit shape the audit needs, so
-    // the timed runs compare verification strategies, not key derivation.
+    // the timed runs measure verification, not key derivation.
     m.audit_token(tip, &mut rng).expect("warmup audit");
+    m.clear_audit_cache();
 
-    let measure = |m: &mut Marketplace,
-                       rng: &mut rand::rngs::StdRng,
-                       report: &mut BenchReport,
-                       mode: &str,
-                       warm: bool,
-                       run: &dyn Fn(&mut Marketplace, &mut rand::rngs::StdRng)|
-     -> Duration {
-        if !warm {
-            m.clear_audit_cache();
-        }
+    let msm_terms = || {
+        zkdet_telemetry::global()
+            .registry
+            .histogram("zkdet.curve.msm.terms")
+            .snapshot()
+            .sum
+    };
+    let terms_before = msm_terms();
+    let mut timed = |mode: &str| -> (Duration, u64) {
         let (h0, m0) = (m.audit_cache().hits(), m.audit_cache().misses());
-        let (_, elapsed) = time(|| run(m, rng));
+        let (_, elapsed) = time(|| m.audit_token(tip, &mut rng).expect("audit"));
         let (hits, misses) = (m.audit_cache().hits() - h0, m.audit_cache().misses() - m0);
         println!(
-            "{mode:<16} {:>12} {hits:>12} {misses:>12}",
+            "{mode:<8} {:>12} {hits:>12} {misses:>12}",
             fmt_duration(elapsed)
         );
         report.row(
@@ -111,35 +109,17 @@ fn main() {
                 .with("cache_hits", hits)
                 .with("cache_misses", misses),
         );
-        elapsed
+        (elapsed, misses)
     };
+    let (t_cold, proofs) = timed("cold");
+    let msm_terms = msm_terms() - terms_before;
+    let (t_warm, _) = timed("warm");
 
-    let t_serial = measure(&mut m, &mut rng, &mut report, "serial/cold", false, &|m, r| {
-        m.audit_token(tip, r).expect("serial audit");
-    });
-    let t_batched = measure(&mut m, &mut rng, &mut report, "batched/cold", false, &|m, r| {
-        m.audit_token_batched(tip, r).expect("batched audit");
-    });
-    let t_parallel =
-        measure(&mut m, &mut rng, &mut report, "parallel/cold", false, &|m, r| {
-            m.audit_token_parallel(tip, r).expect("parallel audit");
-        });
-    // The parallel run above left the cache warm: the re-audit hits on
-    // every check and performs zero pairing work.
-    let t_warm = measure(&mut m, &mut rng, &mut report, "batched/warm", true, &|m, r| {
-        m.audit_token_batched(tip, r).expect("warm audit");
-    });
-
-    let ratio = |a: Duration, b: Duration| a.as_secs_f64() / b.as_secs_f64().max(1e-9);
-    let warm_speedup = ratio(t_serial, t_warm);
-    let parallel_speedup = ratio(t_serial, t_parallel);
-    let batched_speedup = ratio(t_serial, t_batched);
-    println!(
-        "speedups vs serial/cold: warm {warm_speedup:.1}x, parallel {parallel_speedup:.1}x, batched {batched_speedup:.1}x"
-    );
+    let warm_speedup = t_cold.as_secs_f64() / t_warm.as_secs_f64().max(1e-9);
+    println!("{proofs} proofs in {msm_terms} MSM terms; warm is {warm_speedup:.1}x faster");
+    report.meta("proofs", proofs);
+    report.meta("msm_terms", msm_terms);
     report.meta("warm_speedup", format!("{warm_speedup:.2}").as_str());
-    report.meta("parallel_speedup", format!("{parallel_speedup:.2}").as_str());
-    report.meta("batched_speedup", format!("{batched_speedup:.2}").as_str());
     report.meta(
         "cache_hit_rate",
         format!("{:.3}", m.audit_cache().hit_rate()).as_str(),

@@ -10,7 +10,7 @@
 //! | `table2_gas` | Table II — gas consumption of every contract operation |
 //! | `ablation_decoupling` | §IV-B proof-decoupling saving (design-choice ablation) |
 //! | `ablation_primitives` | §IV-C circuit-friendly-primitive saving (ablation) |
-//! | `fig_audit` | lineage audit cost: serial vs. batched vs. parallel vs. cached |
+//! | `fig_audit` | lineage audit cost: cold (one folded check) vs. cached |
 //! | `fig_recovery` | crash-recovery latency vs. crash point and journal length |
 //! | `fig_storage` | quorum availability and repair latency vs. node-failure fraction |
 //! | `fig_throughput` | concurrent exchanges/sec on the deterministic executor, vs. a serial baseline |

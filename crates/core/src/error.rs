@@ -37,9 +37,8 @@ pub enum ZkdetError {
     Plonk(PlonkError),
     /// A zero-knowledge proof failed verification.
     ProofInvalid(&'static str),
-    /// A lineage proof failed verification, localised to the exact token
-    /// and check (batched audits fall back to per-edge verification to
-    /// recover this localisation).
+    /// A lineage proof failed an audit, localised to the exact token and
+    /// check (a rejected fold is re-verified per proof to recover this).
     LineageProofInvalid {
         /// The token whose check failed.
         token: zkdet_chain::TokenId,

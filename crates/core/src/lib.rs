@@ -64,4 +64,4 @@ pub use shard::{
 };
 pub use trace_timeline::{exchange_trace, trace_timeline};
 pub use market::{DataOwner, MarketConfig, Marketplace, ProvenanceReport, RobustnessMetrics};
-pub use zkdet_provenance::{AuditCache, NodeId, ProvenanceIndex, VerifyMode};
+pub use zkdet_provenance::{AuditCache, NodeId, ProvenanceIndex};

@@ -14,8 +14,8 @@
 //! Independent π_p verifications from concurrent exchanges are not
 //! checked one by one: machines enqueue them on the world's
 //! [`VerifyBatcher`] and a daemon folds each batch into **one** pairing
-//! check (`verify_lineage` in batched mode), falling back to per-proof
-//! verification only if a batch rejects.
+//! check (`verify_lineage`), falling back to per-proof verification only
+//! if a batch rejects.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -27,7 +27,7 @@ use zkdet_chain::{Address, TokenId, Wei};
 use zkdet_circuits::exchange::{RangePredicate, ValidationCircuit};
 use zkdet_exec::{Step, Task, TaskCx, TaskError};
 use zkdet_plonk::{CompiledCircuit, Plonk, Proof, VerifyingKey};
-use zkdet_provenance::{verify_lineage, AuditCache, LineageCheck, NodeId, VerifyMode};
+use zkdet_provenance::{verify_lineage, AuditCache, LineageCheck, NodeId};
 
 use crate::dataset::Dataset;
 use crate::error::ZkdetError;
@@ -567,7 +567,7 @@ impl Task<MarketWorld> for MaintenanceDaemon {
 
 /// Flushes the [`VerifyBatcher`]: drains queued π_p checks into one
 /// pool job that folds them into a single pairing check
-/// ([`VerifyMode::Batched`]); a rejecting batch falls back to per-proof
+/// ([`verify_lineage`]); a rejecting batch falls back to per-proof
 /// verification inside the same job, so one bad proof cannot poison its
 /// batchmates' verdicts.
 pub struct BatcherDaemon {
@@ -614,7 +614,7 @@ impl Task<MarketWorld> for BatcherDaemon {
             let mut rng = StdRng::seed_from_u64(seed);
             let checks: Vec<LineageCheck> = batch.iter().map(|(_, c)| c.clone()).collect();
             let mut cache = AuditCache::new();
-            match verify_lineage(&checks, &mut cache, VerifyMode::Batched, &mut rng) {
+            match verify_lineage(&checks, &mut cache, &mut rng) {
                 Ok(_) => batch.iter().map(|(t, _)| (*t, true)).collect(),
                 Err(_) => batch
                     .iter()

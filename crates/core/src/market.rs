@@ -28,7 +28,7 @@ use zkdet_field::{Field, Fr};
 use zkdet_kzg::Srs;
 use zkdet_plonk::{CompiledCircuit, Plonk, Proof, VerifyingKey};
 use zkdet_provenance::{
-    export, lineage_digest, verify_lineage, AuditCache, LineageCheck, NodeId, VerifyMode,
+    export, lineage_digest, verify_lineage, AuditCache, LineageCheck, NodeId,
 };
 use zkdet_storage::{PinOwner, RetrievalPolicy, StorageNetwork};
 
@@ -211,8 +211,6 @@ pub struct Marketplace {
     /// Verified-lineage-proof cache: re-auditing a token whose ancestors
     /// were audited before only verifies the new edges.
     audit_cache: AuditCache,
-    /// Worker threads for [`Self::audit_token_parallel`].
-    audit_threads: usize,
 }
 
 impl Marketplace {
@@ -298,7 +296,6 @@ impl Marketplace {
             retrieval_policy: RetrievalPolicy::default(),
             metrics,
             audit_cache: AuditCache::new(),
-            audit_threads: 4,
         })
     }
 
@@ -782,7 +779,10 @@ impl Marketplace {
     /// verifies its transformation proof against the parents' commitments,
     /// and recurses up the `prevIds[]` chain to the sources.
     ///
-    /// Needs only public data — no plaintexts, keys or openings.
+    /// Needs only public data — no plaintexts, keys or openings. Every
+    /// proof not already in the audit cache is folded into a **single**
+    /// pairing check ([`verify_lineage`]); if that rejects, the proofs are
+    /// re-verified one by one so the error names the exact token and check.
     pub fn audit_token<R: Rng + ?Sized>(
         &mut self,
         token: TokenId,
@@ -792,55 +792,11 @@ impl Marketplace {
         let (checks, report) = self.collect_audit_checks(token, rng)?;
         span.record("proofs", checks.len() as u64);
         span.record("edges", report.transform_edges as u64);
-        verify_lineage(&checks, &mut self.audit_cache, VerifyMode::Serial, rng)
-            .map_err(|r| ZkdetError::ProofInvalid(r.label))?;
-        Ok(report)
-    }
-
-    /// Like [`Self::audit_token`], but folds every cache-missing proof in
-    /// the lineage into a **single** pairing check via
-    /// [`Plonk::batch_verify`] — the fast path for long chains (Fig. 3).
-    /// On failure the batch is re-verified per proof so the error names
-    /// the exact failing token and check.
-    pub fn audit_token_batched<R: Rng + ?Sized>(
-        &mut self,
-        token: TokenId,
-        rng: &mut R,
-    ) -> Result<ProvenanceReport, ZkdetError> {
-        let mut span = zkdet_telemetry::span("market.audit_batched");
-        let (checks, report) = self.collect_audit_checks(token, rng)?;
-        span.record("proofs", checks.len() as u64);
-        verify_lineage(&checks, &mut self.audit_cache, VerifyMode::Batched, rng).map_err(
-            |r| ZkdetError::LineageProofInvalid {
+        verify_lineage(&checks, &mut self.audit_cache, rng).map_err(|r| {
+            ZkdetError::LineageProofInvalid {
                 token: TokenId(r.node.0),
                 what: r.label,
-            },
-        )?;
-        Ok(report)
-    }
-
-    /// Like [`Self::audit_token_batched`], but partitions the cache-missing
-    /// checks across up to [`Self::audit_threads`] worker threads, each
-    /// folding its partition into one pairing check. Failures are localised
-    /// to the exact token and check, like the batched mode.
-    pub fn audit_token_parallel<R: Rng + ?Sized>(
-        &mut self,
-        token: TokenId,
-        rng: &mut R,
-    ) -> Result<ProvenanceReport, ZkdetError> {
-        let mut span = zkdet_telemetry::span("market.audit_parallel");
-        let (checks, report) = self.collect_audit_checks(token, rng)?;
-        span.record("proofs", checks.len() as u64);
-        let threads = self.audit_threads;
-        verify_lineage(
-            &checks,
-            &mut self.audit_cache,
-            VerifyMode::Parallel { threads },
-            rng,
-        )
-        .map_err(|r| ZkdetError::LineageProofInvalid {
-            token: TokenId(r.node.0),
-            what: r.label,
+            }
         })?;
         Ok(report)
     }
@@ -853,11 +809,6 @@ impl Marketplace {
     /// Drops every cached verified check (e.g. after rotating trust roots).
     pub fn clear_audit_cache(&mut self) {
         self.audit_cache.clear();
-    }
-
-    /// Sets the worker-thread budget for [`Self::audit_token_parallel`].
-    pub fn set_audit_threads(&mut self, threads: usize) {
-        self.audit_threads = threads.max(1);
     }
 
     /// Tamper-evident lineage digest of a token: a Merkle accumulator over

@@ -6,9 +6,13 @@
 //! Within a window the terms are counting-sorted by bucket and every bucket
 //! is summed in *affine* coordinates, in rounds of pairwise additions that
 //! share one field inversion per round, so an accumulation costs ~6 base
-//! field multiplications instead of the 11 of a Jacobian mixed add. One
+//! field multiplications instead of the 11 of a Jacobian mixed add; once a
+//! round would hold too few pairs to pay for its inversion
+//! (`MIN_AFFINE_PAIRS`) the suffix-sum pass takes the buckets as they are,
+//! which is all a verifier-sized input (tens of terms) ever runs. One
 //! scoped worker per core sums an interleaved subset of the windows. This
-//! is the dominant cost of PLONK proving (nine KZG commitments per proof),
+//! is the dominant cost of PLONK proving (nine KZG commitments per proof)
+//! and, through the verifier's two linear combinations, of checking one,
 //! so it gets the only real optimisation effort in the curve crate.
 
 use zkdet_field::{Field, Fr, PrimeField};
@@ -36,6 +40,24 @@ const ACCUMULATE_COST: u128 = 2;
 /// and c = 12 at n = 32768 (measured 91 / 88 / 88 / 93 ms for
 /// c = 10 / 11 / 12 / 13).
 const BUCKET_COST: u128 = 5;
+
+/// Fewest pairs for which a batch-affine round is still worth running.
+///
+/// A round of `p` pairs pays one base-field inversion (≈ 350
+/// multiplications: `field.fr_inverse.ns` ÷ `field.fr_mul.ns`) to add each
+/// pair in ~6 multiplications where the Jacobian mixed add of the
+/// suffix-sum pass takes 11, so it breaks even at p ≈ 350 / (11 − 6) ≈ 70;
+/// below that the buckets go to the suffix-sum pass as they are. Every
+/// input meets this exit, since a window's last rounds are always nearly
+/// empty, but only a small one notices. G1, best of three batches, 2-core
+/// box, threshold 1 (every round affine) / 16 / 32 / 64 / 128:
+/// n = 19 → 2.8–3.3 / 1.0–2.2 / 0.92–0.96 / 0.86–0.98 / 0.88–1.05 ms
+/// (19 double-and-add multiplications: 4.4 ms), n = 2 → 0.63 / 0.55–0.96 /
+/// 0.41–0.56 / 0.40–0.52 / 0.38–0.54 (naive 0.44), n = 64 → 2.7–3.5 /
+/// 2.0–2.3 / 1.7–1.8 / 1.6–1.7 / 1.7–1.9, n = 320 → 5.2–6.8 / 5.2–5.3 /
+/// 4.7–4.8 / 4.8–5.0 / 4.8–5.0; n = 2048 reads 15.6–17.0 ms and n = 32768
+/// 127–168 ms at every threshold, inside the box's run-to-run spread.
+const MIN_AFFINE_PAIRS: usize = 64;
 
 /// Bits per window for `n` terms: the `c` minimising
 /// `windows(c) · (ACCUMULATE_COST · n + BUCKET_COST · 2^(c−1))`.
@@ -135,8 +157,9 @@ fn window_sum<C: CurveParams>(
     // Halve every bucket per round: adjacent pairs are added in affine
     // form, all slopes of a round sharing one inversion. A zero denominator
     // marks a pair that sums to infinity (P + (−P), or doubling a point
-    // with y = 0) and simply disappears.
-    loop {
+    // with y = 0) and simply disappears. Rounds stop once too few pairs
+    // are left to pay for the inversion.
+    while lens.iter().map(|len| len / 2).sum::<usize>() >= MIN_AFFINE_PAIRS {
         denoms.clear();
         let mut start = 0;
         for &len in lens.iter() {
@@ -151,9 +174,6 @@ fn window_sum<C: CurveParams>(
                 });
             }
             start += len;
-        }
-        if denoms.is_empty() {
-            break;
         }
         C::Base::batch_inverse(denoms);
 
@@ -189,16 +209,17 @@ fn window_sum<C: CurveParams>(
         }
     }
 
-    // Every bucket now holds at most one point, in bucket order.
-    // Suffix-sum trick: Σ b·B_b = Σ_j (Σ_{b ≥ j} B_b).
+    // The buckets' leftovers are still in bucket order. Suffix-sum trick:
+    // Σ b·B_b = Σ_j (Σ_{b ≥ j} B_b), folding in whatever each bucket holds
+    // (`add_mixed` doubles on P + P and cancels on P + (−P)).
     let mut next = lens.iter().sum::<usize>();
     let mut running = Projective::<C>::identity();
     let mut acc = Projective::<C>::identity();
     for &len in lens.iter().rev() {
-        if len == 1 {
-            next -= 1;
-            running = running.add_mixed(&points[next]);
+        for point in &points[next - len..next] {
+            running = running.add_mixed(point);
         }
+        next -= len;
         acc += running;
     }
     acc
@@ -369,6 +390,55 @@ mod tests {
         for (i, (bases, scalars)) in edge_case_table::<G1>(&mut rng).iter().enumerate() {
             assert_eq!(msm(bases, scalars), naive(bases, scalars), "edge case {i}");
         }
+    }
+
+    /// Both sides of `MIN_AFFINE_PAIRS`. Alone, every case but the table's
+    /// 300-term one stays below it in every window, so its buckets reach
+    /// the suffix-sum pass exactly as sorted: (P, P, −P) takes `add_mixed`
+    /// through its doubling branch, (P, −P, P) through its cancelling one.
+    /// Padded with `2k` copies of one term, whose bucket holds `k` pairs in
+    /// every window, the same buckets first go through no affine round
+    /// (just below the threshold), or one or more of them (at and above).
+    fn tail_folds_whatever_a_bucket_holds<C: CurveParams>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cases = edge_case_table::<C>(&mut rng);
+        let p = Projective::<C>::random(&mut rng).to_affine();
+        let q = Projective::<C>::random(&mut rng).to_affine();
+        let (s, t) = (Fr::random(&mut rng), Fr::random(&mut rng));
+        cases.push((vec![p, p, -p], vec![s; 3]));
+        cases.push((vec![p, -p, p], vec![s; 3]));
+        cases.push((
+            vec![p, Affine::identity(), p, q, -p],
+            vec![s, t, s, Fr::ZERO, s],
+        ));
+        for (i, (bases, scalars)) in cases.iter().enumerate() {
+            let alone = naive(bases, scalars);
+            assert_eq!(msm(bases, scalars), alone, "case {i}");
+            for k in [
+                MIN_AFFINE_PAIRS - 2,
+                MIN_AFFINE_PAIRS - 1,
+                MIN_AFFINE_PAIRS,
+                2 * MIN_AFFINE_PAIRS + 1,
+            ] {
+                let padded_bases = [bases.as_slice(), &vec![q; 2 * k]].concat();
+                let padded_scalars = [scalars.as_slice(), &vec![t; 2 * k]].concat();
+                assert_eq!(
+                    msm(&padded_bases, &padded_scalars),
+                    alone + q * (t * Fr::from(2 * k as u64)),
+                    "case {i} padded with {k} pairs"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tail_folds_whatever_a_bucket_holds_g1() {
+        tail_folds_whatever_a_bucket_holds::<G1>(37);
+    }
+
+    #[test]
+    fn tail_folds_whatever_a_bucket_holds_g2() {
+        tail_folds_whatever_a_bucket_holds::<G2>(38);
     }
 
     #[test]

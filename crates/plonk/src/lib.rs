@@ -93,10 +93,13 @@ impl Plonk {
     }
 
     /// Verifies many `(vk, publics, proof)` triples with **one** pairing
-    /// check, folding the individual equations with random weights. All
-    /// keys must come from the same SRS. Sound up to a ~`1/r` soundness
-    /// slack per batch; an auditor walking a long provenance chain
-    /// (Fig. 3) uses this to amortise the pairing cost.
+    /// check and one MSM per side of it, folding the individual equations
+    /// with weights drawn from a transcript over the whole batch and 32
+    /// bytes of `rng` (a batch of one draws nothing and costs what
+    /// [`Plonk::verify`] costs). All keys must come from the same SRS.
+    /// Sound up to a ~`1/r` soundness slack per batch; an auditor walking
+    /// a long provenance chain (Fig. 3) uses this to amortise both the
+    /// pairings and the "18 exponentiations".
     pub fn batch_verify<R: rand::Rng + ?Sized>(
         items: &[(&VerifyingKey, &[zkdet_field::Fr], &Proof)],
         rng: &mut R,

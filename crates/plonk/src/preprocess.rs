@@ -90,7 +90,7 @@ pub struct VerifyingKey {
 }
 
 impl VerifyingKey {
-    /// The evaluation domain implied by `n`.
+    /// The generator `ω` of the evaluation domain implied by `n`.
     ///
     /// Returns `None` when `n` is not an exact power of two within the
     /// field's 2-adic FFT bound — which can only happen for a hostile or
@@ -98,9 +98,8 @@ impl VerifyingKey {
     /// two. (`EvaluationDomain::new` rounds *up*; accepting a rounded
     /// domain here would silently verify against a different `n` than the
     /// transcript absorbed.)
-    pub fn domain(&self) -> Option<EvaluationDomain> {
-        let domain = EvaluationDomain::new(self.n)?;
-        (domain.size() == self.n).then_some(domain)
+    pub fn omega(&self) -> Option<Fr> {
+        EvaluationDomain::root_of_unity(self.n)
     }
 
     /// The verifying key's G₁ commitments, in wire order.
@@ -123,7 +122,7 @@ impl VerifyingKey {
     /// `ℓ ≤ n`, every commitment on-curve, and `g2`/`τ·G₂` on-curve and in
     /// the order-`r` subgroup with `τ·G₂ ≠ O`.
     pub fn validate(&self) -> Result<(), PlonkError> {
-        if self.domain().is_none() {
+        if self.omega().is_none() {
             return Err(PlonkError::MalformedKey(
                 "n is not a power of two within the FFT bound",
             ));

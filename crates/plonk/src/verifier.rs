@@ -3,35 +3,41 @@
 //! Cost is constant in the circuit size: re-deriving the Fiat–Shamir
 //! challenges, `O(ℓ)` field work for the public-input polynomial, a
 //! fixed number of G₁ scalar multiplications (the "18 exponentiations"
-//! of §VI-B3), and **2 pairings**.
+//! of §VI-B3) and **2 pairings**. The multiplications are never done one
+//! by one: `prepare` states the two G₁ sides of the pairing equation as
+//! `(scalar, base)` terms, and `check` evaluates each side — of one proof,
+//! or of any number folded together — as a single [`zkdet_curve::msm`].
 
-use zkdet_curve::{multi_pairing, G1Projective};
-use zkdet_field::{Field, Fq12, Fr};
+use std::collections::BTreeMap;
+
+use zkdet_curve::{msm, multi_pairing, G1Affine, G1Projective};
+use zkdet_field::{Field, Fq12, Fr, PrimeField};
 
 use crate::preprocess::VerifyingKey;
 use crate::proof::Proof;
 use crate::prover::init_transcript;
+use crate::transcript::Transcript;
 use crate::{coset_k1, coset_k2};
 
-/// The two G₁ points of the final pairing equation
-/// `e(lhs, [τ]₂)·e(-rhs, [1]₂) = 1`, before the pairing is evaluated.
-/// Exposed so several proofs can share one pairing via random folding.
+/// One term `scalar · base` of a G₁ linear combination.
+type Term = (Fr, G1Affine);
+
+/// The final pairing equation `e(Σ lhs, [τ]₂) = e(Σ rhs, [1]₂)` of one
+/// proof, before any group arithmetic is done.
 pub(crate) struct PreparedCheck {
-    pub lhs: zkdet_curve::G1Projective,
-    pub rhs: zkdet_curve::G1Projective,
+    /// `W_ζ + u·W_ζω`.
+    lhs: [Term; 2],
+    /// `ζ·W_ζ + uζω·W_ζω + [F] − [E]`, one term per commitment: the eight
+    /// of the key, the nine of the proof and the generator.
+    rhs: [Term; 18],
+    /// The last challenge, which hashes the key, the public inputs and the
+    /// whole proof.
+    u: Fr,
 }
 
 /// Verifies a proof against the public inputs.
 pub(crate) fn verify(vk: &VerifyingKey, public_inputs: &[Fr], proof: &Proof) -> bool {
-    match prepare(vk, public_inputs, proof) {
-        Some(check) => {
-            multi_pairing(&[
-                (check.lhs.to_affine(), vk.tau_g2),
-                ((-check.rhs).to_affine(), vk.g2),
-            ]) == Fq12::ONE
-        }
-        None => false,
-    }
+    prepare(vk, public_inputs, proof).is_some_and(|prepared| check(vk, &[prepared], &[Fr::ONE]))
 }
 
 /// Batch verification: folds every proof's pairing equation with random
@@ -51,23 +57,70 @@ pub(crate) fn batch_verify<R: rand::Rng + ?Sized>(
     {
         return false; // mixed SRS — fall back to individual verification
     }
-    let mut lhs = zkdet_curve::G1Projective::identity();
-    let mut rhs = zkdet_curve::G1Projective::identity();
-    for (vk, publics, proof) in items {
-        let Some(check) = prepare(vk, publics, proof) else {
-            return false;
-        };
-        let weight = Fr::random(rng);
-        lhs += check.lhs * weight;
-        rhs += check.rhs * weight;
-    }
-    multi_pairing(&[
-        (lhs.to_affine(), first.tau_g2),
-        ((-rhs).to_affine(), first.g2),
-    ]) == Fq12::ONE
+    let Some(prepared) = items
+        .iter()
+        .map(|(vk, publics, proof)| prepare(vk, publics, proof))
+        .collect::<Option<Vec<_>>>()
+    else {
+        return false;
+    };
+    let weights = batch_weights(&prepared, rng);
+    check(first, &prepared, &weights)
 }
 
-/// Runs all verifier rounds up to (but excluding) the final pairing.
+/// One folding weight per member of a batch. A lone proof needs none.
+///
+/// The weights are challenges of a transcript over every member's `u` —
+/// so over every key, statement and proof in the batch — and 32 bytes of
+/// the caller's randomness: no member can be chosen knowing its weight,
+/// whatever the quality of `rng`, and a caller with a good `rng` gets
+/// weights no prover could predict.
+fn batch_weights<R: rand::Rng + ?Sized>(prepared: &[PreparedCheck], rng: &mut R) -> Vec<Fr> {
+    if prepared.len() == 1 {
+        return vec![Fr::ONE];
+    }
+    let mut transcript = Transcript::new(b"zkdet-plonk-batch");
+    let us: Vec<Fr> = prepared.iter().map(|p| p.u).collect();
+    transcript.absorb_frs(b"u", &us);
+    let mut salt = [0u8; 32];
+    rng.fill_bytes(&mut salt);
+    transcript.absorb_bytes(b"salt", &salt);
+    (0..prepared.len())
+        .map(|_| transcript.challenge_fr(b"weight"))
+        .collect()
+}
+
+/// Evaluates `Σᵢ weightᵢ · e(lhsᵢ, [τ]₂) = Σᵢ weightᵢ · e(rhsᵢ, [1]₂)` with
+/// one MSM per side and one two-pairing product, under `srs`'s G₂ elements.
+fn check(srs: &VerifyingKey, prepared: &[PreparedCheck], weights: &[Fr]) -> bool {
+    let lhs = fold(prepared.iter().map(|p| p.lhs.as_slice()), weights);
+    let rhs = fold(prepared.iter().map(|p| p.rhs.as_slice()), weights);
+    multi_pairing(&[(lhs.to_affine(), srs.tau_g2), ((-rhs).to_affine(), srs.g2)]) == Fq12::ONE
+}
+
+/// `Σᵢ weightᵢ · Σ sidesᵢ` as one MSM. Terms over the same base are merged
+/// first (proofs under one key share its eight commitments, and every
+/// proof the generator); the map is ordered, so the MSM's input does not
+/// depend on anything but the batch.
+fn fold<'a>(sides: impl Iterator<Item = &'a [Term]>, weights: &[Fr]) -> G1Projective {
+    let mut merged: BTreeMap<([u64; 4], [u64; 4]), Term> = BTreeMap::new();
+    for (side, weight) in sides.zip(weights) {
+        for (scalar, base) in side {
+            if base.is_identity() {
+                continue;
+            }
+            let weighted = *weight * *scalar;
+            merged
+                .entry((base.x.to_canonical(), base.y.to_canonical()))
+                .and_modify(|(sum, _)| *sum += weighted)
+                .or_insert((weighted, *base));
+        }
+    }
+    let (scalars, bases): (Vec<Fr>, Vec<G1Affine>) = merged.into_values().unzip();
+    msm(&bases, &scalars)
+}
+
+/// Runs all verifier rounds up to (but excluding) the group arithmetic.
 fn prepare(vk: &VerifyingKey, public_inputs: &[Fr], proof: &Proof) -> Option<PreparedCheck> {
     if public_inputs.len() != vk.num_public_inputs {
         return None;
@@ -75,7 +128,7 @@ fn prepare(vk: &VerifyingKey, public_inputs: &[Fr], proof: &Proof) -> Option<Pre
     let n = vk.n;
     // A hostile key may carry an n that is not a valid domain size, or an
     // ℓ exceeding n — both reject, neither may panic.
-    let domain = vk.domain()?;
+    let omega = vk.omega()?;
     if vk.num_public_inputs > n {
         return None;
     }
@@ -122,14 +175,16 @@ fn prepare(vk: &VerifyingKey, public_inputs: &[Fr], proof: &Proof) -> Option<Pre
     // PI(ζ) = Σᵢ -xᵢ·Lᵢ(ζ) with Lᵢ(ζ) = ωⁱ·(ζⁿ-1) / (n·(ζ-ωⁱ)).
     let mut pi_zeta = Fr::ZERO;
     if !public_inputs.is_empty() {
-        let mut denoms: Vec<Fr> = (0..public_inputs.len())
-            .map(|i| n_fr * (zeta - domain.element(i)))
+        let omega_powers = || std::iter::successors(Some(Fr::ONE), |w| Some(*w * omega));
+        let mut denoms: Vec<Fr> = omega_powers()
+            .take(public_inputs.len())
+            .map(|omega_i| n_fr * (zeta - omega_i))
             .collect();
         Fr::batch_inverse(&mut denoms);
-        for (i, x) in public_inputs.iter().enumerate() {
-            let l_i = domain.element(i) * zh_zeta * denoms[i];
-            pi_zeta -= *x * l_i;
+        for ((x, omega_i), inv) in public_inputs.iter().zip(omega_powers()).zip(&denoms) {
+            pi_zeta -= *x * omega_i * *inv;
         }
+        pi_zeta *= zh_zeta;
     }
 
     let alpha2 = alpha.square();
@@ -142,7 +197,7 @@ fn prepare(vk: &VerifyingKey, public_inputs: &[Fr], proof: &Proof) -> Option<Pre
         - alpha2 * l1_zeta
         - sigma_factor * (proof.c_eval + gamma) * proof.z_omega_eval;
 
-    // [D] — the non-constant part, reconstructed in commitment space.
+    // [D] — the non-constant part, as coefficients of its commitments.
     let z_coeff = alpha
         * (proof.a_eval + beta * zeta + gamma)
         * (proof.b_eval + beta * k1 * zeta + gamma)
@@ -151,53 +206,53 @@ fn prepare(vk: &VerifyingKey, public_inputs: &[Fr], proof: &Proof) -> Option<Pre
         + u; // folds the ζω-opening of z into the same pairing check
     let zeta_chunk = zeta.pow(&[(n + 2) as u64, 0, 0, 0]);
 
-    let mut d = vk.q_m.0.to_projective() * (proof.a_eval * proof.b_eval);
-    d += vk.q_l.0.to_projective() * proof.a_eval;
-    d += vk.q_r.0.to_projective() * proof.b_eval;
-    d += vk.q_o.0.to_projective() * proof.c_eval;
-    d += vk.q_c.0.to_projective();
-    d += proof.z.0.to_projective() * z_coeff;
-    d -= vk.sigma3.0.to_projective() * (sigma_factor * beta * proof.z_omega_eval);
-    let t_combined = proof.t_lo.0.to_projective()
-        + proof.t_mid.0.to_projective() * zeta_chunk
-        + proof.t_hi.0.to_projective() * zeta_chunk.square();
-    d -= t_combined * zh_zeta;
-
-    // [F] and [E] — batched commitment and batched evaluation.
-    let mut f = d;
-    let mut e_scalar = -r0;
-    let mut vp = Fr::ONE;
-    for (comm, eval) in [
-        (&proof.a, proof.a_eval),
-        (&proof.b, proof.b_eval),
-        (&proof.c, proof.c_eval),
-        (&zkdet_kzg::KzgCommitment(vk.sigma1.0), proof.sigma1_eval),
-        (&zkdet_kzg::KzgCommitment(vk.sigma2.0), proof.sigma2_eval),
-    ] {
-        vp *= v;
-        f += comm.0.to_projective() * vp;
-        e_scalar += vp * eval;
-    }
-    e_scalar += u * proof.z_omega_eval;
-    let e = G1Projective::generator() * e_scalar;
+    // [F] = [D] + Σⱼ vʲ·[pⱼ] and [E] = (−r₀ + Σⱼ vʲ·pⱼ(ζ) + u·z(ζω))·G —
+    // batched commitment and batched evaluation.
+    let v2 = v.square();
+    let (v3, v4) = (v2 * v, v2.square());
+    let v5 = v4 * v;
+    let e_scalar = -r0
+        + v * proof.a_eval
+        + v2 * proof.b_eval
+        + v3 * proof.c_eval
+        + v4 * proof.sigma1_eval
+        + v5 * proof.sigma2_eval
+        + u * proof.z_omega_eval;
 
     // Final pairing equation:
     // e(W_ζ + u·W_ζω, [τ]₂) = e(ζ·W_ζ + uζω·W_ζω + F - E, [1]₂).
-    let zeta_omega = zeta * domain.group_gen();
-    let lhs = proof.w_zeta.0.to_projective() + proof.w_zeta_omega.0.to_projective() * u;
-    let rhs = proof.w_zeta.0.to_projective() * zeta
-        + proof.w_zeta_omega.0.to_projective() * (u * zeta_omega)
-        + f
-        - e;
-    Some(PreparedCheck { lhs, rhs })
+    let lhs = [(Fr::ONE, proof.w_zeta.0), (u, proof.w_zeta_omega.0)];
+    let rhs = [
+        (proof.a_eval * proof.b_eval, vk.q_m.0),
+        (proof.a_eval, vk.q_l.0),
+        (proof.b_eval, vk.q_r.0),
+        (proof.c_eval, vk.q_o.0),
+        (Fr::ONE, vk.q_c.0),
+        (z_coeff, proof.z.0),
+        (-(sigma_factor * beta * proof.z_omega_eval), vk.sigma3.0),
+        (-zh_zeta, proof.t_lo.0),
+        (-(zh_zeta * zeta_chunk), proof.t_mid.0),
+        (-(zh_zeta * zeta_chunk.square()), proof.t_hi.0),
+        (v, proof.a.0),
+        (v2, proof.b.0),
+        (v3, proof.c.0),
+        (v4, vk.sigma1.0),
+        (v5, vk.sigma2.0),
+        (-e_scalar, G1Affine::generator()),
+        (zeta, proof.w_zeta.0),
+        (u * zeta * omega, proof.w_zeta_omega.0),
+    ];
+    Some(PreparedCheck { lhs, rhs, u })
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
-    use crate::{CircuitBuilder, Plonk};
-    use rand::{rngs::StdRng, SeedableRng};
-    use zkdet_field::{Field, Fr};
+    use super::{batch_weights, fold, prepare, PreparedCheck, Term};
+    use crate::{CircuitBuilder, Plonk, Proof, VerifyingKey};
+    use rand::{rngs::StdRng, RngCore, SeedableRng};
+    use zkdet_curve::{multi_pairing, G1Projective};
+    use zkdet_field::{Field, Fq12, Fr};
 
     /// x³ + x + 5 = y, the classic toy relation.
     fn toy_circuit(x: u64, y: u64) -> crate::CompiledCircuit {
@@ -404,5 +459,196 @@ mod tests {
         circuit.tamper_assignment(idx, Fr::from(17u64));
         let (pk, _) = Plonk::preprocess(&srs, &circuit).unwrap();
         assert!(Plonk::prove(&pk, &circuit, &mut rng).is_err());
+    }
+
+    type Item = (VerifyingKey, Vec<Fr>, Proof);
+    type Side = fn(&PreparedCheck) -> &[Term];
+    type Alteration = fn(&mut Item);
+
+    /// `x^(2^squarings) = y` with public `y`: a different key per depth.
+    fn repeated_square_circuit(x: u64, squarings: usize) -> crate::CompiledCircuit {
+        let mut b = CircuitBuilder::new();
+        let mut acc = b.alloc(Fr::from(x));
+        for _ in 0..squarings {
+            acc = b.mul(acc, acc);
+        }
+        let y = b.value(acc);
+        let y = b.public_input(y);
+        b.assert_equal(acc, y);
+        b.build()
+    }
+
+    /// Five honest proofs under one SRS and three distinct keys: two
+    /// statements of the toy relation, two of x² = y, one of x⁴ = y.
+    fn honest_batch(seed: u64) -> Vec<Item> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let srs = zkdet_kzg::Srs::universal_setup(64, &mut rng);
+        let batch: Vec<Item> = [
+            toy_circuit(3, 35),
+            repeated_square_circuit(3, 1),
+            toy_circuit(2, 15),
+            repeated_square_circuit(2, 2),
+            repeated_square_circuit(5, 1),
+        ]
+        .iter()
+        .map(|circuit| {
+            let (pk, vk) = Plonk::preprocess(&srs, circuit).unwrap();
+            let proof = Plonk::prove(&pk, circuit, &mut rng).unwrap();
+            (vk, circuit.public_values().to_vec(), proof)
+        })
+        .collect();
+        let key = |i: usize| batch[i].0.to_bytes();
+        assert!(key(0) == key(2) && key(1) == key(4));
+        assert!(key(0) != key(1) && key(1) != key(3) && key(0) != key(3));
+        batch
+    }
+
+    fn refs(batch: &[Item]) -> Vec<(&VerifyingKey, &[Fr], &Proof)> {
+        batch
+            .iter()
+            .map(|(vk, publics, proof)| (vk, publics.as_slice(), proof))
+            .collect()
+    }
+
+    fn prepare_all(batch: &[Item]) -> Vec<PreparedCheck> {
+        batch
+            .iter()
+            .map(|(vk, publics, proof)| prepare(vk, publics, proof).unwrap())
+            .collect()
+    }
+
+    fn naive(terms: &[Term], weight: Fr) -> G1Projective {
+        terms
+            .iter()
+            .fold(G1Projective::identity(), |acc, (scalar, base)| {
+                acc + base.to_projective() * (*scalar * weight)
+            })
+    }
+
+    #[test]
+    fn terms_summed_one_by_one_equal_the_msm_on_both_sides() {
+        let batch = honest_batch(220);
+        let prepared = prepare_all(&batch);
+        let one = [Fr::ONE];
+        for ((vk, _, _), p) in batch.iter().zip(&prepared) {
+            let (lhs, rhs) = (naive(&p.lhs, Fr::ONE), naive(&p.rhs, Fr::ONE));
+            assert_eq!(fold(std::iter::once(p.lhs.as_slice()), &one), lhs);
+            assert_eq!(fold(std::iter::once(p.rhs.as_slice()), &one), rhs);
+            // The terms are those of the pairing equation, not just any.
+            assert_eq!(
+                multi_pairing(&[(lhs.to_affine(), vk.tau_g2), ((-rhs).to_affine(), vk.g2)]),
+                Fq12::ONE
+            );
+        }
+
+        // Folded: weights applied, equal bases merged.
+        let weights = batch_weights(&prepared, &mut StdRng::seed_from_u64(221));
+        let sum = |side: Side| {
+            prepared
+                .iter()
+                .zip(&weights)
+                .fold(G1Projective::identity(), |acc, (p, w)| {
+                    acc + naive(side(p), *w)
+                })
+        };
+        let (lhs, rhs): (Side, Side) = (|p| &p.lhs, |p| &p.rhs);
+        assert_eq!(fold(prepared.iter().map(lhs), &weights), sum(lhs));
+        assert_eq!(fold(prepared.iter().map(rhs), &weights), sum(rhs));
+    }
+
+    #[test]
+    fn batch_accepts_honest_members_and_rejects_any_altered_one() {
+        let mut rng = StdRng::seed_from_u64(222);
+        let batch = honest_batch(223);
+        assert!(Plonk::batch_verify(&refs(&batch), &mut rng));
+
+        let alterations: [(&str, Alteration); 4] = [
+            ("flipped evaluation", |item| item.2.a_eval += Fr::ONE),
+            ("swapped commitments", |item| {
+                std::mem::swap(&mut item.2.t_lo, &mut item.2.t_hi)
+            }),
+            ("wrong public input", |item| item.1[0] += Fr::ONE),
+            ("wrong public-input count", |item| item.1.push(Fr::ONE)),
+        ];
+        for position in 0..batch.len() {
+            for (what, alter) in alterations {
+                let mut bad = batch.clone();
+                alter(&mut bad[position]);
+                let (vk, publics, proof) = &bad[position];
+                assert!(!Plonk::verify(vk, publics, proof), "{what}");
+                assert!(
+                    !Plonk::batch_verify(&refs(&bad), &mut rng),
+                    "{what} at position {position}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batch_merges_repeated_members() {
+        let mut rng = StdRng::seed_from_u64(224);
+        let mut batch = honest_batch(225);
+        batch.extend([batch[1].clone(), batch[3].clone(), batch[1].clone()]);
+        assert!(Plonk::batch_verify(&refs(&batch), &mut rng));
+        // Every copy of a forged member carries its own weight.
+        batch[1].2.z_omega_eval += Fr::ONE;
+        batch[5] = batch[1].clone();
+        batch[7] = batch[1].clone();
+        assert!(!Plonk::batch_verify(&refs(&batch), &mut rng));
+    }
+
+    #[test]
+    fn batch_of_none_passes_and_of_mixed_srs_fails() {
+        let mut rng = StdRng::seed_from_u64(226);
+        assert!(Plonk::batch_verify(&[], &mut rng));
+        let (ours, theirs) = (honest_batch(227), honest_batch(228));
+        assert!(Plonk::batch_verify(&refs(&theirs), &mut rng));
+        let mixed = [ours[0].clone(), theirs[1].clone()];
+        assert!(!Plonk::batch_verify(&refs(&mixed), &mut rng));
+    }
+
+    #[test]
+    fn batch_of_one_is_a_plain_verify_and_draws_no_randomness() {
+        let batch = honest_batch(229);
+        let mut forged = batch[0].clone();
+        forged.2.b_eval += Fr::ONE;
+        let mut rng = StdRng::seed_from_u64(230);
+        assert!(Plonk::batch_verify(&refs(&batch[..1]), &mut rng));
+        assert!(!Plonk::batch_verify(&refs(&[forged]), &mut rng));
+        assert_eq!(rng.next_u64(), StdRng::seed_from_u64(230).next_u64());
+        assert_eq!(
+            batch_weights(&prepare_all(&batch[..1]), &mut rng),
+            [Fr::ONE]
+        );
+    }
+
+    #[test]
+    fn weights_are_bound_to_every_member_and_to_the_rng() {
+        let batch = honest_batch(231);
+        let weights = |batch: &[Item], seed| {
+            batch_weights(&prepare_all(batch), &mut StdRng::seed_from_u64(seed))
+        };
+        let differ_everywhere =
+            |a: &[Fr], b: &[Fr]| a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a != b);
+        let honest = weights(&batch, 1);
+        assert_eq!(honest.len(), batch.len());
+        assert_eq!(honest, weights(&batch, 1));
+        for (i, w) in honest.iter().enumerate() {
+            assert!(!w.is_zero() && !honest[..i].contains(w));
+        }
+
+        // One byte of one proof (inside its last evaluation, so it still
+        // decodes) moves every weight, not just that member's.
+        let mut altered = batch.clone();
+        let mut bytes = altered[3].2.to_bytes();
+        bytes[Proof::SIZE_BYTES - 16] ^= 1;
+        altered[3].2 = Proof::from_bytes(&bytes).unwrap();
+        assert!(differ_everywhere(&honest, &weights(&altered, 1)));
+
+        // So does the statement it is checked against, and the caller's rng.
+        let mut altered = batch.clone();
+        altered[0].1[0] += Fr::ONE;
+        assert!(differ_everywhere(&honest, &weights(&altered, 1)));
+        assert!(differ_everywhere(&honest, &weights(&batch, 2)));
     }
 }

@@ -29,8 +29,27 @@ impl EvaluationDomain {
     /// up to a power of two would itself overflow `usize`.
     pub fn new(num_coeffs: usize) -> Option<Self> {
         let size = num_coeffs.max(1).checked_next_power_of_two()?;
+        let group_gen = Self::root_of_unity(size)?;
+        let coset_shift = Fr::generator();
+        Some(EvaluationDomain {
+            size,
+            log_size: size.trailing_zeros(),
+            group_gen,
+            group_gen_inv: group_gen.inverse().expect("ω ≠ 0"),
+            size_inv: Fr::from(size as u64).inverse().expect("size ≠ 0 mod r"),
+            coset_shift,
+            coset_shift_inv: coset_shift.inverse().expect("g ≠ 0"),
+        })
+    }
+
+    /// The generator `ω` of the subgroup of exactly `size` elements: all a
+    /// caller needs when it evaluates nothing over the domain (squarings
+    /// only, where [`Self::new`] also inverts).
+    ///
+    /// Returns `None` unless `size` is a power of two of at most `2^28`.
+    pub fn root_of_unity(size: usize) -> Option<Fr> {
         let log_size = size.trailing_zeros();
-        if log_size > Fr::TWO_ADICITY {
+        if !size.is_power_of_two() || log_size > Fr::TWO_ADICITY {
             return None;
         }
         // ω = root^(2^(28 - log_size)) has exact order 2^log_size.
@@ -38,16 +57,7 @@ impl EvaluationDomain {
         for _ in 0..(Fr::TWO_ADICITY - log_size) {
             group_gen = group_gen.square();
         }
-        let coset_shift = Fr::generator();
-        Some(EvaluationDomain {
-            size,
-            log_size,
-            group_gen,
-            group_gen_inv: group_gen.inverse().expect("ω ≠ 0"),
-            size_inv: Fr::from(size as u64).inverse().expect("size ≠ 0 mod r"),
-            coset_shift,
-            coset_shift_inv: coset_shift.inverse().expect("g ≠ 0"),
-        })
+        Some(group_gen)
     }
 
     /// The domain size (a power of two).

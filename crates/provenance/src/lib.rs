@@ -14,18 +14,18 @@
 //!   combinations already verified, so re-auditing a token whose ancestors
 //!   were audited before verifies only the new edges (keys are SHA-256
 //!   digests: any tampering forces a miss, never a false hit);
-//! * [`verify_lineage`] — serial, batched (one folded pairing check via
-//!   [`zkdet_plonk::Plonk::batch_verify`]) and parallel (the check
-//!   frontier partitioned across threads, one folded check per partition)
-//!   verification, always localising failures to the exact token + proof;
+//! * [`verify_lineage`] — every cache-missing check of a lineage folded
+//!   into one pairing check via [`zkdet_plonk::Plonk::batch_verify`], with
+//!   a per-proof fallback that localises a failure to the exact token +
+//!   proof;
 //! * [`lineage_digest`] — a tamper-evident Merkle accumulator over the
 //!   canonically-ordered sub-DAG, stable across insertion orders;
 //! * [`export`] — DOT / JSON / ASCII-tree renderings for auditors.
 //!
 //! The chain's NFT contract keeps an index in lockstep with its token
-//! state, and the marketplace's `audit_token*` family drives the cache and
-//! the verification modes; `zkdet.provenance.*` counters and
-//! `provenance.*` spans report cache hit-rates and batch shapes.
+//! state, and the marketplace's `audit_token` drives the cache and the
+//! fold; `zkdet.provenance.*` counters and `provenance.*` spans report
+//! cache hit-rates and batch shapes.
 
 #![forbid(unsafe_code)]
 
@@ -40,4 +40,4 @@ pub use cache::{
 };
 pub use digest::lineage_digest;
 pub use index::{DagError, NodeId, ProvenanceIndex};
-pub use verify::{verify_lineage, LineageCheck, ProofRejected, VerifyMode, VerifyReport};
+pub use verify::{verify_lineage, LineageCheck, ProofRejected, VerifyReport};

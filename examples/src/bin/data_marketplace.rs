@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     // Re-audit: the audit cache remembers every verified (token, proof,
     // vk, statement) tuple, so the second pass does no pairing work.
-    let again = market.audit_token_batched(parts[0], &mut rng)?;
+    let again = market.audit_token(parts[0], &mut rng)?;
     assert_eq!(report, again);
     let cache = market.audit_cache();
     println!(

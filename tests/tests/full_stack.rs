@@ -225,7 +225,7 @@ fn canonical_proof_size_matches_paper() {
 }
 
 #[test]
-fn batched_audit_matches_sequential_audit() {
+fn audit_counts_the_lineage_and_fails_on_a_tampered_ancestor() {
     let mut r = rng(8);
     let mut m = Marketplace::bootstrap(1 << 14, 8, &mut r).unwrap();
     let mut alice = m.register();
@@ -238,13 +238,14 @@ fn batched_audit_matches_sequential_audit() {
     let agg = m.aggregate(&mut alice, &[t1, t2], &mut r).unwrap();
     let dup = m.duplicate(&mut alice, agg, &mut r).unwrap();
 
-    let sequential = m.audit_token(dup, &mut r).unwrap();
-    let batched = m.audit_token_batched(dup, &mut r).unwrap();
-    assert_eq!(sequential, batched);
-    assert_eq!(batched.verified_tokens.len(), 4);
-    assert_eq!(batched.transform_edges, 2);
+    let cold = m.audit_token(dup, &mut r).unwrap();
+    let warm = m.audit_token(dup, &mut r).unwrap();
+    assert_eq!(cold, warm);
+    assert_eq!(cold.verified_tokens.len(), 4);
+    assert_eq!(cold.transform_edges, 2);
 
-    // A tampered lineage fails in both modes.
+    // A tampered lineage fails warm and cold: the cache holds verdicts
+    // about artefacts, not about tokens.
     let cid = m
         .chain
         .nft(&m.nft_addr)
@@ -254,5 +255,6 @@ fn batched_audit_matches_sequential_audit() {
         .cid;
     m.storage.corrupt_block(&cid);
     assert!(m.audit_token(dup, &mut r).is_err());
-    assert!(m.audit_token_batched(dup, &mut r).is_err());
+    m.clear_audit_cache();
+    assert!(m.audit_token(dup, &mut r).is_err());
 }

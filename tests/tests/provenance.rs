@@ -1,6 +1,6 @@
-//! Cross-crate tests of the provenance subsystem: the audit cache through
-//! the marketplace's audit modes, failure localisation in batched audits,
-//! lineage digests and exports over real token lineages.
+//! Cross-crate tests of the provenance subsystem: the marketplace's audit
+//! cold, warm and over a forged token, lineage digests and exports over
+//! real token lineages.
 
 use rand::rngs::StdRng;
 use zkdet_core::{Dataset, Marketplace, ZkdetError};
@@ -38,22 +38,19 @@ fn warm_audit_is_served_from_the_cache() {
     assert_eq!(hits0, 0);
     assert!(misses0 > 0, "cold audit must miss for every check");
 
-    // Warm audit (any mode): every check hits, reports stay identical.
-    let warm = m.audit_token_batched(dup, &mut r).unwrap();
+    // Warm audit: every check hits, the report stays identical.
+    let warm = m.audit_token(dup, &mut r).unwrap();
     assert_eq!(cold, warm);
     assert_eq!(m.audit_cache().misses(), misses0, "no new misses when warm");
     assert_eq!(m.audit_cache().hits() - hits0, misses0, "all checks hit");
     assert!(m.audit_cache().hit_rate() > 0.0);
-
-    let parallel = m.audit_token_parallel(dup, &mut r).unwrap();
-    assert_eq!(cold, parallel);
 }
 
 #[test]
-fn batched_audit_localises_the_failing_token_even_when_warm() {
-    // The old batched audit reported only that *some* proof in the fold
-    // was invalid. It must now name the exact token and check — and a
-    // warm cache over the honest ancestors must not mask the forgery.
+fn audit_localises_the_failing_token_even_when_warm() {
+    // The audit folds every uncached proof into one check, yet a refusal
+    // must name the exact token and check — and a warm cache over the
+    // honest ancestors must not mask the forgery.
     let mut r = rng(9101);
     let mut m = market(&mut r);
     let mut alice = m.register();
@@ -94,30 +91,47 @@ fn batched_audit_localises_the_failing_token_even_when_warm() {
         )
         .unwrap();
 
-    match m.audit_token_batched(forged_token, &mut r) {
-        Err(ZkdetError::LineageProofInvalid { token, what }) => {
-            assert_eq!(token, forged_token, "failure must name the forged token");
-            assert!(what.contains("π_t"), "failure must name the check: {what}");
+    // Twice: a refused audit caches nothing, so the second is refused for
+    // the same reason; and once more from a cold cache, where the forged
+    // π_t is folded together with the honest proofs around it.
+    for attempt in ["warm ancestors", "again", "cold"] {
+        if attempt == "cold" {
+            m.clear_audit_cache();
         }
-        other => panic!("expected a localised rejection, got {other:?}"),
-    }
-    // The parallel mode localises identically.
-    match m.audit_token_parallel(forged_token, &mut r) {
-        Err(ZkdetError::LineageProofInvalid { token, .. }) => assert_eq!(token, forged_token),
-        other => panic!("expected a localised rejection, got {other:?}"),
+        let cached = m.audit_cache().len();
+        match m.audit_token(forged_token, &mut r) {
+            Err(ZkdetError::LineageProofInvalid { token, what }) => {
+                assert_eq!(token, forged_token, "{attempt}: must name the forged token");
+                assert!(what.contains("π_t"), "{attempt}: must name the check: {what}");
+            }
+            other => panic!("{attempt}: expected a localised rejection, got {other:?}"),
+        }
+        assert_eq!(m.audit_cache().len(), cached, "{attempt}: nothing recorded");
     }
 }
 
 #[test]
-fn audit_modes_agree_on_reports() {
+fn auditing_a_descendant_verifies_only_the_new_edges() {
     let mut r = rng(9102);
     let mut m = market(&mut r);
     let dup = lineage(&mut m, &mut r);
-    let a = m.audit_token(dup, &mut r).unwrap();
-    let b = m.audit_token_batched(dup, &mut r).unwrap();
-    let c = m.audit_token_parallel(dup, &mut r).unwrap();
-    assert_eq!(a, b);
-    assert_eq!(b, c);
+    let agg = m.chain.nft(&m.nft_addr).unwrap().token_meta(dup).unwrap().prev_ids[0];
+
+    // The aggregate and its two sources: three π_e and one π_t.
+    m.audit_token(agg, &mut r).unwrap();
+    assert_eq!((m.audit_cache().hits(), m.audit_cache().misses()), (0, 4));
+    // The duplicate adds its own π_e and π_t; the rest is cached.
+    let partly_warm = m.audit_token(dup, &mut r).unwrap();
+    assert_eq!((m.audit_cache().hits(), m.audit_cache().misses()), (4, 6));
+
+    // From a cleared cache the same audit verifies all six again and
+    // reports the same lineage.
+    m.clear_audit_cache();
+    let (hits, misses) = (m.audit_cache().hits(), m.audit_cache().misses());
+    let cold = m.audit_token(dup, &mut r).unwrap();
+    assert_eq!(cold, partly_warm);
+    assert_eq!(m.audit_cache().hits(), hits);
+    assert_eq!(m.audit_cache().misses() - misses, 6);
 }
 
 #[test]

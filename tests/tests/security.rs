@@ -66,7 +66,10 @@ fn integrity_false_transformation_claim_rejected() {
         )
         .unwrap();
     match m.audit_token(forged_token, &mut r) {
-        Err(ZkdetError::ProofInvalid(what)) => assert!(what.contains("π_t")),
+        Err(ZkdetError::LineageProofInvalid { token, what }) => {
+            assert_eq!(token, forged_token);
+            assert!(what.contains("π_t"));
+        }
         other => panic!("forged transformation must be rejected, got {other:?}"),
     }
 }
@@ -101,7 +104,7 @@ fn integrity_wrong_ciphertext_for_commitment_rejected() {
         )
         .unwrap();
     match m.audit_token(forged, &mut r) {
-        Err(ZkdetError::ProofInvalid("π_e")) => {}
+        Err(ZkdetError::LineageProofInvalid { token, what: "π_e" }) => assert_eq!(token, forged),
         other => panic!("expected π_e rejection, got {other:?}"),
     }
 }
