@@ -46,7 +46,7 @@ fn main() {
     m.chain.state.fund(operator, 1_000_000_000_000);
     let (_, r) = m.chain.deploy_nft(operator);
     row(&mut report, "ZKDET contract deployment", r.gas_used, "1,020,954");
-    let (_, r) = m.chain.deploy_verifier(operator, m.keyneg_vk.clone());
+    let (_, r) = m.chain.deploy_verifier(operator, m.keyneg_vk().clone());
     row(&mut report, "Verifier contract deployment", r.gas_used, "1,644,969");
 
     // Token minting.

@@ -7,6 +7,10 @@
 //! dispute cost grows with the data size (`Θ(log n)` paths + one block
 //! decryption here; `Θ(|block|)` in general). The `fairswap_dispute`
 //! benchmark measures exactly that growth.
+//!
+//! Each step is written once, as a `journaled_fairswap_*` function that
+//! appends an intent record to its [`Journal`] before the side effect and
+//! a completion record after; the plain functions pass [`NoJournal`].
 
 use rand::Rng;
 use zkdet_chain::contracts::SwapId;
@@ -18,6 +22,7 @@ use zkdet_field::{Field, Fr};
 
 use crate::dataset::Dataset;
 use crate::error::ZkdetError;
+use crate::journal::{ExchangeRecord, Journal, NoJournal};
 use crate::market::{DataOwner, Marketplace};
 
 /// Seller-side state for a FairSwap offer.
@@ -67,7 +72,6 @@ impl Marketplace {
     /// Seller makes a FairSwap offer for a dataset: encrypts it, Merkle-izes
     /// ciphertext and plaintext, posts roots + `H(k)` on-chain, and serves
     /// the ciphertext off-chain (returned for the buyer).
-    #[allow(clippy::too_many_arguments)]
     pub fn fairswap_offer<R: Rng + ?Sized>(
         &mut self,
         contract: Address,
@@ -76,16 +80,39 @@ impl Marketplace {
         price: Wei,
         rng: &mut R,
     ) -> Result<(FairSwapSeller, Vec<Fr>), ZkdetError> {
-        let key = Fr::random(rng);
-        let nonce = Fr::random(rng);
-        self.fairswap_offer_with(contract, seller, data, price, key, nonce)
+        self.journaled_fairswap_offer(&mut NoJournal, contract, seller, data, price, rng)
     }
 
-    /// [`Marketplace::fairswap_offer`] with caller-supplied key material:
-    /// the journaled flow records the drawn key/nonce *before* the offer
-    /// lands, so a crash-restart replay reproduces identical roots.
-    pub(crate) fn fairswap_offer_with(
+    /// [`Marketplace::fairswap_offer`] over `journal`: key and nonce are
+    /// durable before the offer lands, so a crash-restart replay
+    /// reproduces identical roots.
+    pub fn journaled_fairswap_offer<R: Rng + ?Sized>(
         &mut self,
+        journal: &mut impl Journal,
+        contract: Address,
+        seller: &DataOwner,
+        data: Dataset,
+        price: Wei,
+        rng: &mut R,
+    ) -> Result<(FairSwapSeller, Vec<Fr>), ZkdetError> {
+        let key = Fr::random(rng);
+        let nonce = Fr::random(rng);
+        journal.append(&ExchangeRecord::SwapOfferIntent {
+            key,
+            nonce,
+            data: data.entries().to_vec(),
+            price,
+        })?;
+        self.post_swap_offer(journal, contract, seller, data, price, key, nonce)
+    }
+
+    /// The effect half of the offer step: posts the offer under the given
+    /// key material and journals `SwapOfferDone`. Recovery re-posts a
+    /// lost offer through this with the *journaled* key and nonce.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn post_swap_offer(
+        &mut self,
+        journal: &mut impl Journal,
         contract: Address,
         seller: &DataOwner,
         data: Dataset,
@@ -107,6 +134,7 @@ impl Marketplace {
             data.len(),
             nonce,
         )?;
+        journal.append(&ExchangeRecord::SwapOfferDone { swap })?;
         Ok((
             FairSwapSeller {
                 swap,
@@ -130,6 +158,32 @@ impl Marketplace {
         served_ciphertext: Vec<Fr>,
         expected_plaintext: &Dataset,
     ) -> Result<FairSwapBuyer, ZkdetError> {
+        self.journaled_fairswap_accept(
+            &mut NoJournal,
+            contract,
+            buyer,
+            swap,
+            served_ciphertext,
+            expected_plaintext,
+        )
+    }
+
+    /// [`Marketplace::fairswap_accept`] over `journal`.
+    pub fn journaled_fairswap_accept(
+        &mut self,
+        journal: &mut impl Journal,
+        contract: Address,
+        buyer: &DataOwner,
+        swap: SwapId,
+        served_ciphertext: Vec<Fr>,
+        expected_plaintext: &Dataset,
+    ) -> Result<FairSwapBuyer, ZkdetError> {
+        journal.append(&ExchangeRecord::SwapAcceptIntent {
+            swap,
+            buyer: buyer.address,
+            expected: expected_plaintext.entries().to_vec(),
+            ciphertext: served_ciphertext.clone(),
+        })?;
         let on_chain = self.chain.fairswap(&contract)?.swap(swap)?.clone();
         let ct_tree = MerkleTree::new(&served_ciphertext);
         if ct_tree.root() != on_chain.root_c {
@@ -145,6 +199,10 @@ impl Marketplace {
         }
         self.chain
             .fairswap_accept(contract, buyer.address, swap, on_chain.price)?;
+        journal.append(&ExchangeRecord::SwapAcceptDone {
+            swap,
+            payment: on_chain.price,
+        })?;
         Ok(FairSwapBuyer {
             swap,
             buyer: buyer.address,
@@ -163,10 +221,23 @@ impl Marketplace {
         seller: &DataOwner,
         state: &FairSwapSeller,
     ) -> Result<Receipt, ZkdetError> {
+        self.journaled_fairswap_reveal(&mut NoJournal, contract, seller, state)
+    }
+
+    /// [`Marketplace::fairswap_reveal`] over `journal`.
+    pub fn journaled_fairswap_reveal(
+        &mut self,
+        journal: &mut impl Journal,
+        contract: Address,
+        seller: &DataOwner,
+        state: &FairSwapSeller,
+    ) -> Result<Receipt, ZkdetError> {
+        journal.append(&ExchangeRecord::SwapRevealIntent { swap: state.swap })?;
         let r = self
             .chain
             .fairswap_reveal(contract, seller.address, state.swap, state.key)?;
         self.chain.mine_block();
+        journal.append(&ExchangeRecord::SwapRevealDone { swap: state.swap })?;
         Ok(r)
     }
 
@@ -178,6 +249,17 @@ impl Marketplace {
         contract: Address,
         state: &FairSwapBuyer,
     ) -> Result<Result<Dataset, Receipt>, ZkdetError> {
+        self.journaled_fairswap_finish(&mut NoJournal, contract, state)
+    }
+
+    /// [`Marketplace::fairswap_finish_or_dispute`] over `journal`.
+    pub fn journaled_fairswap_finish(
+        &mut self,
+        journal: &mut impl Journal,
+        contract: Address,
+        state: &FairSwapBuyer,
+    ) -> Result<Result<Dataset, Receipt>, ZkdetError> {
+        journal.append(&ExchangeRecord::SwapFinishIntent { swap: state.swap })?;
         let on_chain = self.chain.fairswap(&contract)?.swap(state.swap)?.clone();
         let key = match on_chain.state {
             zkdet_chain::contracts::SwapState::Revealed { key, .. } => key,
@@ -193,22 +275,28 @@ impl Marketplace {
             blocks: state.ciphertext_blocks.clone(),
         });
         // Find the first bad block, if any.
-        for (i, (got, want)) in decrypted.iter().zip(&state.expected_blocks).enumerate() {
-            if got != want {
-                let receipt = self.chain.fairswap_complain(
-                    contract,
-                    state.buyer,
-                    state.swap,
-                    i,
-                    state.ciphertext_blocks[i],
-                    &state.ciphertext.path(i),
-                    state.expected_blocks[i],
-                    &state.expected.path(i),
-                )?;
-                return Ok(Err(receipt));
-            }
-        }
-        Ok(Ok(Dataset::from_entries(decrypted)))
+        let bad = decrypted
+            .iter()
+            .zip(&state.expected_blocks)
+            .position(|(got, want)| got != want);
+        let outcome = match bad {
+            Some(i) => Err(self.chain.fairswap_complain(
+                contract,
+                state.buyer,
+                state.swap,
+                i,
+                state.ciphertext_blocks[i],
+                &state.ciphertext.path(i),
+                state.expected_blocks[i],
+                &state.expected.path(i),
+            )?),
+            None => Ok(Dataset::from_entries(decrypted)),
+        };
+        journal.append(&ExchangeRecord::SwapFinishDone {
+            swap: state.swap,
+            disputed: outcome.is_err(),
+        })?;
+        Ok(outcome)
     }
 
     /// The key a FairSwap reveal disclosed on-chain, if any — same leak

@@ -780,7 +780,8 @@ impl Task<MarketWorld> for SwapMachine {
             }
             SwapPhase::Finish { buyer_state } => {
                 let shard = world.sharded.shard_mut(self.spec.shard);
-                shard.market.journaled_fairswap_finish(
+                // A disputed swap is Refunded and fails Finalize below.
+                let _ = shard.market.journaled_fairswap_finish(
                     &mut shard.wal,
                     self.spec.contract,
                     &buyer_state,

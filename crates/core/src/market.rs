@@ -193,9 +193,6 @@ pub struct Marketplace {
     pub auction_addr: Address,
     /// The on-chain verifier for the π_k relation.
     pub keyneg_verifier_addr: Address,
-    /// Verifying key for π_k (a copy of the registry's, like the one
-    /// embedded in the verifier contract).
-    pub keyneg_vk: VerifyingKey,
     /// The registry's π_k entry, read once at bootstrap.
     pub(crate) keyneg: KeyPair,
     keys: Arc<KeyRegistry>,
@@ -252,10 +249,9 @@ impl Marketplace {
                 rng,
             )))),
         };
-        // Byzantine-quorum storage is the default backend: blobs are
-        // erasure-coded k-of-n with w-ack durability (8/4/6 at ≥ 8 nodes),
-        // so any n − k crashed/corrupt/Byzantine share holders per blob
-        // are survivable and repairable.
+        // Blobs are erasure-coded k-of-n with w-ack durability (8/4/6 at
+        // ≥ 8 nodes), so any n − k crashed/corrupt/Byzantine share holders
+        // per blob are survivable and repairable.
         let storage = StorageNetwork::with_quorum(
             config.storage_nodes,
             zkdet_storage::QuorumConfig::for_cluster(config.storage_nodes),
@@ -277,8 +273,8 @@ impl Marketplace {
         let keyneg = keys.get_or_derive(Shape::KeyNeg, &metrics, || {
             KeyNegotiationCircuit.synthesize(dummy_key, Fr::from(2u64), &c, &o)
         })?;
-        let keyneg_vk = VerifyingKey::clone(&keyneg.vk);
-        let (keyneg_verifier_addr, _) = chain.deploy_verifier(operator, keyneg_vk.clone());
+        let (keyneg_verifier_addr, _) =
+            chain.deploy_verifier(operator, VerifyingKey::clone(&keyneg.vk));
         chain.mine_block();
 
         Ok(Marketplace {
@@ -288,7 +284,6 @@ impl Marketplace {
             nft_addr,
             auction_addr,
             keyneg_verifier_addr,
-            keyneg_vk,
             keyneg,
             keys,
             processing_vks: BTreeMap::new(),
@@ -297,6 +292,11 @@ impl Marketplace {
             metrics,
             audit_cache: AuditCache::new(),
         })
+    }
+
+    /// Verifying key for π_k: the registry's entry the verifier contract embeds.
+    pub fn keyneg_vk(&self) -> &VerifyingKey {
+        &self.keyneg.vk
     }
 
     /// Replaces the retrieval policy applied to every storage fetch.

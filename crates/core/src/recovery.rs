@@ -1,15 +1,14 @@
-//! Crash recovery, and the journaled FairSwap steps (DESIGN.md §13).
+//! Crash recovery (DESIGN.md §13).
 //!
 //! Every exchange step writes an intent record (carrying any freshly
 //! drawn randomness) to its journal *before* the side effect and a
 //! completion record after — the key-secure steps in [`crate::exchange`],
-//! the FairSwap ones here, as thin intent/call/done wrappers over
-//! [`crate::fairswap`]. [`crate::market::Marketplace::recover`] replays
-//! an [`ExchangeWal`] against durable chain state and resumes every
-//! in-flight exchange from its last completed step — or drives it to a
-//! refund — by calling those same steps, with exactly-once settlement
-//! guaranteed by the chain's settlement journal and the idempotent
-//! submit paths.
+//! the FairSwap ones in [`crate::fairswap`].
+//! [`crate::market::Marketplace::recover`] replays an [`ExchangeWal`]
+//! against durable chain state and resumes every in-flight exchange from
+//! its last completed step — or drives it to a refund — by calling those
+//! same steps, with exactly-once settlement guaranteed by the chain's
+//! settlement journal and the idempotent submit paths.
 //!
 //! The durability model: process memory (sessions, drawn secrets like
 //! `k_v`) is volatile and lost at a crash; the WAL bytes, the chain and
@@ -24,7 +23,7 @@ use zkdet_crypto::commitment::Opening;
 use zkdet_crypto::mimc::MimcCtr;
 use zkdet_crypto::poseidon::Poseidon;
 use zkdet_crypto::MerkleTree;
-use zkdet_field::{Field, Fr};
+use zkdet_field::Fr;
 
 use crate::dataset::Dataset;
 use crate::error::ZkdetError;
@@ -136,94 +135,6 @@ impl Progress {
 }
 
 impl Marketplace {
-    // ------------------------------------------------------------------ //
-    //  Journaled step wrappers (FairSwap baseline)                       //
-    // ------------------------------------------------------------------ //
-
-    /// Journaled [`Marketplace::fairswap_offer`]: key and nonce are
-    /// durable before the offer lands, so a replay reproduces the same
-    /// roots.
-    pub fn journaled_fairswap_offer<R: Rng + ?Sized>(
-        &mut self,
-        wal: &mut ExchangeWal,
-        contract: Address,
-        seller: &DataOwner,
-        data: Dataset,
-        price: Wei,
-        rng: &mut R,
-    ) -> Result<(FairSwapSeller, Vec<Fr>), ZkdetError> {
-        let key = Fr::random(rng);
-        let nonce = Fr::random(rng);
-        wal.append(&ExchangeRecord::SwapOfferIntent {
-            key,
-            nonce,
-            data: data.entries().to_vec(),
-            price,
-        })?;
-        let (state, ct) = self.fairswap_offer_with(contract, seller, data, price, key, nonce)?;
-        wal.append(&ExchangeRecord::SwapOfferDone { swap: state.swap })?;
-        Ok((state, ct))
-    }
-
-    /// Journaled [`Marketplace::fairswap_accept`].
-    pub fn journaled_fairswap_accept(
-        &mut self,
-        wal: &mut ExchangeWal,
-        contract: Address,
-        buyer: &DataOwner,
-        swap: SwapId,
-        served_ciphertext: Vec<Fr>,
-        expected_plaintext: &Dataset,
-    ) -> Result<FairSwapBuyer, ZkdetError> {
-        wal.append(&ExchangeRecord::SwapAcceptIntent {
-            swap,
-            buyer: buyer.address,
-            expected: expected_plaintext.entries().to_vec(),
-            ciphertext: served_ciphertext.clone(),
-        })?;
-        let state =
-            self.fairswap_accept(contract, buyer, swap, served_ciphertext, expected_plaintext)?;
-        wal.append(&ExchangeRecord::SwapAcceptDone {
-            swap,
-            payment: state.payment,
-        })?;
-        Ok(state)
-    }
-
-    /// Journaled [`Marketplace::fairswap_reveal`].
-    pub fn journaled_fairswap_reveal(
-        &mut self,
-        wal: &mut ExchangeWal,
-        contract: Address,
-        seller: &DataOwner,
-        state: &FairSwapSeller,
-    ) -> Result<(), ZkdetError> {
-        wal.append(&ExchangeRecord::SwapRevealIntent { swap: state.swap })?;
-        self.fairswap_reveal(contract, seller, state)?;
-        wal.append(&ExchangeRecord::SwapRevealDone { swap: state.swap })?;
-        Ok(())
-    }
-
-    /// Journaled [`Marketplace::fairswap_finish_or_dispute`].
-    pub fn journaled_fairswap_finish(
-        &mut self,
-        wal: &mut ExchangeWal,
-        contract: Address,
-        state: &FairSwapBuyer,
-    ) -> Result<Option<Dataset>, ZkdetError> {
-        wal.append(&ExchangeRecord::SwapFinishIntent { swap: state.swap })?;
-        let out = self.fairswap_finish_or_dispute(contract, state)?;
-        let (disputed, data) = match out {
-            Ok(data) => (false, Some(data)),
-            Err(_receipt) => (true, None),
-        };
-        wal.append(&ExchangeRecord::SwapFinishDone {
-            swap: state.swap,
-            disputed,
-        })?;
-        Ok(data)
-    }
-
     // ------------------------------------------------------------------ //
     //  Recovery                                                          //
     // ------------------------------------------------------------------ //
@@ -467,7 +378,7 @@ impl Marketplace {
     fn recover_swap(
         &mut self,
         wal: &mut ExchangeWal,
-        mut sp: SwapProgress,
+        sp: SwapProgress,
         seller: Option<&DataOwner>,
         fairswap: Option<Address>,
     ) -> Result<RecoveredSwap, ZkdetError> {
@@ -479,7 +390,9 @@ impl Marketplace {
 
         // 1. Offer intent without completion: find the swap by its offer
         //    roots, else re-post it with the journaled key material.
-        if sp.swap.is_none() {
+        let swap = if let Some(swap) = sp.swap {
+            swap
+        } else {
             let Some((key, nonce, data, price)) = sp.offer_intent.clone() else {
                 return Ok(RecoveredSwap {
                     swap: None,
@@ -498,8 +411,11 @@ impl Marketplace {
                     s.root_c == root_c && s.root_d == root_d && s.key_hash == key_hash
                 })
                 .map(|(id, _)| id);
-            let swap = match found {
-                Some(id) => id,
+            match found {
+                Some(swap) => {
+                    wal.append(&ExchangeRecord::SwapOfferDone { swap })?;
+                    swap
+                }
                 None => {
                     let seller_owner = seller.ok_or_else(|| {
                         ZkdetError::Protocol(
@@ -507,7 +423,8 @@ impl Marketplace {
                                 .into(),
                         )
                     })?;
-                    let (state, _ct) = self.fairswap_offer_with(
+                    let (state, _ct) = self.post_swap_offer(
+                        wal,
                         contract,
                         seller_owner,
                         Dataset::from_entries(data.clone()),
@@ -517,45 +434,35 @@ impl Marketplace {
                     )?;
                     state.swap
                 }
-            };
-            wal.append(&ExchangeRecord::SwapOfferDone { swap })?;
-            sp.swap = Some(swap);
-        }
-        let swap = sp.swap.ok_or_else(|| {
-            ZkdetError::Protocol("recovery lost the swap id it just resolved".into())
-        })?;
+            }
+        };
 
         // 2. Accept intent without completion: did the escrow land?
-        if let (Some((buyer_addr, expected, ciphertext)), None) =
-            (sp.accept_intent.clone(), sp.accepted)
-        {
+        if let (Some((buyer_addr, ..)), None) = (&sp.accept_intent, sp.accepted) {
             let state = self.chain.fairswap(&contract)?.swap(swap)?.state.clone();
             match state {
                 SwapState::Offered => {
                     let on_chain = self.chain.fairswap(&contract)?.swap(swap)?.clone();
                     self.chain
-                        .fairswap_accept(contract, buyer_addr, swap, on_chain.price)?;
+                        .fairswap_accept(contract, *buyer_addr, swap, on_chain.price)?;
                     wal.append(&ExchangeRecord::SwapAcceptDone {
                         swap,
                         payment: on_chain.price,
                     })?;
-                    sp.accepted = Some(on_chain.price);
                 }
                 SwapState::Paid { buyer: b, payment }
                 | SwapState::Revealed {
                     buyer: b, payment, ..
                 } => {
-                    if b != buyer_addr {
+                    if b != *buyer_addr {
                         return Err(ZkdetError::Protocol(
                             "swap is escrowed by a different buyer".into(),
                         ));
                     }
                     wal.append(&ExchangeRecord::SwapAcceptDone { swap, payment })?;
-                    sp.accepted = Some(payment);
                 }
                 SwapState::Completed | SwapState::Refunded => {}
             }
-            let _ = (expected, ciphertext);
         }
 
         // 3. Reveal: if the escrow stands and the key is not on-chain yet,
@@ -595,7 +502,8 @@ impl Marketplace {
                         _ => on_chain.price,
                     },
                 };
-                self.journaled_fairswap_finish(wal, contract, &buyer_state)?;
+                // Finished or disputed: the state read below reports which.
+                let _ = self.journaled_fairswap_finish(wal, contract, &buyer_state)?;
             }
         }
 

@@ -1,9 +1,8 @@
-//! A Kademlia-style DHT simulation: XOR-metric routing over simulated nodes.
+//! Kademlia-style XOR-metric placement over simulated nodes.
 //!
-//! Faithful to the parts of the protocol ZKDET relies on — content is
-//! replicated to the `K_REPLICATION` XOR-closest nodes and found by
-//! iterative lookup — while running in a single process with deterministic
-//! node identities.
+//! Faithful to the part of the protocol ZKDET relies on — a key's home is
+//! the live node XOR-closest to it — while running in a single process
+//! with deterministic node identities.
 
 use std::collections::BTreeMap;
 
@@ -12,12 +11,6 @@ use serde::{Deserialize, Serialize};
 use zkdet_crypto::sha256;
 
 use crate::Cid;
-
-/// Replication factor: content lives on this many closest nodes.
-pub const K_REPLICATION: usize = 3;
-
-/// Lookup fan-out per iteration (Kademlia's α).
-pub const ALPHA: usize = 3;
 
 /// A node identifier in the same 256-bit key space as [`Cid`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -51,28 +44,17 @@ pub fn xor_distance(node: &NodeId, key: &Cid) -> [u8; 32] {
     out
 }
 
-/// One simulated storage node: a blob store plus a routing view.
+/// One simulated storage node: its block store.
 #[derive(Clone, Debug, Default)]
 pub struct DhtNode {
-    /// Blocks pinned on this node.
+    /// Blocks (erasure shares, keyed by share key) pinned on this node.
     pub(crate) blocks: BTreeMap<Cid, Bytes>,
-    /// Peers this node knows (the simulation keeps full views consistent,
-    /// approximating converged routing tables).
-    pub(crate) peers: Vec<NodeId>,
 }
 
 impl DhtNode {
     /// Number of blocks pinned here.
     pub fn stored_blocks(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// From this node's view, the `count` known peers closest to `key`.
-    pub fn closest_known(&self, key: &Cid, count: usize) -> Vec<NodeId> {
-        let mut peers = self.peers.clone();
-        peers.sort_by_key(|p| xor_distance(p, key));
-        peers.truncate(count);
-        peers
     }
 }
 
@@ -89,25 +71,6 @@ mod tests {
         assert_eq!(xor_distance(&a, &Cid(a.0)), [0u8; 32]);
         // symmetry of the underlying metric: d(a⊕key) ≠ d(b⊕key) generically
         assert_ne!(xor_distance(&a, &key), xor_distance(&b, &key));
-    }
-
-    #[test]
-    fn closest_known_sorts_by_distance() {
-        let key = Cid::from_bytes(b"content");
-        let node = DhtNode {
-            peers: (0..20).map(NodeId::from_seed).collect(),
-            ..Default::default()
-        };
-        let closest = node.closest_known(&key, 5);
-        assert_eq!(closest.len(), 5);
-        for w in closest.windows(2) {
-            assert!(xor_distance(&w[0], &key) <= xor_distance(&w[1], &key));
-        }
-        // The reported closest beats every other peer.
-        let best = xor_distance(&closest[0], &key);
-        for p in &node.peers {
-            assert!(xor_distance(p, &key) >= best);
-        }
     }
 
     #[test]

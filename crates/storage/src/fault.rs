@@ -10,9 +10,9 @@
 //! - **probabilistic drop** — a request to a node is lost with a given
 //!   probability, decided by a counter-mode PRF of the plan seed so every
 //!   run of the same schedule drops exactly the same requests;
-//! - **replica corruption** — one node's copy of a block serves bytes that
-//!   no longer hash to the CID (the other replicas stay intact);
-//! - **stale provider records** — a node still advertises a block it has
+//! - **share corruption** — the shares of one blob that one node holds
+//!   serve bytes that fail their digest (the other holders stay intact);
+//! - **stale provider records** — a node still advertises a share it has
 //!   garbage-collected and answers the fetch with a miss;
 //! - **Byzantine share corruption** — a node rewrites *every* erasure
 //!   share it stores, modelling an actively malicious replica rather than
@@ -49,9 +49,8 @@ fn node_fingerprint(node: &NodeId) -> u64 {
 
 /// A seeded, deterministic schedule of storage faults.
 ///
-/// Built with the `with_*` combinators; inert by default (a default plan
-/// leaves retrieval behaviour byte-identical to a network with no plan
-/// installed).
+/// Built with the `with_*` combinators; inert by default (a plan with no
+/// combinator applied injects nothing, whatever its seed).
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     seed: u64,
@@ -63,7 +62,7 @@ pub struct FaultPlan {
     latency: BTreeMap<NodeId, u64>,
     /// Tick at which a node crashes (unreachable from then on).
     crash_at: BTreeMap<NodeId, u64>,
-    /// Replica copies that serve corrupted bytes.
+    /// (holder, content or share key) pairs that serve corrupted bytes.
     corrupt: BTreeSet<(NodeId, Cid)>,
     /// Provider records that are stale: advertised but gone.
     stale: BTreeSet<(NodeId, Cid)>,
@@ -118,13 +117,15 @@ impl FaultPlan {
         self
     }
 
-    /// `node`'s copy of `cid` serves corrupted bytes.
+    /// `node` serves corrupted bytes for `cid` — every share of that
+    /// content it holds, or the one share when `cid` is a share key.
     pub fn with_corrupt_replica(mut self, node: NodeId, cid: Cid) -> Self {
         self.corrupt.insert((node, cid));
         self
     }
 
-    /// `node` advertises `cid` but no longer holds it.
+    /// `node` advertises `cid` (a content's shares, or one share key) but
+    /// no longer holds it.
     pub fn with_stale_record(mut self, node: NodeId, cid: Cid) -> Self {
         self.stale.insert((node, cid));
         self
@@ -143,18 +144,6 @@ impl FaultPlan {
     pub fn with_ack_withholding(mut self, node: NodeId) -> Self {
         self.ack_withhold.insert(node);
         self
-    }
-
-    /// `true` when the plan can never alter behaviour.
-    pub fn is_inert(&self) -> bool {
-        self.global_drop_ppm == 0
-            && self.node_drop_ppm.values().all(|p| *p == 0)
-            && self.latency.is_empty()
-            && self.crash_at.is_empty()
-            && self.corrupt.is_empty()
-            && self.stale.is_empty()
-            && self.byzantine.is_empty()
-            && self.ack_withhold.is_empty()
     }
 
     /// Is `node` reachable at simulated time `now`?
@@ -219,10 +208,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_plan_is_inert() {
-        assert!(FaultPlan::none().is_inert());
-        assert!(FaultPlan::seeded(99).is_inert());
-        assert!(!FaultPlan::seeded(99).with_global_drop(0.5).is_inert());
+    fn default_plan_injects_nothing() {
+        let node = NodeId::from_seed(1);
+        let cid = Cid::from_bytes(b"blob");
+        for plan in [FaultPlan::none(), FaultPlan::seeded(99)] {
+            assert!(plan.node_up(&node, u64::MAX));
+            assert_eq!(plan.latency_of(&node), DEFAULT_LATENCY_TICKS);
+            assert!((0..256).all(|n| !plan.should_drop(&node, n)));
+            assert!(!plan.corrupts(&node, &cid));
+            assert!(!plan.is_stale(&node, &cid));
+            assert!(!plan.is_byzantine(&node));
+            assert!(!plan.withholds_ack(&node));
+        }
     }
 
     #[test]
@@ -263,7 +260,6 @@ mod tests {
         let plan = FaultPlan::seeded(1)
             .with_byzantine_node(node)
             .with_ack_withholding(other);
-        assert!(!plan.is_inert());
         assert!(plan.is_byzantine(&node));
         assert!(!plan.is_byzantine(&other));
         // A Byzantine node corrupts every cid, not just scheduled ones.

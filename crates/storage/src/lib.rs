@@ -10,27 +10,24 @@
 //! 3. **Tamper evidence** — any mutation changes the digest and is
 //!    detected on fetch; see [`StorageError::DigestMismatch`].
 //!
-//! The network is simulated as a set of nodes with XOR-metric (Kademlia
-//! style) routing: content is replicated to the `K_REPLICATION` closest
-//! nodes and looked up by iterative XOR search, with hop counts exposed for
-//! the curious. Churn (node removal) is supported to exercise replication.
-
+//! The network is simulated as a set of nodes in an XOR-metric (Kademlia
+//! style) key space. Durability is a Byzantine quorum
+//! ([`StorageNetwork::with_quorum`], the one constructor): every blob is
+//! erasure-coded into `n` shares of which any `k` reconstruct it
+//! ([`ErasureCodec`]), each share lives on the live node XOR-closest to its
+//! share key, per-share digests are bound to the content CID
+//! ([`ShareManifest`]) for share-level tamper attribution
+//! ([`TamperEvidence`]), writes are acknowledged only after `w`
+//! distinct-node durability acks ([`QuorumConfig`]), reads at exactly `k`
+//! live shares are served flagged as degraded, and a deterministic repair
+//! scheduler ([`StorageNetwork::tick_repairs`]) restores redundancy after
+//! churn (node removal).
 //!
 //! Robustness: a seeded [`FaultPlan`] injects crashes, latency, request
-//! drops, replica corruption, stale provider records, Byzantine share
-//! corruption, and ack withholding; a [`RetrievalPolicy`] fights back with
-//! bounded retries, exponential backoff on the simulated clock, hedged
-//! replica probes, and quarantine of nodes caught serving corrupt bytes.
-//!
-//! Durability: alongside the original full-copy replication, a
-//! Byzantine-quorum backend ([`StorageNetwork::with_quorum`]) erasure-codes
-//! every blob into `n` shares of which any `k` reconstruct it
-//! ([`ErasureCodec`]), binds per-share digests to the content CID
-//! ([`ShareManifest`]) for share-level tamper attribution
-//! ([`TamperEvidence`]), acknowledges writes only after `w` distinct-node
-//! durability acks ([`QuorumConfig`]), serves degraded reads at exactly
-//! `k` live shares, and restores redundancy after churn with a
-//! deterministic repair scheduler ([`StorageNetwork::tick_repairs`]).
+//! drops, share corruption, stale provider records, Byzantine nodes, and
+//! ack withholding; a [`RetrievalPolicy`] fights back with bounded retries,
+//! exponential backoff on the simulated clock, hedged share probes, and
+//! quarantine of nodes caught serving corrupt bytes.
 
 #![forbid(unsafe_code)]
 
@@ -45,7 +42,7 @@ mod policy;
 mod quorum;
 
 pub use cid::Cid;
-pub use dht::{xor_distance, DhtNode, NodeId, K_REPLICATION};
+pub use dht::{xor_distance, DhtNode, NodeId};
 pub use erasure::{ErasureCodec, ErasureError, MAX_SHARES};
 pub use fault::{FaultPlan, DEFAULT_LATENCY_TICKS};
 pub use health::{NodeHealthSnapshot, MAX_SUSPICION};

@@ -1,24 +1,19 @@
 //! The public storage-network API used by the ZKDET protocols.
 //!
-//! Two durability backends share this API:
-//!
-//! - **full-copy replication** ([`StorageNetwork::new`]) — the original
-//!   mode: every blob copied whole to the `K_REPLICATION` XOR-closest
-//!   nodes;
-//! - **Byzantine quorum** ([`StorageNetwork::with_quorum`]) — blobs are
-//!   erasure-coded into `n` shares of which any `k` reconstruct, each
-//!   share digest-bound to the content CID by a [`ShareManifest`], writes
-//!   acknowledged only after `w` distinct-node durability acks, reads
-//!   reconstructing from any `k` shares with share-level tamper
-//!   attribution, and a deterministic repair scheduler restoring
-//!   redundancy after churn.
+//! One durability backend, a Byzantine quorum: blobs are erasure-coded
+//! into `n` shares of which any `k` reconstruct, each share digest-bound
+//! to the content CID by a [`ShareManifest`] and placed on the live node
+//! XOR-closest to its share key; writes are acknowledged only after `w`
+//! distinct-node durability acks, reads reconstruct from any `k` shares
+//! with share-level tamper attribution, and a deterministic repair
+//! scheduler restores redundancy after churn.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use parking_lot::RwLock;
 
-use crate::dht::{xor_distance, DhtNode, NodeId, ALPHA, K_REPLICATION};
+use crate::dht::{xor_distance, DhtNode, NodeId};
 use crate::erasure::ErasureCodec;
 use crate::fault::FaultPlan;
 use crate::health::{self, NodeHealthSnapshot, NodeHealthStats};
@@ -26,9 +21,6 @@ use crate::manifest::ShareManifest;
 use crate::policy::RetrievalPolicy;
 use crate::quorum::{DurabilityReport, QuorumConfig, RepairReport, TamperEvidence};
 use crate::Cid;
-
-/// Iterative-lookup hop budget.
-const MAX_LOOKUP_HOPS: usize = 64;
 
 /// Minimum simulated ticks between two background repair passes driven by
 /// [`StorageNetwork::tick_repairs`].
@@ -43,16 +35,17 @@ pub struct PinOwner(pub u64);
 /// Errors surfaced by the storage network.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
-    /// No node holds the requested content (definitive: a clean lookup
-    /// completed and found no live replica).
+    /// Nothing is pinned under the requested CID (definitive: no share
+    /// manifest exists for it).
     NotFound(Cid),
-    /// A block was found but its bytes do not hash to the CID (tampering),
-    /// and no intact replica could be reached either.
+    /// Shares were served whose bytes fail their digest check (tampering),
+    /// and fewer than `k` intact shares could be reached.
     DigestMismatch(Cid),
     /// Unpin attempted by a non-owner.
     NotOwner(Cid),
-    /// Replicas may exist but the retry budget was exhausted on dropped or
-    /// unanswered requests — transient by nature, safe to retry later.
+    /// Enough shares may exist but the retry budget was exhausted on
+    /// dropped or unanswered requests — transient by nature, safe to retry
+    /// later.
     Unavailable(Cid),
     /// A publish could not gather its durability quorum: fewer than the
     /// required number of distinct live nodes acknowledged the write. The
@@ -62,11 +55,11 @@ pub enum StorageError {
         cid: Cid,
         /// Distinct-node acks received.
         acked: u32,
-        /// Acks required (`w` in quorum mode, the replication floor
-        /// otherwise).
+        /// Acks required: `w`, capped at the node count when the cluster
+        /// is smaller than `w`.
         required: u32,
     },
-    /// Fewer than `k` intact shares of a quorum-published blob survive —
+    /// Fewer than `k` intact shares of a published blob survive —
     /// the fault budget (`n − k`) was exceeded and the content cannot be
     /// reconstructed without out-of-band restore.
     QuorumLoss {
@@ -122,30 +115,33 @@ impl std::error::Error for StorageError {}
 /// the robustness counters the marketplace reports).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetrievalStats {
-    /// DHT lookup iterations performed in the successful attempt.
+    /// Share holders contacted in the successful attempt.
     pub hops: usize,
-    /// Node that served the block.
+    /// Node that served the first share used for reconstruction.
     pub served_by: NodeId,
     /// Full lookup attempts made (1 = first try succeeded).
     pub attempts: u32,
-    /// Redundant replica probes issued (after drops, stale records, or
-    /// slow replicas).
+    /// Redundant share probes issued (after drops, stale records, or
+    /// slow holders).
     pub hedges: u32,
     /// Nodes quarantined for serving corrupt bytes during this retrieval.
     pub quarantined: u32,
     /// Total simulated ticks spent in exponential backoff.
     pub backoff_ticks: u64,
-    /// Quorum mode only: the read succeeded with exactly `k` usable shares
-    /// — zero redundancy margin. The blob is queued for repair.
+    /// The read succeeded with exactly `k` usable shares — zero
+    /// redundancy margin. The blob is queued for repair.
     pub degraded: bool,
 }
 
 struct Inner {
     nodes: BTreeMap<NodeId, DhtNode>,
-    /// Pin ownership records.
+    /// Pin ownership records. Invariant: `owners` and `manifests` have
+    /// the same key set — an acknowledged publish inserts both, a
+    /// rolled-back one neither, and unpin removes both — so a scan over
+    /// `manifests` visits every pinned blob.
     owners: BTreeMap<Cid, PinOwner>,
-    /// Adversarial test hook: corrupt a stored block in place (every
-    /// replica — for single-replica corruption use
+    /// Adversarial test hook: corrupt a stored blob in place (every
+    /// share — for single-holder corruption use
     /// [`FaultPlan::with_corrupt_replica`]).
     corrupted: Vec<Cid>,
     /// Installed fault schedule (inert by default).
@@ -156,9 +152,9 @@ struct Inner {
     nonce: u64,
     /// Nodes that served corrupt bytes; skipped by resilient lookups.
     quarantined: BTreeSet<NodeId>,
-    /// Erasure/quorum parameters; `None` = legacy full-copy replication.
-    quorum: Option<QuorumConfig>,
-    /// Share manifests of quorum-published blobs.
+    /// Erasure/quorum parameters.
+    quorum: QuorumConfig,
+    /// Share manifests of published blobs (same keys as `owners`).
     manifests: BTreeMap<Cid, ShareManifest>,
     /// Every CID whose publish was acknowledged (durability promised).
     acked: Vec<Cid>,
@@ -182,49 +178,23 @@ impl Inner {
 
 /// A simulated content-addressed storage network (IPFS substitute).
 ///
-/// Thread-safe; cloneable handles can be added later if needed (the
-/// protocols only need one handle per scenario).
+/// Thread-safe behind one lock; the protocols hold one handle per
+/// deployment.
 pub struct StorageNetwork {
     inner: RwLock<Inner>,
 }
 
 impl StorageNetwork {
-    /// Spins up a network of `num_nodes` deterministic nodes with converged
-    /// routing tables and no faults.
-    pub fn new(num_nodes: usize) -> Self {
-        Self::with_fault_plan(num_nodes, FaultPlan::none())
-    }
-
-    /// A Byzantine-quorum network: blobs are erasure-coded per `config`,
+    /// Spins up a network of `num_nodes` deterministic nodes under the
+    /// fault schedule `plan`: blobs are erasure-coded per `config`,
     /// published only after `config.write_quorum()` distinct-node acks,
     /// and read back by reconstructing from any `config.data_shares()`
     /// intact shares.
     pub fn with_quorum(num_nodes: usize, config: QuorumConfig, plan: FaultPlan) -> Self {
-        let net = Self::with_fault_plan(num_nodes, plan);
-        net.inner.write().quorum = Some(config);
-        net
-    }
-
-    /// The quorum parameters, or `None` in full-copy replication mode.
-    pub fn quorum_config(&self) -> Option<QuorumConfig> {
-        self.inner.read().quorum
-    }
-
-    /// [`Self::new`] with a fault schedule installed from the start.
-    pub fn with_fault_plan(num_nodes: usize, plan: FaultPlan) -> Self {
         assert!(num_nodes >= 1, "network needs at least one node");
-        let ids: Vec<NodeId> = (0..num_nodes as u64).map(NodeId::from_seed).collect();
-        let mut nodes = BTreeMap::new();
-        for id in &ids {
-            let peers = ids.iter().filter(|p| *p != id).copied().collect();
-            nodes.insert(
-                *id,
-                DhtNode {
-                    blocks: BTreeMap::new(),
-                    peers,
-                },
-            );
-        }
+        let nodes = (0..num_nodes as u64)
+            .map(|seed| (NodeId::from_seed(seed), DhtNode::default()))
+            .collect();
         StorageNetwork {
             inner: RwLock::new(Inner {
                 nodes,
@@ -234,7 +204,7 @@ impl StorageNetwork {
                 clock: 0,
                 nonce: 0,
                 quarantined: BTreeSet::new(),
-                quorum: None,
+                quorum: config,
                 manifests: BTreeMap::new(),
                 acked: Vec::new(),
                 tamper_log: Vec::new(),
@@ -297,13 +267,10 @@ impl StorageNetwork {
     /// Publishes a blob and returns its URI (= CID) once durability is
     /// acknowledged.
     ///
-    /// In full-copy mode the blob is replicated to the `K_REPLICATION`
-    /// XOR-closest **live** nodes and acknowledged only if the full
-    /// replication floor acked the write. In quorum mode the blob is
-    /// erasure-coded into `n` shares placed on distinct live nodes and
-    /// acknowledged only after `w` distinct nodes acked. Either way a
-    /// failed publish is rolled back — this method never reports a CID
-    /// whose durability promise does not hold.
+    /// The blob is erasure-coded into `n` shares placed on distinct
+    /// **live** nodes and acknowledged only after `w` distinct nodes
+    /// acked. A failed publish is rolled back — this method never reports
+    /// a CID whose durability promise does not hold.
     ///
     /// Writes are modelled as retried-until-delivered, so the plan's
     /// request-drop PRF does not affect them; only crashed nodes (which
@@ -324,10 +291,7 @@ impl StorageNetwork {
         }
         let cid = Cid::from_bytes(&data);
         let mut inner = self.inner.write();
-        let result = match inner.quorum {
-            Some(cfg) => publish_quorum(&mut inner, cfg, owner, cid, &data),
-            None => publish_replicated(&mut inner, owner, cid, &data),
-        };
+        let result = publish_quorum(&mut inner, owner, cid, &data);
         if span.is_recording() {
             span.record("ok", u64::from(result.is_ok()));
             if result.is_err() {
@@ -337,91 +301,38 @@ impl StorageNetwork {
         result
     }
 
-    /// Retrieves a blob by iterative XOR-metric lookup from a deterministic
-    /// entry node, verifying the digest on arrival. Makes a single attempt;
-    /// under an installed fault plan, faults hit this path un-mitigated —
-    /// use [`Self::retrieve_resilient`] to fight back.
+    /// Retrieves a blob by sweeping its share slots and reconstructing
+    /// from any `k` digest-verified shares, re-checking the whole-blob CID
+    /// on arrival. Makes a single attempt; under an installed fault plan,
+    /// drops hit this path un-retried — use [`Self::retrieve_resilient`]
+    /// to fight back.
     ///
     /// # Errors
     ///
-    /// [`StorageError::NotFound`] if no replica survives;
-    /// [`StorageError::DigestMismatch`] if the serving node returned bytes
-    /// that do not hash to the CID;
-    /// [`StorageError::Unavailable`] if faults swallowed every request.
+    /// As [`Self::retrieve_resilient`].
     pub fn retrieve(&self, cid: &Cid) -> Result<Bytes, StorageError> {
         self.retrieve_with_stats(cid).map(|(b, _)| b)
     }
 
     /// [`Self::retrieve`] with lookup statistics.
     pub fn retrieve_with_stats(&self, cid: &Cid) -> Result<(Bytes, RetrievalStats), StorageError> {
-        // Quorum reads always take the resilient path: reconstruction,
-        // share verification, and repair enqueueing live there.
-        if self.inner.read().quorum.is_none() && self.inner.read().faults.is_inert() {
-            return self.retrieve_plain(cid);
-        }
         self.retrieve_resilient(cid, &RetrievalPolicy::single_shot())
     }
 
-    /// The pre-fault-injection lookup, byte-for-byte: entry at the
-    /// lexicographically first node, greedy XOR walk over per-node routing
-    /// views. Taken whenever the installed fault plan is inert so that a
-    /// fault-free network is indistinguishable from the original code.
-    fn retrieve_plain(&self, cid: &Cid) -> Result<(Bytes, RetrievalStats), StorageError> {
-        if zkdet_telemetry::is_enabled() {
-            zkdet_telemetry::counter_add("zkdet.storage.retrieve.calls", 1);
-            zkdet_telemetry::counter_add("zkdet.storage.retrieve.attempts", 1);
-        }
-        let inner = self.inner.read();
-        // Entry node: the lexicographically first (deterministic).
-        let mut current = *inner
-            .nodes
-            .keys()
-            .min()
-            .ok_or(StorageError::NotFound(*cid))?;
-        let mut visited = vec![current];
-        for hop in 0..MAX_LOOKUP_HOPS {
-            let node = &inner.nodes[&current];
-            if let Some(bytes) = node.blocks.get(cid) {
-                if inner.corrupted.contains(cid) || !cid.matches(bytes) {
-                    return Err(StorageError::DigestMismatch(*cid));
-                }
-                return Ok((
-                    bytes.clone(),
-                    RetrievalStats {
-                        hops: hop,
-                        served_by: current,
-                        attempts: 1,
-                        hedges: 0,
-                        quarantined: 0,
-                        backoff_ticks: 0,
-                        degraded: false,
-                    },
-                ));
-            }
-            // Move to the closest unvisited peer (α candidates, pick best).
-            let candidates = node.closest_known(cid, ALPHA + visited.len());
-            let next = candidates
-                .into_iter()
-                .find(|c| !visited.contains(c))
-                .ok_or(StorageError::NotFound(*cid))?;
-            visited.push(next);
-            current = next;
-        }
-        Err(StorageError::NotFound(*cid))
-    }
-
     /// Fault-fighting retrieval: bounded retries with exponential backoff
-    /// on the simulated clock, hedged probes of further replicas when the
-    /// closest one drops, is stale, or answers slowly, and quarantine of
-    /// nodes caught serving corrupt bytes (the re-fetch continues from the
-    /// next-closest replica within the same attempt).
+    /// on the simulated clock, hedged probes of further share holders when
+    /// one drops, is stale, or answers slowly, and quarantine of nodes
+    /// caught serving corrupt bytes (the sweep continues with the other
+    /// holders within the same attempt).
     ///
     /// # Errors
     ///
-    /// [`StorageError::NotFound`] when a clean lookup proves no replica is
-    /// left; [`StorageError::DigestMismatch`] when every reachable replica
-    /// is corrupt; [`StorageError::Unavailable`] when the retry budget ran
-    /// out on dropped requests.
+    /// [`StorageError::NotFound`] when nothing is pinned under `cid`;
+    /// [`StorageError::QuorumLoss`] when fewer than `k` shares survive;
+    /// [`StorageError::DigestMismatch`] when corrupt shares left fewer
+    /// than `k` intact ones; [`StorageError::Unavailable`] when the retry
+    /// budget ran out on dropped requests (or the read would be degraded
+    /// and the policy forbids it).
     pub fn retrieve_resilient(
         &self,
         cid: &Cid,
@@ -429,8 +340,7 @@ impl StorageNetwork {
     ) -> Result<(Bytes, RetrievalStats), StorageError> {
         let mut span = zkdet_telemetry::span("storage.retrieve");
         let mut inner = self.inner.write();
-        let quorum_mode = inner.quorum.is_some();
-        if quorum_mode && zkdet_telemetry::is_enabled() {
+        if zkdet_telemetry::is_enabled() {
             zkdet_telemetry::counter_add("zkdet.storage.quorum.read.calls", 1);
         }
         let mut hedges = 0u32;
@@ -439,13 +349,7 @@ impl StorageNetwork {
         let mut last_err = StorageError::NotFound(*cid);
         let budget = policy.max_attempts.max(1);
         for attempt in 0..budget {
-            let outcome = if quorum_mode {
-                quorum_lookup_once(&mut inner, cid, policy, &mut hedges, &mut quarantined)
-            } else {
-                lookup_once(&mut inner, cid, policy, &mut hedges, &mut quarantined)
-                    .map(|(bytes, served_by, hops)| (bytes, served_by, hops, false))
-            };
-            match outcome {
+            match quorum_lookup_once(&mut inner, cid, policy, &mut hedges, &mut quarantined) {
                 Ok((bytes, served_by, hops, degraded)) => {
                     let stats = RetrievalStats {
                         hops,
@@ -463,8 +367,8 @@ impl StorageNetwork {
                     let transient = err.is_transient();
                     last_err = err;
                     if !transient {
-                        // NotFound / DigestMismatch are definitive — more
-                        // attempts cannot change the answer.
+                        // NotFound / QuorumLoss / DigestMismatch are
+                        // definitive — more attempts cannot change the answer.
                         break;
                     }
                     if attempt + 1 < budget {
@@ -505,14 +409,12 @@ impl StorageNetwork {
             Some(_) => {}
         }
         inner.owners.remove(cid);
-        // Remove whole-blob copies and, in quorum mode, every share.
         let share_keys: Vec<Cid> = inner
             .manifests
             .remove(cid)
             .map(|m| (0..m.total_shares()).map(|i| m.share_key(i)).collect())
             .unwrap_or_default();
         for node in inner.nodes.values_mut() {
-            node.blocks.remove(cid);
             for key in &share_keys {
                 node.blocks.remove(key);
             }
@@ -522,35 +424,25 @@ impl StorageNetwork {
         Ok(())
     }
 
-    /// Kills a node (churn); content replicated elsewhere stays available,
-    /// and every blob that lost a copy or share is queued for repair.
+    /// Kills a node (churn); content stays available while `k` of its
+    /// shares live elsewhere, and every blob that lost a share is queued
+    /// for repair.
     pub fn kill_node(&self, id: NodeId) {
         let mut inner = self.inner.write();
         let Some(dead) = inner.nodes.remove(&id) else {
             return;
         };
-        for node in inner.nodes.values_mut() {
-            node.peers.retain(|p| *p != id);
-        }
         let dead_blocks: BTreeSet<Cid> = dead.blocks.keys().copied().collect();
         let damaged: Vec<Cid> = inner
             .manifests
             .iter()
             .filter(|(_, m)| (0..m.total_shares()).any(|i| dead_blocks.contains(&m.share_key(i))))
             .map(|(content, _)| *content)
-            .chain(
-                inner
-                    .owners
-                    .keys()
-                    .filter(|content| dead_blocks.contains(content))
-                    .copied(),
-            )
             .collect();
         inner.repair_queue.extend(damaged);
     }
 
-    /// Nodes currently holding any piece of a CID — whole-blob replicas
-    /// and, in quorum mode, erasure-share holders (diagnostics).
+    /// Nodes currently holding an erasure share of a CID (diagnostics).
     pub fn replica_nodes(&self, cid: &Cid) -> Vec<NodeId> {
         let inner = self.inner.read();
         let share_keys: Vec<Cid> = inner
@@ -561,9 +453,7 @@ impl StorageNetwork {
         let mut out: Vec<NodeId> = inner
             .nodes
             .iter()
-            .filter(|(_, n)| {
-                n.blocks.contains_key(cid) || share_keys.iter().any(|k| n.blocks.contains_key(k))
-            })
+            .filter(|(_, n)| share_keys.iter().any(|k| n.blocks.contains_key(k)))
             .map(|(id, _)| *id)
             .collect();
         out.sort();
@@ -576,40 +466,30 @@ impl StorageNetwork {
         self.inner.read().acked.clone()
     }
 
-    /// Share-level tamper evidence gathered by quorum reads: which node
+    /// Share-level tamper evidence gathered by reads: which node
     /// served bad bytes for which share of which content.
     pub fn tamper_evidence(&self) -> Vec<TamperEvidence> {
         self.inner.read().tamper_log.clone()
     }
 
     /// Point-in-time durability of a published blob: how many share slots
-    /// (or replicas) are intact on live, unquarantined nodes versus how
-    /// many reconstruction needs, plus the per-node health census
+    /// are intact on live, unquarantined nodes versus how many
+    /// reconstruction needs, plus the per-node health census
     /// (suspicion-ranked) at report time. `None` if nothing is pinned
     /// under `cid`.
     pub fn durability_report(&self, cid: &Cid) -> Option<DurabilityReport> {
         let inner = self.inner.read();
-        if let Some(manifest) = inner.manifests.get(cid) {
-            let total = manifest.total_shares();
-            let intact = (0..total)
-                .filter(|i| find_intact_share(&inner, manifest, *i).is_some())
-                .count() as u32;
-            return Some(DurabilityReport {
-                total_shares: total,
-                intact_shares: intact,
-                required_shares: manifest.data_shares(),
-                node_health: health_census(&inner),
-            });
-        }
-        if inner.owners.contains_key(cid) {
-            return Some(DurabilityReport {
-                total_shares: K_REPLICATION.min(inner.nodes.len()).max(1) as u32,
-                intact_shares: intact_replicas(&inner, cid) as u32,
-                required_shares: 1,
-                node_health: health_census(&inner),
-            });
-        }
-        None
+        let manifest = inner.manifests.get(cid)?;
+        let total = manifest.total_shares();
+        let intact = (0..total)
+            .filter(|i| find_intact_share(&inner, manifest, *i).is_some())
+            .count() as u32;
+        Some(DurabilityReport {
+            total_shares: total,
+            intact_shares: intact,
+            required_shares: manifest.data_shares(),
+            node_health: health_census(&inner),
+        })
     }
 
     /// The per-node health census: one [`NodeHealthSnapshot`] per node
@@ -631,12 +511,7 @@ impl StorageNetwork {
     /// free on the next run).
     pub fn schedule_repair_scan(&self) {
         let mut inner = self.inner.write();
-        let all: Vec<Cid> = inner
-            .manifests
-            .keys()
-            .chain(inner.owners.keys())
-            .copied()
-            .collect();
+        let all: Vec<Cid> = inner.manifests.keys().copied().collect();
         inner.repair_queue.extend(all);
     }
 
@@ -665,8 +540,8 @@ impl StorageNetwork {
         Some(repair_locked(&mut inner))
     }
 
-    /// Adversarial test hook: marks a block as corrupted on *every* replica
-    /// so retrieval exercises the unrecoverable tamper-evidence path.
+    /// Adversarial test hook: marks a blob as corrupted on *every* share
+    /// holder so retrieval exercises the unrecoverable tamper-evidence path.
     #[doc(hidden)]
     pub fn corrupt_block(&self, cid: &Cid) {
         self.inner.write().corrupted.push(*cid);
@@ -708,91 +583,6 @@ fn note_retrieval(
     }
 }
 
-/// One fault-aware lookup pass: walk live, un-quarantined nodes in XOR
-/// order; each contact costs latency ticks and may be dropped by the plan.
-/// Corrupt replicas are quarantined and the walk continues to the
-/// next-closest copy; a slow replica's answer is stashed while a hedged
-/// probe races the next one.
-fn lookup_once(
-    inner: &mut Inner,
-    cid: &Cid,
-    policy: &RetrievalPolicy,
-    hedges: &mut u32,
-    quarantined: &mut u32,
-) -> Result<(Bytes, NodeId, usize), StorageError> {
-    let mut order: Vec<NodeId> = inner
-        .nodes
-        .keys()
-        .filter(|n| !inner.quarantined.contains(n))
-        .copied()
-        .collect();
-    order.sort_by_key(|n| xor_distance(n, cid));
-
-    let mut saw_drop = false;
-    let mut saw_corrupt = false;
-    let mut slow_response: Option<(Bytes, NodeId, usize)> = None;
-    for (hop, node_id) in order.iter().enumerate().take(MAX_LOOKUP_HOPS) {
-        let latency = inner.faults.latency_of(node_id);
-        inner.clock += latency;
-        let nonce = inner.nonce;
-        inner.nonce += 1;
-        if !inner.faults.node_up(node_id, inner.clock) {
-            // Crashed: permanently unreachable, its replica is gone.
-            continue;
-        }
-        if inner.faults.should_drop(node_id, nonce) {
-            saw_drop = true;
-            if inner.nodes[node_id].blocks.contains_key(cid) {
-                // The dropped node held the block — probing the next
-                // replica is a hedged, redundant request.
-                *hedges += 1;
-            }
-            continue;
-        }
-        let Some(bytes) = inner.nodes[node_id].blocks.get(cid) else {
-            continue;
-        };
-        if inner.faults.is_stale(node_id, cid) {
-            // Stale provider record: advertised, answered "no such block".
-            *hedges += 1;
-            continue;
-        }
-        let corrupt = inner.corrupted.contains(cid)
-            || inner.faults.corrupts(node_id, cid)
-            || !cid.matches(bytes);
-        if corrupt {
-            saw_corrupt = true;
-            *quarantined += 1;
-            let node_id = *node_id;
-            inner.quarantined.insert(node_id);
-            let stats = inner.health_of(node_id);
-            stats.tamper_shares += 1;
-            stats.quarantined = true;
-            continue;
-        }
-        let response = (bytes.clone(), *node_id, hop);
-        inner.health_of(*node_id).shares_served += 1;
-        if latency > policy.hedge_latency_ticks && slow_response.is_none() {
-            // Replica answered but slower than the hedge threshold: keep
-            // its answer and race the next-closest replica.
-            *hedges += 1;
-            slow_response = Some(response);
-            continue;
-        }
-        return Ok(response);
-    }
-    if let Some(response) = slow_response {
-        return Ok(response);
-    }
-    if saw_corrupt {
-        Err(StorageError::DigestMismatch(*cid))
-    } else if saw_drop {
-        Err(StorageError::Unavailable(*cid))
-    } else {
-        Err(StorageError::NotFound(*cid))
-    }
-}
-
 /// Live (not plan-crashed), unquarantined nodes, XOR-sorted towards `key`.
 fn live_nodes_towards(inner: &Inner, key: &Cid) -> Vec<NodeId> {
     let mut ids: Vec<NodeId> = inner
@@ -805,63 +595,11 @@ fn live_nodes_towards(inner: &Inner, key: &Cid) -> Vec<NodeId> {
     ids
 }
 
-/// Full-copy publish: replicate to the `K_REPLICATION` closest live nodes
-/// and require the whole replication floor to ack.
-fn publish_replicated(
-    inner: &mut Inner,
-    owner: PinOwner,
-    cid: Cid,
-    data: &Bytes,
-) -> Result<Cid, StorageError> {
-    let targets: Vec<NodeId> = live_nodes_towards(inner, &cid)
-        .into_iter()
-        .take(K_REPLICATION)
-        .collect();
-    let mut acked = 0u32;
-    let mut placed: Vec<NodeId> = Vec::new();
-    for id in &targets {
-        if inner.nodes.contains_key(id) {
-            let withheld = inner.faults.withholds_ack(id);
-            if let Some(node) = inner.nodes.get_mut(id) {
-                if node.blocks.insert(cid, data.clone()).is_none() {
-                    placed.push(*id);
-                }
-            }
-            if withheld {
-                inner.health_of(*id).withheld_acks += 1;
-            } else {
-                inner.health_of(*id).acks += 1;
-                acked += 1;
-            }
-        }
-    }
-    let required = K_REPLICATION.min(inner.nodes.len()).max(1) as u32;
-    if acked < required {
-        // Roll back copies this call created: the write is not durable.
-        for id in placed {
-            if let Some(node) = inner.nodes.get_mut(&id) {
-                node.blocks.remove(&cid);
-            }
-        }
-        return Err(StorageError::InsufficientAcks {
-            cid,
-            acked,
-            required,
-        });
-    }
-    inner.owners.entry(cid).or_insert(owner);
-    if !inner.acked.contains(&cid) {
-        inner.acked.push(cid);
-    }
-    Ok(cid)
-}
-
 /// Quorum publish: erasure-code into `n` shares, place each on a distinct
 /// live node (preferring the XOR-closest to the share key), and require
 /// `w` distinct-node acks before acknowledging.
 fn publish_quorum(
     inner: &mut Inner,
-    cfg: QuorumConfig,
     owner: PinOwner,
     cid: Cid,
     data: &Bytes,
@@ -871,6 +609,7 @@ fn publish_quorum(
         inner.owners.entry(cid).or_insert(owner);
         return Ok(cid);
     }
+    let cfg = inner.quorum;
     let codec = cfg.codec();
     let shares = codec.encode(data);
     let manifest = ShareManifest::build(cid, &codec, data.len() as u64, &shares);
@@ -951,9 +690,7 @@ fn quorum_lookup_once(
     let Some(manifest) = inner.manifests.get(cid).cloned() else {
         return Err(StorageError::NotFound(*cid));
     };
-    let Some(cfg) = inner.quorum else {
-        return Err(StorageError::NotFound(*cid));
-    };
+    let cfg = inner.quorum;
     let k = cfg.data_shares() as usize;
     let mut fast: Vec<(usize, Bytes, NodeId)> = Vec::new();
     let mut slow: Vec<(usize, Bytes, NodeId)> = Vec::new();
@@ -1144,30 +881,12 @@ fn find_intact_share(
     None
 }
 
-/// Read-only survey of full-copy replicas: live, unquarantined nodes
-/// serving an intact copy of `cid`.
-fn intact_replicas(inner: &Inner, cid: &Cid) -> usize {
-    if inner.corrupted.contains(cid) {
-        return 0;
-    }
-    live_nodes_towards(inner, cid)
-        .into_iter()
-        .filter(|node_id| {
-            inner.nodes[node_id].blocks.get(cid).is_some_and(|bytes| {
-                !inner.faults.corrupts(node_id, cid)
-                    && !inner.faults.is_stale(node_id, cid)
-                    && cid.matches(bytes)
-            })
-        })
-        .count()
-}
-
 enum RepairOutcome {
-    /// All share slots (or the replication floor) intact; nothing to do.
+    /// All share slots intact; nothing to do.
     Healthy,
-    /// Damage found and repaired: this many shares/copies re-placed.
+    /// Damage found and repaired: this many shares re-placed.
     Restored(u64),
-    /// Fewer than `k` intact shares (or zero intact replicas) remain.
+    /// Fewer than `k` intact shares remain.
     Unrecoverable,
 }
 
@@ -1180,12 +899,9 @@ fn repair_locked(inner: &mut Inner) -> RepairReport {
     inner.repair_queue.clear();
     let mut report = RepairReport::default();
     for cid in queue {
-        let outcome = if let Some(manifest) = inner.manifests.get(&cid).cloned() {
-            repair_quorum(inner, &cid, &manifest)
-        } else if inner.owners.contains_key(&cid) {
-            repair_replicated(inner, &cid)
-        } else {
-            RepairOutcome::Healthy // unpinned since it was queued
+        let outcome = match inner.manifests.get(&cid).cloned() {
+            Some(manifest) => repair_quorum(inner, &cid, &manifest),
+            None => RepairOutcome::Healthy, // unpinned since it was queued
         };
         match outcome {
             RepairOutcome::Healthy => {}
@@ -1213,7 +929,7 @@ fn repair_locked(inner: &mut Inner) -> RepairReport {
     report
 }
 
-/// Repairs one quorum blob: survey all `n` slots, reconstruct the blob
+/// Repairs one blob: survey all `n` slots, reconstruct the blob
 /// from any `k` intact shares, re-encode, and re-place every damaged
 /// share on a live, unquarantined, non-Byzantine node (preferring nodes
 /// not already holding a share of this blob, XOR-closest to the share
@@ -1286,61 +1002,6 @@ fn repair_quorum(inner: &mut Inner, cid: &Cid, manifest: &ShareManifest) -> Repa
     RepairOutcome::Restored(restored)
 }
 
-/// Repairs one full-copy blob back up to the replication floor.
-fn repair_replicated(inner: &mut Inner, cid: &Cid) -> RepairOutcome {
-    let holders: Vec<NodeId> = live_nodes_towards(inner, cid)
-        .into_iter()
-        .filter(|node_id| {
-            inner.nodes[node_id].blocks.get(cid).is_some_and(|bytes| {
-                !inner.faults.corrupts(node_id, cid)
-                    && !inner.faults.is_stale(node_id, cid)
-                    && cid.matches(bytes)
-            })
-        })
-        .collect();
-    if inner.corrupted.contains(cid) || holders.is_empty() {
-        return if inner.owners.contains_key(cid) {
-            RepairOutcome::Unrecoverable
-        } else {
-            RepairOutcome::Healthy
-        };
-    }
-    let floor = K_REPLICATION.min(inner.nodes.len()).max(1);
-    if holders.len() >= floor {
-        return RepairOutcome::Healthy;
-    }
-    let Some(source) = inner
-        .nodes
-        .get(&holders[0])
-        .and_then(|n| n.blocks.get(cid))
-        .cloned()
-    else {
-        return RepairOutcome::Unrecoverable;
-    };
-    let mut count = holders.len();
-    let mut restored = 0u64;
-    for target in live_nodes_towards(inner, cid) {
-        if count >= floor {
-            break;
-        }
-        if holders.contains(&target) {
-            continue;
-        }
-        if let Some(node) = inner.nodes.get_mut(&target) {
-            node.blocks.insert(*cid, source.clone());
-            count += 1;
-            restored += 1;
-        } else {
-            continue;
-        }
-        inner.health_of(target).repairs_received += 1;
-    }
-    if restored == 0 {
-        return RepairOutcome::Healthy;
-    }
-    RepairOutcome::Restored(restored)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
@@ -1348,33 +1009,51 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::policy::RetrievalPolicy;
 
+    fn net(nodes: usize, plan: FaultPlan) -> StorageNetwork {
+        StorageNetwork::with_quorum(nodes, QuorumConfig::for_cluster(nodes), plan)
+    }
+
+    /// The node holding share slot `index` of `cid`. Slot 0's holder is
+    /// the one a healthy read reports as `served_by`.
+    fn holder_of(net: &StorageNetwork, cid: &Cid, index: u32) -> NodeId {
+        let key = crate::manifest::share_key(cid, index);
+        let inner = net.inner.read();
+        let holder = inner
+            .nodes
+            .iter()
+            .find(|(_, node)| node.blocks.contains_key(&key));
+        *holder.expect("slot has a holder").0
+    }
+
     #[test]
     fn publish_retrieve_roundtrip() {
-        let net = StorageNetwork::new(10);
+        let net = net(10, FaultPlan::none());
         let cid = net.publish(PinOwner(1), &b"encrypted dataset bytes"[..]).unwrap();
         let got = net.retrieve(&cid).unwrap();
         assert_eq!(&got[..], b"encrypted dataset bytes");
-        assert_eq!(net.replica_nodes(&cid).len(), K_REPLICATION);
+        // One share per node, n = 8 of the 10 nodes.
+        assert_eq!(net.replica_nodes(&cid).len(), 8);
     }
 
     #[test]
     fn content_addressing_deduplicates() {
-        let net = StorageNetwork::new(5);
+        let net = net(5, FaultPlan::none());
         let c1 = net.publish(PinOwner(1), &b"same"[..]).unwrap();
         let c2 = net.publish(PinOwner(2), &b"same"[..]).unwrap();
         assert_eq!(c1, c2);
+        assert_eq!(net.acknowledged_publishes(), vec![c1]);
     }
 
     #[test]
     fn missing_content_not_found() {
-        let net = StorageNetwork::new(5);
+        let net = net(5, FaultPlan::none());
         let bogus = Cid::from_bytes(b"never published");
         assert_eq!(net.retrieve(&bogus), Err(StorageError::NotFound(bogus)));
     }
 
     #[test]
     fn tampering_detected() {
-        let net = StorageNetwork::new(5);
+        let net = net(5, FaultPlan::none());
         let cid = net.publish(PinOwner(1), &b"data"[..]).unwrap();
         net.corrupt_block(&cid);
         assert_eq!(net.retrieve(&cid), Err(StorageError::DigestMismatch(cid)));
@@ -1382,7 +1061,7 @@ mod tests {
 
     #[test]
     fn only_owner_can_unpin() {
-        let net = StorageNetwork::new(5);
+        let net = net(5, FaultPlan::none());
         let cid = net.publish(PinOwner(1), &b"data"[..]).unwrap();
         assert_eq!(
             net.unpin(PinOwner(2), &cid),
@@ -1390,37 +1069,44 @@ mod tests {
         );
         assert!(net.unpin(PinOwner(1), &cid).is_ok());
         assert_eq!(net.retrieve(&cid), Err(StorageError::NotFound(cid)));
+        assert!(net.replica_nodes(&cid).is_empty(), "every share is gone");
     }
 
     #[test]
     fn survives_node_churn_within_replication() {
-        let net = StorageNetwork::new(12);
-        let cid = net.publish(PinOwner(1), &b"replicated"[..]).unwrap();
-        let replicas = net.replica_nodes(&cid);
-        // Kill all but one replica.
-        for id in &replicas[..replicas.len() - 1] {
+        let net = net(12, FaultPlan::none());
+        let cid = net.publish(PinOwner(1), &b"erasure-coded"[..]).unwrap();
+        let holders = net.replica_nodes(&cid);
+        // Kill n − k = 4 holders: exactly k shares are left.
+        for id in &holders[..4] {
             net.kill_node(*id);
         }
-        assert_eq!(&net.retrieve(&cid).unwrap()[..], b"replicated");
-        // Killing the last replica loses the content.
-        net.kill_node(replicas[replicas.len() - 1]);
-        assert_eq!(net.retrieve(&cid), Err(StorageError::NotFound(cid)));
+        assert_eq!(&net.retrieve(&cid).unwrap()[..], b"erasure-coded");
+        // One more loses the content.
+        net.kill_node(holders[4]);
+        assert_eq!(
+            net.retrieve(&cid),
+            Err(StorageError::QuorumLoss {
+                cid,
+                intact: 3,
+                required: 4
+            })
+        );
     }
 
     #[test]
     fn lookup_terminates_on_large_network() {
-        let net = StorageNetwork::new(64);
+        let net = net(64, FaultPlan::none());
         let cid = net.publish(PinOwner(1), &b"needle"[..]).unwrap();
         let (_, stats) = net.retrieve_with_stats(&cid).unwrap();
-        assert!(stats.hops < 64);
+        assert_eq!(stats.hops, 8, "n contacts, whatever the cluster size");
     }
 
     #[test]
     fn inert_fault_plan_is_byte_identical_to_no_plan() {
-        let plain = StorageNetwork::new(16);
-        let planned = StorageNetwork::with_fault_plan(16, FaultPlan::seeded(42));
+        let plain = net(16, FaultPlan::none());
+        let planned = net(16, FaultPlan::seeded(42));
         let payloads: Vec<Vec<u8>> = (0u8..8).map(|i| vec![i; 64 + i as usize]).collect();
-        let mut cids = Vec::new();
         for payload in &payloads {
             let c1 = plain.publish(PinOwner(1), payload.clone()).unwrap();
             let c2 = planned.publish(PinOwner(1), payload.clone()).unwrap();
@@ -1429,18 +1115,14 @@ mod tests {
             let (b2, s2) = planned.retrieve_with_stats(&c2).unwrap();
             assert_eq!(b1.to_vec(), b2.to_vec());
             assert_eq!(s1, s2);
-            cids.push((c1, b1));
+            // The retrying policy changes nothing when nothing fails.
+            let policy = RetrievalPolicy::default();
+            let (b3, s3) = plain.retrieve_resilient(&c1, &policy).unwrap();
+            let (b4, s4) = planned.retrieve_resilient(&c2, &policy).unwrap();
+            assert_eq!((b3.to_vec(), s3), (b1.to_vec(), s1));
+            assert_eq!((b4.to_vec(), s4), (b1.to_vec(), s1));
         }
-        assert_eq!(planned.now(), 0, "inert plan must not consume clock via plain path");
-        // The resilient path returns the same bytes too (it does tick the
-        // simulated clock — each contact costs latency — but the payload
-        // and serving semantics are unchanged).
-        for (cid, b1) in &cids {
-            let (b3, _) = planned
-                .retrieve_resilient(cid, &RetrievalPolicy::default())
-                .unwrap();
-            assert_eq!(b1.to_vec(), b3.to_vec());
-        }
+        assert_eq!(plain.now(), planned.now(), "a seed alone must not move the clock");
     }
 
     #[test]
@@ -1448,7 +1130,7 @@ mod tests {
         // Heavy but sub-certain drop probability: single shots flake,
         // bounded retries push success probability to ~1 for this seed.
         let plan = FaultPlan::seeded(1234).with_global_drop(0.6);
-        let net = StorageNetwork::with_fault_plan(8, plan);
+        let net = net(8, plan);
         let cid = net.publish(PinOwner(1), &b"flaky fetch"[..]).unwrap();
         let policy = RetrievalPolicy {
             max_attempts: 12,
@@ -1474,7 +1156,7 @@ mod tests {
         };
         let run = || {
             let plan = FaultPlan::seeded(1234).with_global_drop(0.6);
-            let net = StorageNetwork::with_fault_plan(8, plan);
+            let net = net(8, plan);
             let cid = net.publish(PinOwner(1), &b"flaky fetch"[..]).unwrap();
             let (bytes, stats) = net.retrieve_resilient(&cid, &policy).unwrap();
             (bytes.to_vec(), stats, net.now())
@@ -1488,92 +1170,87 @@ mod tests {
 
     #[test]
     fn corrupt_replica_quarantined_and_refetched() {
-        let net = StorageNetwork::new(10);
-        let cid = net.publish(PinOwner(1), &b"one bad replica"[..]).unwrap();
-        let replicas = net.replica_nodes(&cid);
-        // Corrupt the XOR-closest replica: the walk meets it first.
-        let plan = FaultPlan::seeded(7).with_corrupt_replica(replicas[0], cid);
-        // Identify the closest replica properly (replica_nodes sorts by id,
-        // not distance).
-        let mut by_distance = replicas.clone();
-        by_distance.sort_by_key(|n| xor_distance(n, &cid));
-        let plan = plan.with_corrupt_replica(by_distance[0], cid);
-        net.set_fault_plan(plan);
+        let net = net(10, FaultPlan::none());
+        let cid = net.publish(PinOwner(1), &b"one bad share"[..]).unwrap();
+        // Corrupt the holder the sweep meets first.
+        let first = holder_of(&net, &cid, 0);
+        net.set_fault_plan(FaultPlan::seeded(7).with_corrupt_replica(first, cid));
         let (bytes, stats) = net
             .retrieve_resilient(&cid, &RetrievalPolicy::default())
             .unwrap();
-        assert_eq!(&bytes[..], b"one bad replica");
+        assert_eq!(&bytes[..], b"one bad share");
         assert!(stats.quarantined >= 1);
-        assert_ne!(stats.served_by, by_distance[0]);
-        assert!(net.quarantined_nodes().contains(&by_distance[0]));
+        assert_ne!(stats.served_by, first);
+        assert!(net.quarantined_nodes().contains(&first));
     }
 
     #[test]
-    fn all_replicas_corrupt_is_fatal_not_retried_forever() {
-        let net = StorageNetwork::new(6);
+    fn too_many_corrupt_shares_is_fatal_not_retried_forever() {
+        let net = net(6, FaultPlan::none());
         let cid = net.publish(PinOwner(1), &b"doomed"[..]).unwrap();
+        // n = 6, k = 3: four corrupt holders leave two intact shares.
         let mut plan = FaultPlan::seeded(3);
-        for node in net.replica_nodes(&cid) {
-            plan = plan.with_corrupt_replica(node, cid);
+        for node in &net.replica_nodes(&cid)[..4] {
+            plan = plan.with_corrupt_replica(*node, cid);
         }
         net.set_fault_plan(plan);
+        let before = net.now();
         let err = net
             .retrieve_resilient(&cid, &RetrievalPolicy::default())
             .unwrap_err();
         assert_eq!(err, StorageError::DigestMismatch(cid));
         assert!(!err.is_transient());
+        // One sweep of the six slots, no backoff, no second attempt.
+        assert_eq!(net.now() - before, 6);
     }
 
     #[test]
     fn stale_record_skipped_via_hedge() {
-        let net = StorageNetwork::new(10);
+        let net = net(10, FaultPlan::none());
         let cid = net.publish(PinOwner(1), &b"stale provider"[..]).unwrap();
-        let mut by_distance = net.replica_nodes(&cid);
-        by_distance.sort_by_key(|n| xor_distance(n, &cid));
-        net.set_fault_plan(FaultPlan::seeded(5).with_stale_record(by_distance[0], cid));
+        let first = holder_of(&net, &cid, 0);
+        net.set_fault_plan(FaultPlan::seeded(5).with_stale_record(first, cid));
         let (bytes, stats) = net
             .retrieve_resilient(&cid, &RetrievalPolicy::default())
             .unwrap();
         assert_eq!(&bytes[..], b"stale provider");
         assert!(stats.hedges >= 1);
-        assert_ne!(stats.served_by, by_distance[0]);
+        assert_ne!(stats.served_by, first);
     }
 
     #[test]
     fn scheduled_crash_fails_over_to_surviving_replica() {
-        let net = StorageNetwork::new(10);
+        let net = net(10, FaultPlan::none());
         let cid = net.publish(PinOwner(1), &b"crash schedule"[..]).unwrap();
-        let mut by_distance = net.replica_nodes(&cid);
-        by_distance.sort_by_key(|n| xor_distance(n, &cid));
-        // Closest replica crashes at tick 0 — dead before any request.
-        net.set_fault_plan(FaultPlan::seeded(9).with_crash_at(by_distance[0], 0));
+        let first = holder_of(&net, &cid, 0);
+        // Slot 0's holder crashes at tick 0 — dead before any request.
+        net.set_fault_plan(FaultPlan::seeded(9).with_crash_at(first, 0));
         let (bytes, stats) = net
             .retrieve_resilient(&cid, &RetrievalPolicy::default())
             .unwrap();
         assert_eq!(&bytes[..], b"crash schedule");
-        assert_ne!(stats.served_by, by_distance[0]);
+        assert_ne!(stats.served_by, first);
     }
 
     #[test]
     fn slow_replica_hedged() {
-        let net = StorageNetwork::new(10);
+        let net = net(10, FaultPlan::none());
         let cid = net.publish(PinOwner(1), &b"slow node"[..]).unwrap();
-        let mut by_distance = net.replica_nodes(&cid);
-        by_distance.sort_by_key(|n| xor_distance(n, &cid));
-        // Closest replica is far slower than the hedge threshold.
-        net.set_fault_plan(FaultPlan::seeded(2).with_latency(by_distance[0], 1_000));
+        let first = holder_of(&net, &cid, 0);
+        // Slot 0's holder is far slower than the hedge threshold.
+        net.set_fault_plan(FaultPlan::seeded(2).with_latency(first, 1_000));
         let policy = RetrievalPolicy::default();
         let (bytes, stats) = net.retrieve_resilient(&cid, &policy).unwrap();
         assert_eq!(&bytes[..], b"slow node");
-        assert!(stats.hedges >= 1, "slow replica must trigger a hedge");
-        // A faster replica exists, so the hedge wins.
-        assert_ne!(stats.served_by, by_distance[0]);
+        assert!(stats.hedges >= 1, "slow holder must trigger a hedge");
+        // Faster holders reach k on their own, so the slow share is unused.
+        assert_ne!(stats.served_by, first);
     }
 
     #[test]
     fn clock_advances_with_latency_and_backoff() {
         let plan = FaultPlan::seeded(21).with_global_drop(0.9);
-        let net = StorageNetwork::with_fault_plan(4, plan);
+        let net = net(4, plan);
         let cid = net.publish(PinOwner(1), &b"tick tock"[..]).unwrap();
         let before = net.now();
         let _ = net.retrieve_resilient(&cid, &RetrievalPolicy::default());

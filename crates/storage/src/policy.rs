@@ -1,10 +1,10 @@
 //! Retrieval resilience policy: bounded retries, exponential backoff on the
-//! simulated clock, hedged replica probes, and digest-mismatch quarantine.
+//! simulated clock, hedged share probes, and digest-mismatch quarantine.
 //!
 //! The policy is data, the mechanism lives in
-//! [`crate::StorageNetwork::retrieve_resilient`]. Defaults are tuned so a
-//! fault-free network behaves exactly like the un-policied path (a single
-//! attempt succeeds on the first replica, no backoff is taken).
+//! [`crate::StorageNetwork::retrieve_resilient`]. On a fault-free network
+//! the defaults cost nothing: the first attempt succeeds, no backoff is
+//! taken and no hedge fires.
 
 /// Knobs controlling how hard a retrieval fights infrastructure faults.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -16,8 +16,9 @@ pub struct RetrievalPolicy {
     pub base_backoff_ticks: u64,
     /// Ceiling on a single backoff wait.
     pub max_backoff_ticks: u64,
-    /// A replica answering slower than this many ticks triggers a hedged
-    /// probe of the next-closest replica (the faster answer wins).
+    /// A share holder answering slower than this many ticks counts as a
+    /// hedge: its share is held in reserve and used only if the faster
+    /// holders do not reach `k`.
     pub hedge_latency_ticks: u64,
     /// Upper bound on the deterministic jitter added to each backoff
     /// wait. Zero (the default) keeps waits exactly exponential. The
@@ -25,10 +26,10 @@ pub struct RetrievalPolicy {
     /// never ambient entropy, so crash-restart replays of the same
     /// schedule wait identical ticks.
     pub jitter_ticks: u64,
-    /// On a quorum-backed network, proceed with reconstruction when
-    /// exactly `k` usable shares remain (zero redundancy margin). The read
-    /// succeeds but is flagged `degraded` in
-    /// [`crate::RetrievalStats`] and the blob is queued for repair.
+    /// Proceed with reconstruction when exactly `k` usable shares remain
+    /// (zero redundancy margin). The read succeeds but is flagged
+    /// `degraded` in [`crate::RetrievalStats`] and the blob is queued for
+    /// repair.
     /// When `false`, a read at the bare minimum fails as transiently
     /// unavailable instead, for callers that would rather wait for repair
     /// than serve from the cliff edge.
@@ -49,7 +50,8 @@ impl Default for RetrievalPolicy {
 }
 
 impl RetrievalPolicy {
-    /// One attempt, no backoff, no hedging — the legacy behaviour.
+    /// One attempt, no backoff, no hedging — what
+    /// [`crate::StorageNetwork::retrieve`] uses.
     pub fn single_shot() -> Self {
         RetrievalPolicy {
             max_attempts: 1,

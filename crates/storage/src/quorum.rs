@@ -1,7 +1,7 @@
-//! Quorum parameters and the supporting report types for the
-//! Byzantine-resilient storage backend.
+//! Quorum parameters and the supporting report types of the storage
+//! backend.
 //!
-//! A quorum-backed [`crate::StorageNetwork`] erasure-codes every blob into
+//! A [`crate::StorageNetwork`] erasure-codes every blob into
 //! `n` shares of which any `k` reconstruct it, acknowledges a publish only
 //! after `w ≥ k` distinct-node durability acks, and tolerates up to
 //! `n − k` simultaneously faulty (crashed, corrupt, or Byzantine) share
@@ -134,13 +134,12 @@ impl RepairReport {
 /// [`crate::StorageNetwork::durability_report`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DurabilityReport {
-    /// Share slots the blob was published with (`n`; replication degree in
-    /// the legacy full-copy mode).
+    /// Share slots the blob was published with (`n`).
     pub total_shares: u32,
     /// Slots currently backed by at least one intact copy on a live,
     /// unquarantined node.
     pub intact_shares: u32,
-    /// Slots needed to reconstruct (`k`; 1 in full-copy mode).
+    /// Slots needed to reconstruct (`k`).
     pub required_shares: u32,
     /// Full node census at report time, most suspicious first (ties
     /// broken by node id).

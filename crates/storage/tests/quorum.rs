@@ -84,21 +84,78 @@ fn ack_withholding_nodes_starve_the_write_quorum() {
 }
 
 #[test]
-fn replicated_publish_with_no_live_replicas_errors() {
-    // The legacy full-copy mode must also refuse to acknowledge a write
-    // that reached no (or too few) live nodes.
-    let pre = StorageNetwork::new(5);
+fn publish_with_no_live_nodes_errors() {
+    // A write that reached no live node must not be acknowledged, on a
+    // cluster smaller than the 8/4/6 envelope too (5 nodes: w = 4).
+    let pre = quorum_net(5, FaultPlan::none());
     let ids = pre.node_ids();
     let mut plan = FaultPlan::seeded(7);
     for id in &ids {
         plan = plan.with_crash_at(*id, 0);
     }
-    let net = StorageNetwork::with_fault_plan(5, plan);
+    let net = quorum_net(5, plan);
     let err = net.publish(PinOwner(1), BLOB).unwrap_err();
     assert!(
-        matches!(err, StorageError::InsufficientAcks { acked: 0, required: 3, .. }),
+        matches!(err, StorageError::InsufficientAcks { acked: 0, required: 4, .. }),
         "got {err:?}"
     );
+}
+
+#[test]
+fn every_cluster_size_round_trips_and_honours_its_fault_budget() {
+    for nodes in [1usize, 2, 3, 5, 8, 12] {
+        let cfg = QuorumConfig::for_cluster(nodes);
+        let (k, n, w) = (cfg.data_shares(), cfg.total_shares(), cfg.write_quorum());
+        let net = quorum_net(nodes, FaultPlan::none());
+        let ids = net.node_ids();
+        let cid = net.publish(PinOwner(1), BLOB).unwrap();
+        assert_eq!(&net.retrieve(&cid).unwrap()[..], BLOB, "{nodes} nodes");
+        let report = net.durability_report(&cid).unwrap();
+        assert_eq!(
+            (report.total_shares, report.required_shares),
+            (n, k),
+            "{nodes} nodes"
+        );
+        assert!(report.fully_redundant(), "{nodes} nodes");
+
+        // Exactly n − k killed holders are survivable; one more is not.
+        let holders = net.replica_nodes(&cid);
+        assert_eq!(holders.len() as u32, n, "{nodes} nodes: one share per node");
+        let budget = (n - k) as usize;
+        for id in &holders[..budget] {
+            net.kill_node(*id);
+        }
+        assert_eq!(&net.retrieve(&cid).unwrap()[..], BLOB, "{nodes} nodes at k shares");
+        net.kill_node(holders[budget]);
+        assert_eq!(
+            net.retrieve(&cid),
+            Err(StorageError::QuorumLoss {
+                cid,
+                intact: k - 1,
+                required: k
+            }),
+            "{nodes} nodes past the budget"
+        );
+
+        // Fewer than w live nodes: rejected, and nothing is left behind.
+        let mut plan = FaultPlan::seeded(nodes as u64);
+        for id in &ids[..nodes + 1 - w as usize] {
+            plan = plan.with_crash_at(*id, 0);
+        }
+        let starved = quorum_net(nodes, plan);
+        let err = starved.publish(PinOwner(1), BLOB).unwrap_err();
+        assert_eq!(
+            err,
+            StorageError::InsufficientAcks {
+                cid,
+                acked: w - 1,
+                required: w
+            },
+            "{nodes} nodes"
+        );
+        assert!(starved.replica_nodes(&cid).is_empty(), "{nodes} nodes");
+        assert!(starved.acknowledged_publishes().is_empty(), "{nodes} nodes");
+    }
 }
 
 #[test]

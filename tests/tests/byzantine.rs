@@ -509,7 +509,7 @@ fn byzantine_malformed_calldata_rejected_deterministic_gas() {
     // well-formed-but-rejected one does, so rejection cannot be probed
     // for a cheaper path.
     let (kc, proof) = honest_keyneg_proof(&ex, &mut r);
-    let verifier = VerifierContract::new(ex.m.keyneg_vk.clone());
+    let verifier = VerifierContract::new(ex.m.keyneg_vk().clone());
     let publics = [kc + Fr::ONE, Fr::from(2u64), Fr::from(3u64)];
     let mut meter_bad = GasMeter::for_tx(Proof::SIZE_BYTES + 32);
     let res = verifier.verify_encoded(&mut meter_bad, &publics, &garbage);

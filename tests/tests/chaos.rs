@@ -190,7 +190,7 @@ fn churn_and_stale_records_fail_over() {
     let mut x = setup_locked_exchange(105);
     let cid = ciphertext_cid(&x);
     let holders = replicas_closest_first(&x, &cid);
-    assert!(holders.len() >= 3, "replication factor should give 3 copies");
+    assert!(holders.len() >= 3, "quorum placement should give at least 3 share holders");
     // One replica churns away entirely; another still advertises the block
     // but has garbage-collected it.
     x.m.storage.kill_node(holders[0]);

@@ -123,9 +123,10 @@ fn swap_flow(
     shard
         .market
         .journaled_fairswap_reveal(&mut shard.wal, contract, seller, &s_state)?;
-    shard
+    let finished = shard
         .market
         .journaled_fairswap_finish(&mut shard.wal, contract, &b_state)?;
+    assert!(finished.is_ok(), "honest swap must not be disputed");
     Ok(())
 }
 
