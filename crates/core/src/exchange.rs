@@ -27,7 +27,10 @@ use zkdet_plonk::{Plonk, Proof, VerifyingKey};
 
 use crate::dataset::Dataset;
 use crate::error::{Recovery, ZkdetError};
-use crate::journal::{ExchangeRecord, Journal, NoJournal};
+use crate::journal::{
+    ExchangeRecord, Journal, ListDone, ListIntent, NoJournal, PayDone, PayIntent, RetrieveIntent,
+    SettleIntent, Terminal,
+};
 use crate::market::{DataOwner, DatasetSecret, Marketplace};
 
 /// Seller-side state for an open listing.
@@ -39,6 +42,18 @@ pub struct SellerListing {
     pub token: TokenId,
     /// Blinder of the key commitment `c` held by the arbiter.
     pub key_opening: Opening,
+}
+
+impl SellerListing {
+    /// The seller's state for the journaled `intent`, on-chain as
+    /// `listing` — built here for the live list step and for recovery.
+    pub(crate) fn from_intent(intent: &ListIntent, listing: ListingId) -> Self {
+        SellerListing {
+            listing,
+            token: intent.token,
+            key_opening: Opening(intent.key_opening),
+        }
+    }
 }
 
 /// A seller-produced validation package: `π_p` and everything the buyer
@@ -65,14 +80,26 @@ pub struct BuyerSession {
     pub token: TokenId,
     /// Price paid into escrow.
     pub price: Wei,
-    /// The buyer's secret blinding key `k_v` (crate-visible so crash
-    /// recovery can rebuild a session from its journaled `PayIntent`).
-    pub(crate) k_v: Fr,
+    /// The buyer's secret blinding key `k_v`.
+    k_v: Fr,
     /// The on-chain commitment `c_d` of the dataset (for final checks).
-    pub(crate) expected_commitment: Fr,
+    expected_commitment: Fr,
 }
 
 impl BuyerSession {
+    /// The buyer's session for the journaled `intent` with `price` in
+    /// escrow — built here for the live lock step and for recovery.
+    pub(crate) fn from_intent(intent: &PayIntent, price: Wei) -> Self {
+        BuyerSession {
+            buyer: intent.buyer,
+            listing: intent.listing,
+            token: intent.token,
+            price,
+            k_v: intent.k_v,
+            expected_commitment: intent.expected_commitment,
+        }
+    }
+
     /// The off-chain message to the seller: `k_v` (Fig. 4, step between
     /// phases). Sending it anywhere else would let that party unblind `k_c`.
     pub fn k_v_message(&self) -> Fr {
@@ -185,60 +212,43 @@ impl Marketplace {
             .secret(token)
             .ok_or(ZkdetError::MissingSecret(token))?;
         let (key_commitment, key_opening) = CommitmentScheme::commit_scalar(secret.key, rng);
-        journal.append(&ExchangeRecord::ListIntent {
+        let intent = ListIntent {
             token,
             start_price,
             floor_price,
             decay_per_block,
             key_commitment: key_commitment.0,
             key_opening: key_opening.0,
-            predicate: predicate_description.clone(),
-        })?;
-        let listing = self.create_listing(
-            journal,
-            owner.address,
-            token,
-            start_price,
-            floor_price,
-            decay_per_block,
-            key_commitment.0,
-            predicate_description,
-        )?;
-        Ok(SellerListing {
-            listing,
-            token,
-            key_opening,
-        })
+            predicate: predicate_description,
+        };
+        journal.append(&ExchangeRecord::ListIntent(intent.clone()))?;
+        let listing = self.create_listing(journal, owner.address, &intent)?;
+        Ok(SellerListing::from_intent(&intent, listing))
     }
 
     /// The effect half of the list step: lands the listing of an
-    /// already-journaled `ListIntent` and confirms it. Crash recovery
+    /// already-journaled `intent` and confirms it. Crash recovery
     /// re-executes an unconfirmed intent through here, with the
     /// *journaled* commitment.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn create_listing(
         &mut self,
         journal: &mut impl Journal,
         seller: Address,
-        token: TokenId,
-        start_price: Wei,
-        floor_price: Wei,
-        decay_per_block: Wei,
-        key_commitment: Fr,
-        predicate_description: String,
+        intent: &ListIntent,
     ) -> Result<ListingId, ZkdetError> {
+        let token = intent.token;
         let (listing, _) = self.chain.auction_create(
             self.auction_addr,
             self.nft_addr,
             seller,
             token,
-            start_price,
-            floor_price,
-            decay_per_block,
-            key_commitment,
-            predicate_description,
+            intent.start_price,
+            intent.floor_price,
+            intent.decay_per_block,
+            intent.key_commitment,
+            intent.predicate.clone(),
         )?;
-        journal.append(&ExchangeRecord::ListDone { listing, token })?;
+        journal.append(&ExchangeRecord::ListDone(ListDone { listing, token }))?;
         Ok(listing)
     }
 
@@ -375,45 +385,42 @@ impl Marketplace {
         token: TokenId,
         rng: &mut R,
     ) -> Result<BuyerSession, ZkdetError> {
-        let expected_commitment = self.chain.nft(&self.nft_addr)?.token_meta(token)?.commitment;
-        let k_v = Fr::random(rng);
-        journal.append(&ExchangeRecord::PayIntent {
+        let expected_commitment = self
+            .chain
+            .nft(&self.nft_addr)?
+            .token_meta(token)?
+            .commitment;
+        let intent = PayIntent {
             listing,
             token,
             buyer: buyer.address,
-            k_v,
+            k_v: Fr::random(rng),
             expected_commitment,
-        })?;
-        let price = self.lock_payment(journal, buyer.address, listing, k_v)?;
-        Ok(BuyerSession {
-            buyer: buyer.address,
-            listing,
-            token,
-            price,
-            k_v,
-            expected_commitment,
-        })
+        };
+        journal.append(&ExchangeRecord::PayIntent(intent.clone()))?;
+        let price = self.lock_payment(journal, &intent)?;
+        Ok(BuyerSession::from_intent(&intent, price))
     }
 
     /// The effect half of the lock step: escrows the current clock price
-    /// under `h_v = H(k_v)` for an already-journaled `PayIntent` and
+    /// under `h_v = H(k_v)` for an already-journaled `intent` and
     /// confirms it. Crash recovery re-executes an unconfirmed intent
     /// through here, with the *journaled* `k_v`.
     pub(crate) fn lock_payment(
         &mut self,
         journal: &mut impl Journal,
-        buyer: Address,
-        listing: ListingId,
-        k_v: Fr,
+        intent: &PayIntent,
     ) -> Result<Wei, ZkdetError> {
+        let listing = intent.listing;
         let price = self
             .chain
             .auction(&self.auction_addr)?
             .listing(listing)?
             .price_at(self.chain.height());
-        let h_v = Poseidon::hash(&[k_v]);
-        self.chain.auction_lock(self.auction_addr, buyer, listing, price, h_v)?;
-        journal.append(&ExchangeRecord::PayDone { listing, price })?;
+        let h_v = Poseidon::hash(&[intent.k_v]);
+        self.chain
+            .auction_lock(self.auction_addr, intent.buyer, listing, price, h_v)?;
+        journal.append(&ExchangeRecord::PayDone(PayDone { listing, price }))?;
         Ok(price)
     }
 
@@ -478,14 +485,14 @@ impl Marketplace {
         buyer_k_v: Fr,
     ) -> Result<Option<SettlementWitness>, ZkdetError> {
         let listing = seller_listing.listing;
-        journal.append(&ExchangeRecord::SettleIntent {
+        journal.append(&ExchangeRecord::SettleIntent(SettleIntent {
             listing,
             token: seller_listing.token,
             k_v: buyer_k_v,
-        })?;
+        }))?;
         let witness = self.settlement_witness(owner, seller_listing, buyer_k_v)?;
         if witness.is_none() {
-            journal.append(&ExchangeRecord::SettleDone { listing })?;
+            journal.append(&ExchangeRecord::SettleDone(listing))?;
         }
         Ok(witness)
     }
@@ -499,9 +506,9 @@ impl Marketplace {
         submission: &SettlementSubmission,
     ) -> Result<(), ZkdetError> {
         let listing = submission.listing;
-        journal.append(&ExchangeRecord::ProveDone { listing })?;
+        journal.append(&ExchangeRecord::ProveDone(listing))?;
         self.seller_submit_settlement(seller, submission)?;
-        journal.append(&ExchangeRecord::SettleDone { listing })
+        journal.append(&ExchangeRecord::SettleDone(listing))
     }
 
     /// The check-and-synthesize half of π_k proving: checks the lock,
@@ -636,7 +643,7 @@ impl Marketplace {
         let listing = session.listing;
         let k = k_c - session.k_v;
         let (ciphertext, _bundle) = self.fetch_artefacts(session.token)?;
-        journal.append(&ExchangeRecord::RetrieveDone { listing })?;
+        journal.append(&ExchangeRecord::RetrieveDone(listing))?;
 
         let ctr = MimcCtr::new(k, ciphertext.nonce);
         let plaintext = ctr.decrypt(&ciphertext);
@@ -667,7 +674,7 @@ impl Marketplace {
                 commitment: Commitment(session.expected_commitment),
             },
         );
-        journal.append(&ExchangeRecord::DecryptDone { listing })?;
+        journal.append(&ExchangeRecord::DecryptDone(listing))?;
         Ok(data)
     }
 
@@ -719,10 +726,10 @@ impl Marketplace {
         self.tick_storage_repairs();
         let (outcome, data, reason) = if let Some(k_c) = self.published_k_c(listing) {
             *recover_attempts += 1;
-            journal.append(&ExchangeRecord::RetrieveIntent {
+            journal.append(&ExchangeRecord::RetrieveIntent(RetrieveIntent {
                 listing,
                 attempt: *recover_attempts,
-            })?;
+            }))?;
             match self.recover_attempt(journal, buyer, session, k_c) {
                 Ok(data) => (ExchangeOutcome::Settled, Some(data), String::new()),
                 // Storage was flaky, not wrong — try again later.
@@ -746,10 +753,10 @@ impl Marketplace {
                     if self.chain.height() < locked_at + REFUND_TIMEOUT_BLOCKS {
                         return Ok(None);
                     }
-                    journal.append(&ExchangeRecord::RefundIntent { listing })?;
+                    journal.append(&ExchangeRecord::RefundIntent(listing))?;
                     match self.buyer_refund(session) {
                         Ok(outcome) => {
-                            journal.append(&ExchangeRecord::RefundDone { listing })?;
+                            journal.append(&ExchangeRecord::RefundDone(listing))?;
                             (outcome, None, MISSED_DEADLINE.to_string())
                         }
                         Err(e) if e.recovery() == Recovery::Transient => return Ok(None),
@@ -757,7 +764,7 @@ impl Marketplace {
                     }
                 }
                 ListingState::Open => {
-                    journal.append(&ExchangeRecord::RefundDone { listing })?;
+                    journal.append(&ExchangeRecord::RefundDone(listing))?;
                     let reason = "refund landed before the crash".to_string();
                     (ExchangeOutcome::Refunded, None, reason)
                 }
@@ -768,11 +775,11 @@ impl Marketplace {
                 }
             }
         };
-        journal.append(&ExchangeRecord::Terminal {
+        journal.append(&ExchangeRecord::Terminal(Terminal {
             listing,
             outcome: outcome.clone(),
             reason: reason.clone(),
-        })?;
+        }))?;
         let failure = match outcome {
             ExchangeOutcome::Settled => None,
             ExchangeOutcome::Refunded => Some(MISSED_DEADLINE.to_string()),

@@ -13,7 +13,7 @@
 //! a completion record after; the plain functions pass [`NoJournal`].
 
 use rand::Rng;
-use zkdet_chain::contracts::SwapId;
+use zkdet_chain::contracts::{SwapId, SwapState};
 use zkdet_chain::{Address, Receipt, Wei};
 use zkdet_crypto::mimc::MimcCtr;
 use zkdet_crypto::poseidon::Poseidon;
@@ -22,7 +22,10 @@ use zkdet_field::{Field, Fr};
 
 use crate::dataset::Dataset;
 use crate::error::ZkdetError;
-use crate::journal::{ExchangeRecord, Journal, NoJournal};
+use crate::journal::{
+    ExchangeRecord, Journal, NoJournal, SwapAcceptDone, SwapAcceptIntent, SwapFinishDone,
+    SwapOfferIntent,
+};
 use crate::market::{DataOwner, Marketplace};
 
 /// Seller-side state for a FairSwap offer.
@@ -60,6 +63,63 @@ pub struct FairSwapBuyer {
     pub payment: Wei,
 }
 
+/// A journaled offer encrypted under its journaled key and nonce, before
+/// the contract has assigned it a swap id.
+pub(crate) struct SealedOffer {
+    ciphertext_blocks: Vec<Fr>,
+    /// Merkle root of the ciphertext blocks, as the contract holds it.
+    pub(crate) root_c: Fr,
+    /// Merkle root of the plaintext blocks.
+    pub(crate) root_d: Fr,
+    /// `H(k)`.
+    pub(crate) key_hash: Fr,
+}
+
+impl SwapOfferIntent {
+    /// Encrypts the offer — the one place that happens, so the live step
+    /// and recovery post, look up and serve the same blocks.
+    pub(crate) fn seal(&self) -> SealedOffer {
+        let ciphertext_blocks = MimcCtr::new(self.key, self.nonce)
+            .encrypt(&self.data)
+            .blocks;
+        SealedOffer {
+            root_c: MerkleTree::new(&ciphertext_blocks).root(),
+            root_d: MerkleTree::new(&self.data).root(),
+            key_hash: Poseidon::hash(&[self.key]),
+            ciphertext_blocks,
+        }
+    }
+}
+
+impl SealedOffer {
+    /// The seller's state once `intent`'s offer is on-chain as `swap`.
+    pub(crate) fn posted_as(self, swap: SwapId, intent: &SwapOfferIntent) -> FairSwapSeller {
+        FairSwapSeller {
+            swap,
+            key: intent.key,
+            nonce: intent.nonce,
+            data: Dataset::from_entries(intent.data.clone()),
+            ciphertext_blocks: self.ciphertext_blocks,
+        }
+    }
+}
+
+impl FairSwapBuyer {
+    /// The buyer's state for the journaled `intent` with `payment` in
+    /// escrow — built here for the live accept step and for recovery.
+    pub(crate) fn from_intent(intent: &SwapAcceptIntent, payment: Wei) -> Self {
+        FairSwapBuyer {
+            swap: intent.swap,
+            buyer: intent.buyer,
+            expected: MerkleTree::new(&intent.expected),
+            expected_blocks: intent.expected.clone(),
+            ciphertext: MerkleTree::new(&intent.ciphertext),
+            ciphertext_blocks: intent.ciphertext.clone(),
+            payment,
+        }
+    }
+}
+
 impl Marketplace {
     /// Deploys the FairSwap contract (once per deployment) and returns its
     /// address. Idempotent via the caller storing the address.
@@ -95,56 +155,41 @@ impl Marketplace {
         price: Wei,
         rng: &mut R,
     ) -> Result<(FairSwapSeller, Vec<Fr>), ZkdetError> {
-        let key = Fr::random(rng);
-        let nonce = Fr::random(rng);
-        journal.append(&ExchangeRecord::SwapOfferIntent {
-            key,
-            nonce,
+        let intent = SwapOfferIntent {
+            key: Fr::random(rng),
+            nonce: Fr::random(rng),
             data: data.entries().to_vec(),
             price,
-        })?;
-        self.post_swap_offer(journal, contract, seller, data, price, key, nonce)
+        };
+        journal.append(&ExchangeRecord::SwapOfferIntent(intent.clone()))?;
+        let state = self.post_swap_offer(journal, contract, seller, &intent)?;
+        let served = state.ciphertext_blocks.clone();
+        Ok((state, served))
     }
 
-    /// The effect half of the offer step: posts the offer under the given
-    /// key material and journals `SwapOfferDone`. Recovery re-posts a
-    /// lost offer through this with the *journaled* key and nonce.
-    #[allow(clippy::too_many_arguments)]
+    /// The effect half of the offer step: posts the already-journaled
+    /// `intent` and journals `SwapOfferDone`. Recovery re-posts a lost
+    /// offer through this with the *journaled* key and nonce.
     pub(crate) fn post_swap_offer(
         &mut self,
         journal: &mut impl Journal,
         contract: Address,
         seller: &DataOwner,
-        data: Dataset,
-        price: Wei,
-        key: Fr,
-        nonce: Fr,
-    ) -> Result<(FairSwapSeller, Vec<Fr>), ZkdetError> {
-        let ciphertext = MimcCtr::new(key, nonce).encrypt(data.entries());
-        let root_c = MerkleTree::new(&ciphertext.blocks).root();
-        let root_d = MerkleTree::new(data.entries()).root();
-        let key_hash = Poseidon::hash(&[key]);
+        intent: &SwapOfferIntent,
+    ) -> Result<FairSwapSeller, ZkdetError> {
+        let sealed = intent.seal();
         let (swap, _receipt) = self.chain.fairswap_offer(
             contract,
             seller.address,
-            price,
-            root_c,
-            root_d,
-            key_hash,
-            data.len(),
-            nonce,
+            intent.price,
+            sealed.root_c,
+            sealed.root_d,
+            sealed.key_hash,
+            intent.data.len(),
+            intent.nonce,
         )?;
-        journal.append(&ExchangeRecord::SwapOfferDone { swap })?;
-        Ok((
-            FairSwapSeller {
-                swap,
-                key,
-                nonce,
-                data,
-                ciphertext_blocks: ciphertext.blocks.clone(),
-            },
-            ciphertext.blocks,
-        ))
+        journal.append(&ExchangeRecord::SwapOfferDone(swap))?;
+        Ok(sealed.posted_as(swap, intent))
     }
 
     /// Buyer accepts: checks the served ciphertext against the on-chain
@@ -178,40 +223,49 @@ impl Marketplace {
         served_ciphertext: Vec<Fr>,
         expected_plaintext: &Dataset,
     ) -> Result<FairSwapBuyer, ZkdetError> {
-        journal.append(&ExchangeRecord::SwapAcceptIntent {
+        let intent = SwapAcceptIntent {
             swap,
             buyer: buyer.address,
             expected: expected_plaintext.entries().to_vec(),
-            ciphertext: served_ciphertext.clone(),
-        })?;
+            ciphertext: served_ciphertext,
+        };
+        journal.append(&ExchangeRecord::SwapAcceptIntent(intent.clone()))?;
+        self.escrow_swap_accept(journal, contract, &intent)
+    }
+
+    /// The effect half of the accept step: checks the already-journaled
+    /// `intent`'s ciphertext and plaintext against the offer's on-chain
+    /// roots, then escrows the price and journals `SwapAcceptDone`. The
+    /// checks live here, not before the intent, so a recovery that
+    /// re-executes the intent cannot escrow for blocks the live step
+    /// would have rejected ([`ZkdetError::Inconsistent`], nothing moved).
+    pub(crate) fn escrow_swap_accept(
+        &mut self,
+        journal: &mut impl Journal,
+        contract: Address,
+        intent: &SwapAcceptIntent,
+    ) -> Result<FairSwapBuyer, ZkdetError> {
+        let swap = intent.swap;
         let on_chain = self.chain.fairswap(&contract)?.swap(swap)?.clone();
-        let ct_tree = MerkleTree::new(&served_ciphertext);
-        if ct_tree.root() != on_chain.root_c {
+        let payment = on_chain.price;
+        let state = FairSwapBuyer::from_intent(intent, payment);
+        if state.ciphertext.root() != on_chain.root_c {
             return Err(ZkdetError::Inconsistent(
                 "served ciphertext does not match the on-chain root".into(),
             ));
         }
-        let expected_tree = MerkleTree::new(expected_plaintext.entries());
-        if expected_tree.root() != on_chain.root_d {
+        if state.expected.root() != on_chain.root_d {
             return Err(ZkdetError::Inconsistent(
                 "offer is not for the expected file".into(),
             ));
         }
         self.chain
-            .fairswap_accept(contract, buyer.address, swap, on_chain.price)?;
-        journal.append(&ExchangeRecord::SwapAcceptDone {
+            .fairswap_accept(contract, intent.buyer, swap, payment)?;
+        journal.append(&ExchangeRecord::SwapAcceptDone(SwapAcceptDone {
             swap,
-            payment: on_chain.price,
-        })?;
-        Ok(FairSwapBuyer {
-            swap,
-            buyer: buyer.address,
-            expected: expected_tree,
-            expected_blocks: expected_plaintext.entries().to_vec(),
-            ciphertext: ct_tree,
-            ciphertext_blocks: served_ciphertext,
-            payment: on_chain.price,
-        })
+            payment,
+        }))?;
+        Ok(state)
     }
 
     /// Seller reveals the key on-chain (public!).
@@ -232,12 +286,12 @@ impl Marketplace {
         seller: &DataOwner,
         state: &FairSwapSeller,
     ) -> Result<Receipt, ZkdetError> {
-        journal.append(&ExchangeRecord::SwapRevealIntent { swap: state.swap })?;
+        journal.append(&ExchangeRecord::SwapRevealIntent(state.swap))?;
         let r = self
             .chain
             .fairswap_reveal(contract, seller.address, state.swap, state.key)?;
         self.chain.mine_block();
-        journal.append(&ExchangeRecord::SwapRevealDone { swap: state.swap })?;
+        journal.append(&ExchangeRecord::SwapRevealDone(state.swap))?;
         Ok(r)
     }
 
@@ -259,10 +313,10 @@ impl Marketplace {
         contract: Address,
         state: &FairSwapBuyer,
     ) -> Result<Result<Dataset, Receipt>, ZkdetError> {
-        journal.append(&ExchangeRecord::SwapFinishIntent { swap: state.swap })?;
+        journal.append(&ExchangeRecord::SwapFinishIntent(state.swap))?;
         let on_chain = self.chain.fairswap(&contract)?.swap(state.swap)?.clone();
         let key = match on_chain.state {
-            zkdet_chain::contracts::SwapState::Revealed { key, .. } => key,
+            SwapState::Revealed { key, .. } => key,
             _ => {
                 return Err(ZkdetError::Protocol(
                     "swap key has not been revealed".into(),
@@ -292,10 +346,10 @@ impl Marketplace {
             )?),
             None => Ok(Dataset::from_entries(decrypted)),
         };
-        journal.append(&ExchangeRecord::SwapFinishDone {
+        journal.append(&ExchangeRecord::SwapFinishDone(SwapFinishDone {
             swap: state.swap,
             disputed: outcome.is_err(),
-        })?;
+        }))?;
         Ok(outcome)
     }
 
@@ -304,7 +358,7 @@ impl Marketplace {
     pub fn fairswap_leaked_key(&self, contract: Address, swap: SwapId) -> Option<Fr> {
         let s = self.chain.fairswap(&contract).ok()?.swap(swap).ok()?;
         match &s.state {
-            zkdet_chain::contracts::SwapState::Revealed { key, .. } => Some(*key),
+            SwapState::Revealed { key, .. } => Some(*key),
             _ => None,
         }
     }
@@ -354,6 +408,44 @@ mod tests {
         assert_eq!(m.chain.state.balance(&seller.address), before + 500);
         // The key is public — the inherent FairSwap/ZKCP leak.
         assert!(m.fairswap_leaked_key(fs, s_state.swap).is_none()); // state moved to Completed
+    }
+
+    #[test]
+    fn recovery_of_a_rejected_accept_escrows_nothing() {
+        // The live accept journals its intent, then rejects: once because
+        // the served ciphertext is not the one under the on-chain root_c,
+        // once because the offer is not for the file the buyer expects.
+        for wrong_file in [false, true] {
+            let (mut m, seller, mut buyer, fs, mut rng) = setup();
+            let d = data(&[1, 2, 3, 4]);
+            let mut wal = crate::journal::ExchangeWal::new();
+            let (s_state, mut ct) = m
+                .journaled_fairswap_offer(&mut wal, fs, &seller, d.clone(), 500, &mut rng)
+                .unwrap();
+            let expected = if wrong_file {
+                data(&[1, 2, 3, 5])
+            } else {
+                ct[0] += Fr::ONE;
+                d
+            };
+            let swap = s_state.swap;
+            m.journaled_fairswap_accept(&mut wal, fs, &buyer, swap, ct, &expected)
+                .unwrap_err();
+            let (b, s) = (buyer.address, seller.address);
+            let balances = |m: &Marketplace| (m.chain.state.balance(&b), m.chain.state.balance(&s));
+            let before = balances(&m);
+
+            // Recovery re-executes that intent through the same checks:
+            // the buyer is not made to escrow for blocks it rejected.
+            let report = m
+                .recover(&mut wal, Some(&seller), &mut buyer, Some(fs), &mut rng)
+                .unwrap();
+            assert_eq!(report.swaps.len(), 1);
+            assert_eq!(report.swaps[0].state, "offered");
+            assert_eq!(balances(&m), before);
+            let on_chain = m.chain.fairswap(&fs).unwrap().swap(swap).unwrap();
+            assert_eq!(on_chain.state, SwapState::Offered);
+        }
     }
 
     #[test]

@@ -25,192 +25,309 @@ use crate::codec::{Reader, Writer};
 use crate::error::ZkdetError;
 use crate::exchange::ExchangeOutcome;
 
-/// One journaled exchange state transition.
-///
-/// `*Intent` records precede their side effect; `*Done` records confirm
-/// it. [`ExchangeRecord::Terminal`] closes an exchange.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ExchangeRecord {
-    /// Seller is about to create a listing; carries the freshly drawn
-    /// key-commitment opening so a replay re-creates the *same* listing.
-    ListIntent {
-        /// Token being listed.
-        token: TokenId,
-        /// Clock-auction start price.
-        start_price: Wei,
-        /// Clock-auction floor price.
-        floor_price: Wei,
-        /// Price decay per block.
-        decay_per_block: Wei,
-        /// Commitment `c` to the decryption key.
-        key_commitment: Fr,
-        /// Blinder of `c` — volatile until journaled.
-        key_opening: Fr,
-        /// Predicate description published with the listing.
-        predicate: String,
-    },
-    /// The listing landed on-chain.
-    ListDone {
-        /// The assigned listing id.
-        listing: ListingId,
-        /// Token being listed.
-        token: TokenId,
-    },
-    /// Buyer verified `π_p`, drew `k_v`, and is about to lock payment.
-    PayIntent {
-        /// The listing being bought.
-        listing: ListingId,
-        /// The token being bought.
-        token: TokenId,
-        /// The buyer's address.
-        buyer: Address,
-        /// The buyer's blinding key — volatile until journaled.
-        k_v: Fr,
-        /// The on-chain dataset commitment `c_d` the buyer validated.
-        expected_commitment: Fr,
-    },
-    /// The payment lock landed on-chain.
-    PayDone {
-        /// The listing.
-        listing: ListingId,
-        /// Escrowed amount.
-        price: Wei,
-    },
-    /// Seller received `k_v` and is about to prove `π_k` and settle.
-    SettleIntent {
-        /// The listing.
-        listing: ListingId,
-        /// The token.
-        token: TokenId,
-        /// The buyer's `k_v` as received off-chain.
-        k_v: Fr,
-    },
-    /// `π_k` was produced (no side effect yet — proving is re-runnable).
-    ProveDone {
-        /// The listing.
-        listing: ListingId,
-    },
-    /// The settlement landed on-chain; payment released.
-    SettleDone {
-        /// The listing.
-        listing: ListingId,
-    },
-    /// Buyer is about to fetch the ciphertext artefacts.
-    RetrieveIntent {
-        /// The listing.
-        listing: ListingId,
-        /// 1-based recovery attempt number.
-        attempt: u32,
-    },
-    /// Artefacts fetched and structurally validated.
-    RetrieveDone {
-        /// The listing.
-        listing: ListingId,
-    },
-    /// Plaintext recovered, re-encryption check passed, secrets learned.
-    DecryptDone {
-        /// The listing.
-        listing: ListingId,
-    },
-    /// Buyer is about to reclaim the escrow after the seller timeout.
-    RefundIntent {
-        /// The listing.
-        listing: ListingId,
-    },
-    /// The refund landed on-chain.
-    RefundDone {
-        /// The listing.
-        listing: ListingId,
-    },
-    /// The exchange reached a terminal state.
-    Terminal {
-        /// The listing.
-        listing: ListingId,
-        /// The terminal outcome.
-        outcome: ExchangeOutcome,
-        /// Failure description for non-settled outcomes.
-        reason: String,
-    },
-    /// FairSwap: seller is about to post an offer; carries the drawn
-    /// key/nonce and the plaintext so a replay reproduces identical roots.
-    SwapOfferIntent {
-        /// Encryption key.
-        key: Fr,
-        /// CTR nonce.
-        nonce: Fr,
-        /// Plaintext blocks.
-        data: Vec<Fr>,
-        /// Asking price.
-        price: Wei,
-    },
-    /// FairSwap: the offer landed on-chain.
-    SwapOfferDone {
-        /// The assigned swap id.
-        swap: SwapId,
-    },
-    /// FairSwap: buyer validated roots and is about to escrow payment.
-    SwapAcceptIntent {
-        /// The swap.
-        swap: SwapId,
-        /// The buyer's address.
-        buyer: Address,
-        /// The expected plaintext blocks.
-        expected: Vec<Fr>,
-        /// The served ciphertext blocks.
-        ciphertext: Vec<Fr>,
-    },
-    /// FairSwap: the escrow landed on-chain.
-    SwapAcceptDone {
-        /// The swap.
-        swap: SwapId,
-        /// Escrowed amount.
-        payment: Wei,
-    },
-    /// FairSwap: seller is about to reveal the key on-chain.
-    SwapRevealIntent {
-        /// The swap.
-        swap: SwapId,
-    },
-    /// FairSwap: the reveal landed on-chain.
-    SwapRevealDone {
-        /// The swap.
-        swap: SwapId,
-    },
-    /// FairSwap: buyer is about to decrypt and finish or dispute.
-    SwapFinishIntent {
-        /// The swap.
-        swap: SwapId,
-    },
-    /// FairSwap: finish/dispute resolved.
-    SwapFinishDone {
-        /// The swap.
-        swap: SwapId,
-        /// `true` if a misbehaviour complaint refunded the buyer.
-        disputed: bool,
-    },
+/// A value with a fixed place in the journal's byte layout. A record's
+/// encoding is its tag byte followed by its payload's fields in
+/// declaration order, each through the field type's impl below.
+trait Wire: Sized {
+    fn put(&self, w: &mut Writer);
+    fn get(r: &mut Reader<'_>) -> Result<Self, ZkdetError>;
 }
 
-const TAG_LIST_INTENT: u8 = 0;
-const TAG_LIST_DONE: u8 = 1;
-const TAG_PAY_INTENT: u8 = 2;
-const TAG_PAY_DONE: u8 = 3;
-const TAG_SETTLE_INTENT: u8 = 4;
-const TAG_PROVE_DONE: u8 = 5;
-const TAG_SETTLE_DONE: u8 = 6;
-const TAG_RETRIEVE_INTENT: u8 = 7;
-const TAG_RETRIEVE_DONE: u8 = 8;
-const TAG_DECRYPT_DONE: u8 = 9;
-const TAG_REFUND_INTENT: u8 = 10;
-const TAG_REFUND_DONE: u8 = 11;
-const TAG_TERMINAL: u8 = 12;
-const TAG_SWAP_OFFER_INTENT: u8 = 13;
-const TAG_SWAP_OFFER_DONE: u8 = 14;
-const TAG_SWAP_ACCEPT_INTENT: u8 = 15;
-const TAG_SWAP_ACCEPT_DONE: u8 = 16;
-const TAG_SWAP_REVEAL_INTENT: u8 = 17;
-const TAG_SWAP_REVEAL_DONE: u8 = 18;
-const TAG_SWAP_FINISH_INTENT: u8 = 19;
-const TAG_SWAP_FINISH_DONE: u8 = 20;
+macro_rules! wire {
+    ($($ty:ty: |$x:ident, $w:ident| $put:expr, |$r:ident| $get:expr;)*) => {$(
+        impl Wire for $ty {
+            fn put(&self, $w: &mut Writer) {
+                let $x = self;
+                $put
+            }
+            fn get($r: &mut Reader<'_>) -> Result<Self, ZkdetError> {
+                $get
+            }
+        }
+    )*};
+}
+
+wire! {
+    TokenId: |x, w| w.u64(x.0), |r| r.u64().map(TokenId);
+    ListingId: |x, w| w.u64(x.0), |r| r.u64().map(ListingId);
+    SwapId: |x, w| w.u64(x.0), |r| r.u64().map(SwapId);
+    Wei: |x, w| w.u128(*x), |r| r.u128();
+    // `RetrieveIntent::attempt`: a u64 on the wire.
+    u32: |x, w| w.u64(u64::from(*x)), |r| u32::try_from(r.u64()?)
+        .map_err(|_| ZkdetError::Codec("attempt overflows u32".into()));
+    bool: |x, w| w.u8(u8::from(*x)), |r| match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(ZkdetError::Codec(format!("bad bool encoding {other}"))),
+    };
+    Fr: |x, w| w.fr(x), |r| r.fr();
+    Vec<Fr>: |x, w| w.fr_vec(x), |r| r.fr_vec();
+    String: |x, w| w.string(x), |r| r.string();
+    Address: |x, w| w.raw(&x.0), |r| r.raw_bytes(20)?.try_into().map(Address)
+        .map_err(|_| ZkdetError::Codec("address slice length".into()));
+    ExchangeOutcome: |x, w| w.u8(match x {
+        ExchangeOutcome::Settled => 0,
+        ExchangeOutcome::Refunded => 1,
+        ExchangeOutcome::Aborted => 2,
+    }), |r| match r.u8()? {
+        0 => Ok(ExchangeOutcome::Settled),
+        1 => Ok(ExchangeOutcome::Refunded),
+        2 => Ok(ExchangeOutcome::Aborted),
+        other => Err(ZkdetError::Codec(format!("unknown outcome tag {other}"))),
+    };
+}
+
+/// Declares record payloads: each struct's field list is also its wire
+/// layout, so the fields are written out once.
+macro_rules! wire_struct {
+    ($($(#[$meta:meta])* pub struct $name:ident {
+        $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)*
+    })*) => {$(
+        $(#[$meta])*
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        impl Wire for $name {
+            fn put(&self, w: &mut Writer) {
+                $(self.$field.put(w);)*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, ZkdetError> {
+                Ok($name { $($field: Wire::get(r)?,)* })
+            }
+        }
+    )*};
+}
+
+wire_struct! {
+    /// Seller is about to create a listing; carries the freshly drawn
+    /// key-commitment opening so a replay re-creates the *same* listing.
+    pub struct ListIntent {
+        /// Token being listed.
+        pub token: TokenId,
+        /// Clock-auction start price.
+        pub start_price: Wei,
+        /// Clock-auction floor price.
+        pub floor_price: Wei,
+        /// Price decay per block.
+        pub decay_per_block: Wei,
+        /// Commitment `c` to the decryption key.
+        pub key_commitment: Fr,
+        /// Blinder of `c` — volatile until journaled.
+        pub key_opening: Fr,
+        /// Predicate description published with the listing.
+        pub predicate: String,
+    }
+
+    /// The listing landed on-chain.
+    pub struct ListDone {
+        /// The assigned listing id.
+        pub listing: ListingId,
+        /// Token being listed.
+        pub token: TokenId,
+    }
+
+    /// Buyer verified `π_p`, drew `k_v`, and is about to lock payment.
+    pub struct PayIntent {
+        /// The listing being bought.
+        pub listing: ListingId,
+        /// The token being bought.
+        pub token: TokenId,
+        /// The buyer's address.
+        pub buyer: Address,
+        /// The buyer's blinding key — volatile until journaled.
+        pub k_v: Fr,
+        /// The on-chain dataset commitment `c_d` the buyer validated.
+        pub expected_commitment: Fr,
+    }
+
+    /// The payment lock landed on-chain.
+    pub struct PayDone {
+        /// The listing.
+        pub listing: ListingId,
+        /// Escrowed amount.
+        pub price: Wei,
+    }
+
+    /// Seller received `k_v` and is about to prove `π_k` and settle.
+    pub struct SettleIntent {
+        /// The listing.
+        pub listing: ListingId,
+        /// The token.
+        pub token: TokenId,
+        /// The buyer's `k_v` as received off-chain.
+        pub k_v: Fr,
+    }
+
+    /// Buyer is about to fetch the ciphertext artefacts.
+    pub struct RetrieveIntent {
+        /// The listing.
+        pub listing: ListingId,
+        /// 1-based recovery attempt number.
+        pub attempt: u32,
+    }
+
+    /// The exchange reached a terminal state.
+    pub struct Terminal {
+        /// The listing.
+        pub listing: ListingId,
+        /// The terminal outcome.
+        pub outcome: ExchangeOutcome,
+        /// Failure description for non-settled outcomes.
+        pub reason: String,
+    }
+
+    /// FairSwap: seller is about to post an offer; carries the drawn
+    /// key/nonce and the plaintext so a replay reproduces identical roots.
+    pub struct SwapOfferIntent {
+        /// Encryption key.
+        pub key: Fr,
+        /// CTR nonce.
+        pub nonce: Fr,
+        /// Plaintext blocks.
+        pub data: Vec<Fr>,
+        /// Asking price.
+        pub price: Wei,
+    }
+
+    /// FairSwap: buyer is about to check the served ciphertext against
+    /// the offer's roots and escrow payment.
+    pub struct SwapAcceptIntent {
+        /// The swap.
+        pub swap: SwapId,
+        /// The buyer's address.
+        pub buyer: Address,
+        /// The expected plaintext blocks.
+        pub expected: Vec<Fr>,
+        /// The served ciphertext blocks.
+        pub ciphertext: Vec<Fr>,
+    }
+
+    /// FairSwap: the escrow landed on-chain.
+    pub struct SwapAcceptDone {
+        /// The swap.
+        pub swap: SwapId,
+        /// Escrowed amount.
+        pub payment: Wei,
+    }
+
+    /// FairSwap: finish/dispute resolved.
+    pub struct SwapFinishDone {
+        /// The swap.
+        pub swap: SwapId,
+        /// `true` if a misbehaviour complaint refunded the buyer.
+        pub disputed: bool,
+    }
+}
+
+/// The record table: wire tag, step name, variant and payload of every
+/// record kind. The enum, [`ExchangeRecord::step_name`] and the codec are
+/// all generated from it, so a new kind is one line here, its payload
+/// struct above if it has one, and its arm in `recovery::fold_records`.
+macro_rules! records {
+    ($(#[$emeta:meta])* pub enum $enum:ident {
+        $($(#[$meta:meta])* $tag:literal $name:literal $variant:ident($payload:ty),)*
+    }) => {
+        $(#[$emeta])*
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub enum $enum {
+            $($(#[$meta])* $variant($payload),)*
+        }
+
+        impl $enum {
+            /// Short step name, used for telemetry and crash-point labels.
+            pub fn step_name(&self) -> &'static str {
+                match self {
+                    $(Self::$variant(_) => $name,)*
+                }
+            }
+
+            /// Canonical byte encoding.
+            pub fn to_bytes(&self) -> Vec<u8> {
+                let mut w = Writer::new();
+                match self {
+                    $(Self::$variant(payload) => {
+                        w.u8($tag);
+                        payload.put(&mut w);
+                    })*
+                }
+                w.into_bytes()
+            }
+
+            /// Decodes a record from its canonical byte encoding.
+            ///
+            /// # Errors
+            ///
+            /// [`ZkdetError::Codec`] for unknown tags, truncation, trailing
+            /// bytes or non-canonical field elements.
+            pub fn from_bytes(bytes: &[u8]) -> Result<Self, ZkdetError> {
+                let mut r = Reader::new(bytes);
+                let record = match r.u8()? {
+                    $($tag => Self::$variant(Wire::get(&mut r)?),)*
+                    other => {
+                        return Err(ZkdetError::Codec(format!(
+                            "unknown journal record tag {other}"
+                        )))
+                    }
+                };
+                r.finish()?;
+                Ok(record)
+            }
+        }
+    };
+}
+
+records! {
+    /// One journaled exchange state transition.
+    ///
+    /// `*Intent` records precede their side effect; `*Done` records confirm
+    /// it. [`ExchangeRecord::Terminal`] closes an exchange.
+    pub enum ExchangeRecord {
+        /// Seller is about to create a listing.
+        0 "list_intent" ListIntent(ListIntent),
+        /// The listing landed on-chain.
+        1 "list_done" ListDone(ListDone),
+        /// Buyer verified `π_p`, drew `k_v`, and is about to lock payment.
+        2 "pay_intent" PayIntent(PayIntent),
+        /// The payment lock landed on-chain.
+        3 "pay_done" PayDone(PayDone),
+        /// Seller received `k_v` and is about to prove `π_k` and settle.
+        4 "settle_intent" SettleIntent(SettleIntent),
+        /// `π_k` was produced (no side effect yet — proving is re-runnable).
+        5 "prove_done" ProveDone(ListingId),
+        /// The settlement landed on-chain; payment released.
+        6 "settle_done" SettleDone(ListingId),
+        /// Buyer is about to fetch the ciphertext artefacts.
+        7 "retrieve_intent" RetrieveIntent(RetrieveIntent),
+        /// Artefacts fetched and structurally validated.
+        8 "retrieve_done" RetrieveDone(ListingId),
+        /// Plaintext recovered, re-encryption check passed, secrets learned.
+        9 "decrypt_done" DecryptDone(ListingId),
+        /// Buyer is about to reclaim the escrow after the seller timeout.
+        10 "refund_intent" RefundIntent(ListingId),
+        /// The refund landed on-chain.
+        11 "refund_done" RefundDone(ListingId),
+        /// The exchange reached a terminal state.
+        12 "terminal" Terminal(Terminal),
+        /// FairSwap: seller is about to post an offer.
+        13 "swap_offer_intent" SwapOfferIntent(SwapOfferIntent),
+        /// FairSwap: the offer landed on-chain.
+        14 "swap_offer_done" SwapOfferDone(SwapId),
+        /// FairSwap: buyer is about to check the roots and escrow payment.
+        15 "swap_accept_intent" SwapAcceptIntent(SwapAcceptIntent),
+        /// FairSwap: the escrow landed on-chain.
+        16 "swap_accept_done" SwapAcceptDone(SwapAcceptDone),
+        /// FairSwap: seller is about to reveal the key on-chain.
+        17 "swap_reveal_intent" SwapRevealIntent(SwapId),
+        /// FairSwap: the reveal landed on-chain.
+        18 "swap_reveal_done" SwapRevealDone(SwapId),
+        /// FairSwap: buyer is about to decrypt and finish or dispute.
+        19 "swap_finish_intent" SwapFinishIntent(SwapId),
+        /// FairSwap: finish/dispute resolved.
+        20 "swap_finish_done" SwapFinishDone(SwapFinishDone),
+    }
+}
 
 /// Frame prefix marking a record carried inside a trace context: one tag
 /// byte, eight little-endian trace-id bytes, then the canonical record
@@ -245,321 +362,6 @@ fn decode_frame(bytes: &[u8]) -> Result<(Option<u64>, ExchangeRecord), ZkdetErro
         return Ok((Some(u64::from_le_bytes(raw)), record));
     }
     Ok((None, ExchangeRecord::from_bytes(bytes)?))
-}
-
-fn outcome_tag(o: &ExchangeOutcome) -> u8 {
-    match o {
-        ExchangeOutcome::Settled => 0,
-        ExchangeOutcome::Refunded => 1,
-        ExchangeOutcome::Aborted => 2,
-    }
-}
-
-fn outcome_from_tag(t: u8) -> Result<ExchangeOutcome, ZkdetError> {
-    match t {
-        0 => Ok(ExchangeOutcome::Settled),
-        1 => Ok(ExchangeOutcome::Refunded),
-        2 => Ok(ExchangeOutcome::Aborted),
-        other => Err(ZkdetError::Codec(format!("unknown outcome tag {other}"))),
-    }
-}
-
-impl ExchangeRecord {
-    /// Short step name, used for telemetry and crash-point labels.
-    pub fn step_name(&self) -> &'static str {
-        match self {
-            ExchangeRecord::ListIntent { .. } => "list_intent",
-            ExchangeRecord::ListDone { .. } => "list_done",
-            ExchangeRecord::PayIntent { .. } => "pay_intent",
-            ExchangeRecord::PayDone { .. } => "pay_done",
-            ExchangeRecord::SettleIntent { .. } => "settle_intent",
-            ExchangeRecord::ProveDone { .. } => "prove_done",
-            ExchangeRecord::SettleDone { .. } => "settle_done",
-            ExchangeRecord::RetrieveIntent { .. } => "retrieve_intent",
-            ExchangeRecord::RetrieveDone { .. } => "retrieve_done",
-            ExchangeRecord::DecryptDone { .. } => "decrypt_done",
-            ExchangeRecord::RefundIntent { .. } => "refund_intent",
-            ExchangeRecord::RefundDone { .. } => "refund_done",
-            ExchangeRecord::Terminal { .. } => "terminal",
-            ExchangeRecord::SwapOfferIntent { .. } => "swap_offer_intent",
-            ExchangeRecord::SwapOfferDone { .. } => "swap_offer_done",
-            ExchangeRecord::SwapAcceptIntent { .. } => "swap_accept_intent",
-            ExchangeRecord::SwapAcceptDone { .. } => "swap_accept_done",
-            ExchangeRecord::SwapRevealIntent { .. } => "swap_reveal_intent",
-            ExchangeRecord::SwapRevealDone { .. } => "swap_reveal_done",
-            ExchangeRecord::SwapFinishIntent { .. } => "swap_finish_intent",
-            ExchangeRecord::SwapFinishDone { .. } => "swap_finish_done",
-        }
-    }
-
-    /// Canonical byte encoding.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            ExchangeRecord::ListIntent {
-                token,
-                start_price,
-                floor_price,
-                decay_per_block,
-                key_commitment,
-                key_opening,
-                predicate,
-            } => {
-                w.u8(TAG_LIST_INTENT);
-                w.u64(token.0);
-                w.u128(*start_price);
-                w.u128(*floor_price);
-                w.u128(*decay_per_block);
-                w.fr(key_commitment);
-                w.fr(key_opening);
-                w.string(predicate);
-            }
-            ExchangeRecord::ListDone { listing, token } => {
-                w.u8(TAG_LIST_DONE);
-                w.u64(listing.0);
-                w.u64(token.0);
-            }
-            ExchangeRecord::PayIntent {
-                listing,
-                token,
-                buyer,
-                k_v,
-                expected_commitment,
-            } => {
-                w.u8(TAG_PAY_INTENT);
-                w.u64(listing.0);
-                w.u64(token.0);
-                w.raw(&buyer.0);
-                w.fr(k_v);
-                w.fr(expected_commitment);
-            }
-            ExchangeRecord::PayDone { listing, price } => {
-                w.u8(TAG_PAY_DONE);
-                w.u64(listing.0);
-                w.u128(*price);
-            }
-            ExchangeRecord::SettleIntent { listing, token, k_v } => {
-                w.u8(TAG_SETTLE_INTENT);
-                w.u64(listing.0);
-                w.u64(token.0);
-                w.fr(k_v);
-            }
-            ExchangeRecord::ProveDone { listing } => {
-                w.u8(TAG_PROVE_DONE);
-                w.u64(listing.0);
-            }
-            ExchangeRecord::SettleDone { listing } => {
-                w.u8(TAG_SETTLE_DONE);
-                w.u64(listing.0);
-            }
-            ExchangeRecord::RetrieveIntent { listing, attempt } => {
-                w.u8(TAG_RETRIEVE_INTENT);
-                w.u64(listing.0);
-                w.u64(u64::from(*attempt));
-            }
-            ExchangeRecord::RetrieveDone { listing } => {
-                w.u8(TAG_RETRIEVE_DONE);
-                w.u64(listing.0);
-            }
-            ExchangeRecord::DecryptDone { listing } => {
-                w.u8(TAG_DECRYPT_DONE);
-                w.u64(listing.0);
-            }
-            ExchangeRecord::RefundIntent { listing } => {
-                w.u8(TAG_REFUND_INTENT);
-                w.u64(listing.0);
-            }
-            ExchangeRecord::RefundDone { listing } => {
-                w.u8(TAG_REFUND_DONE);
-                w.u64(listing.0);
-            }
-            ExchangeRecord::Terminal {
-                listing,
-                outcome,
-                reason,
-            } => {
-                w.u8(TAG_TERMINAL);
-                w.u64(listing.0);
-                w.u8(outcome_tag(outcome));
-                w.string(reason);
-            }
-            ExchangeRecord::SwapOfferIntent {
-                key,
-                nonce,
-                data,
-                price,
-            } => {
-                w.u8(TAG_SWAP_OFFER_INTENT);
-                w.fr(key);
-                w.fr(nonce);
-                w.fr_vec(data);
-                w.u128(*price);
-            }
-            ExchangeRecord::SwapOfferDone { swap } => {
-                w.u8(TAG_SWAP_OFFER_DONE);
-                w.u64(swap.0);
-            }
-            ExchangeRecord::SwapAcceptIntent {
-                swap,
-                buyer,
-                expected,
-                ciphertext,
-            } => {
-                w.u8(TAG_SWAP_ACCEPT_INTENT);
-                w.u64(swap.0);
-                w.raw(&buyer.0);
-                w.fr_vec(expected);
-                w.fr_vec(ciphertext);
-            }
-            ExchangeRecord::SwapAcceptDone { swap, payment } => {
-                w.u8(TAG_SWAP_ACCEPT_DONE);
-                w.u64(swap.0);
-                w.u128(*payment);
-            }
-            ExchangeRecord::SwapRevealIntent { swap } => {
-                w.u8(TAG_SWAP_REVEAL_INTENT);
-                w.u64(swap.0);
-            }
-            ExchangeRecord::SwapRevealDone { swap } => {
-                w.u8(TAG_SWAP_REVEAL_DONE);
-                w.u64(swap.0);
-            }
-            ExchangeRecord::SwapFinishIntent { swap } => {
-                w.u8(TAG_SWAP_FINISH_INTENT);
-                w.u64(swap.0);
-            }
-            ExchangeRecord::SwapFinishDone { swap, disputed } => {
-                w.u8(TAG_SWAP_FINISH_DONE);
-                w.u64(swap.0);
-                w.u8(u8::from(*disputed));
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decodes a record from its canonical byte encoding.
-    ///
-    /// # Errors
-    ///
-    /// [`ZkdetError::Codec`] for unknown tags, truncation, trailing bytes
-    /// or non-canonical field elements.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ZkdetError> {
-        let mut r = Reader::new(bytes);
-        let tag = r.u8()?;
-        let record = match tag {
-            TAG_LIST_INTENT => ExchangeRecord::ListIntent {
-                token: TokenId(r.u64()?),
-                start_price: r.u128()?,
-                floor_price: r.u128()?,
-                decay_per_block: r.u128()?,
-                key_commitment: r.fr()?,
-                key_opening: r.fr()?,
-                predicate: r.string()?,
-            },
-            TAG_LIST_DONE => ExchangeRecord::ListDone {
-                listing: ListingId(r.u64()?),
-                token: TokenId(r.u64()?),
-            },
-            TAG_PAY_INTENT => ExchangeRecord::PayIntent {
-                listing: ListingId(r.u64()?),
-                token: TokenId(r.u64()?),
-                buyer: read_address(&mut r)?,
-                k_v: r.fr()?,
-                expected_commitment: r.fr()?,
-            },
-            TAG_PAY_DONE => ExchangeRecord::PayDone {
-                listing: ListingId(r.u64()?),
-                price: r.u128()?,
-            },
-            TAG_SETTLE_INTENT => ExchangeRecord::SettleIntent {
-                listing: ListingId(r.u64()?),
-                token: TokenId(r.u64()?),
-                k_v: r.fr()?,
-            },
-            TAG_PROVE_DONE => ExchangeRecord::ProveDone {
-                listing: ListingId(r.u64()?),
-            },
-            TAG_SETTLE_DONE => ExchangeRecord::SettleDone {
-                listing: ListingId(r.u64()?),
-            },
-            TAG_RETRIEVE_INTENT => ExchangeRecord::RetrieveIntent {
-                listing: ListingId(r.u64()?),
-                attempt: u32::try_from(r.u64()?)
-                    .map_err(|_| ZkdetError::Codec("attempt overflows u32".into()))?,
-            },
-            TAG_RETRIEVE_DONE => ExchangeRecord::RetrieveDone {
-                listing: ListingId(r.u64()?),
-            },
-            TAG_DECRYPT_DONE => ExchangeRecord::DecryptDone {
-                listing: ListingId(r.u64()?),
-            },
-            TAG_REFUND_INTENT => ExchangeRecord::RefundIntent {
-                listing: ListingId(r.u64()?),
-            },
-            TAG_REFUND_DONE => ExchangeRecord::RefundDone {
-                listing: ListingId(r.u64()?),
-            },
-            TAG_TERMINAL => ExchangeRecord::Terminal {
-                listing: ListingId(r.u64()?),
-                outcome: outcome_from_tag(r.u8()?)?,
-                reason: r.string()?,
-            },
-            TAG_SWAP_OFFER_INTENT => ExchangeRecord::SwapOfferIntent {
-                key: r.fr()?,
-                nonce: r.fr()?,
-                data: r.fr_vec()?,
-                price: r.u128()?,
-            },
-            TAG_SWAP_OFFER_DONE => ExchangeRecord::SwapOfferDone {
-                swap: SwapId(r.u64()?),
-            },
-            TAG_SWAP_ACCEPT_INTENT => ExchangeRecord::SwapAcceptIntent {
-                swap: SwapId(r.u64()?),
-                buyer: read_address(&mut r)?,
-                expected: r.fr_vec()?,
-                ciphertext: r.fr_vec()?,
-            },
-            TAG_SWAP_ACCEPT_DONE => ExchangeRecord::SwapAcceptDone {
-                swap: SwapId(r.u64()?),
-                payment: r.u128()?,
-            },
-            TAG_SWAP_REVEAL_INTENT => ExchangeRecord::SwapRevealIntent {
-                swap: SwapId(r.u64()?),
-            },
-            TAG_SWAP_REVEAL_DONE => ExchangeRecord::SwapRevealDone {
-                swap: SwapId(r.u64()?),
-            },
-            TAG_SWAP_FINISH_INTENT => ExchangeRecord::SwapFinishIntent {
-                swap: SwapId(r.u64()?),
-            },
-            TAG_SWAP_FINISH_DONE => ExchangeRecord::SwapFinishDone {
-                swap: SwapId(r.u64()?),
-                disputed: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    other => {
-                        return Err(ZkdetError::Codec(format!(
-                            "bad bool encoding {other}"
-                        )))
-                    }
-                },
-            },
-            other => {
-                return Err(ZkdetError::Codec(format!(
-                    "unknown journal record tag {other}"
-                )))
-            }
-        };
-        r.finish()?;
-        Ok(record)
-    }
-}
-
-fn read_address(r: &mut Reader<'_>) -> Result<Address, ZkdetError> {
-    let bytes = r.raw_bytes(20)?;
-    let mut out = [0u8; 20];
-    out.copy_from_slice(bytes);
-    Ok(Address(out))
 }
 
 /// The typed exchange journal: [`zkdet_wal::Wal`] framing underneath,
@@ -694,8 +496,9 @@ mod tests {
     use zkdet_field::Field;
 
     fn sample_records() -> Vec<ExchangeRecord> {
+        let (listing, swap) = (ListingId(3), SwapId(1));
         vec![
-            ExchangeRecord::ListIntent {
+            ExchangeRecord::ListIntent(ListIntent {
                 token: TokenId(7),
                 start_price: u128::from(u64::MAX) + 5,
                 floor_price: 50,
@@ -703,79 +506,105 @@ mod tests {
                 key_commitment: Fr::from(11u64),
                 key_opening: Fr::from(13u64),
                 predicate: "u8".into(),
-            },
-            ExchangeRecord::ListDone {
-                listing: ListingId(3),
+            }),
+            ExchangeRecord::ListDone(ListDone {
+                listing,
                 token: TokenId(7),
-            },
-            ExchangeRecord::PayIntent {
-                listing: ListingId(3),
+            }),
+            ExchangeRecord::PayIntent(PayIntent {
+                listing,
                 token: TokenId(7),
                 buyer: Address::from_seed(9),
                 k_v: Fr::from(17u64),
                 expected_commitment: Fr::from(19u64),
-            },
-            ExchangeRecord::PayDone {
-                listing: ListingId(3),
-                price: 77,
-            },
-            ExchangeRecord::SettleIntent {
-                listing: ListingId(3),
+            }),
+            ExchangeRecord::PayDone(PayDone { listing, price: 77 }),
+            ExchangeRecord::SettleIntent(SettleIntent {
+                listing,
                 token: TokenId(7),
                 k_v: Fr::from(17u64),
-            },
-            ExchangeRecord::ProveDone {
-                listing: ListingId(3),
-            },
-            ExchangeRecord::SettleDone {
-                listing: ListingId(3),
-            },
-            ExchangeRecord::RetrieveIntent {
-                listing: ListingId(3),
+            }),
+            ExchangeRecord::ProveDone(listing),
+            ExchangeRecord::SettleDone(listing),
+            ExchangeRecord::RetrieveIntent(RetrieveIntent {
+                listing,
                 attempt: 2,
-            },
-            ExchangeRecord::RetrieveDone {
-                listing: ListingId(3),
-            },
-            ExchangeRecord::DecryptDone {
-                listing: ListingId(3),
-            },
-            ExchangeRecord::RefundIntent {
-                listing: ListingId(3),
-            },
-            ExchangeRecord::RefundDone {
-                listing: ListingId(3),
-            },
-            ExchangeRecord::Terminal {
-                listing: ListingId(3),
+            }),
+            ExchangeRecord::RetrieveDone(listing),
+            ExchangeRecord::DecryptDone(listing),
+            ExchangeRecord::RefundIntent(listing),
+            ExchangeRecord::RefundDone(listing),
+            ExchangeRecord::Terminal(Terminal {
+                listing,
                 outcome: ExchangeOutcome::Refunded,
                 reason: "seller missed the settlement deadline".into(),
-            },
-            ExchangeRecord::SwapOfferIntent {
+            }),
+            ExchangeRecord::SwapOfferIntent(SwapOfferIntent {
                 key: Fr::from(23u64),
                 nonce: Fr::from(29u64),
                 data: vec![Fr::ZERO, Fr::from(31u64)],
                 price: 500,
-            },
-            ExchangeRecord::SwapOfferDone { swap: SwapId(1) },
-            ExchangeRecord::SwapAcceptIntent {
-                swap: SwapId(1),
+            }),
+            ExchangeRecord::SwapOfferDone(swap),
+            ExchangeRecord::SwapAcceptIntent(SwapAcceptIntent {
+                swap,
                 buyer: Address::from_seed(4),
                 expected: vec![Fr::from(1u64)],
                 ciphertext: vec![Fr::from(2u64), Fr::from(3u64)],
-            },
-            ExchangeRecord::SwapAcceptDone {
-                swap: SwapId(1),
-                payment: 500,
-            },
-            ExchangeRecord::SwapRevealIntent { swap: SwapId(1) },
-            ExchangeRecord::SwapRevealDone { swap: SwapId(1) },
-            ExchangeRecord::SwapFinishIntent { swap: SwapId(1) },
-            ExchangeRecord::SwapFinishDone {
-                swap: SwapId(1),
+            }),
+            ExchangeRecord::SwapAcceptDone(SwapAcceptDone { swap, payment: 500 }),
+            ExchangeRecord::SwapRevealIntent(swap),
+            ExchangeRecord::SwapRevealDone(swap),
+            ExchangeRecord::SwapFinishIntent(swap),
+            ExchangeRecord::SwapFinishDone(SwapFinishDone {
+                swap,
                 disputed: true,
-            },
+            }),
         ]
+    }
+
+    /// The WAL byte format, pinned: tag, field order and field width of
+    /// every record kind plus the traced frame. The literals were taken
+    /// from the codec as it stood before intents became named structs; a
+    /// change here is a format break, not a refactor.
+    #[test]
+    fn journal_bytes_are_pinned() {
+        const GOLDEN: [(&str, &str); 22] = [
+            ("list_intent", "0007000000000000000400000000000000010000000000000032000000000000000000000000000000010000000000000000000000000000000b000000000000000000000000000000000000000000000000000000000000000d0000000000000000000000000000000000000000000000000000000000000002000000000000007538"),
+            ("list_done", "0103000000000000000700000000000000"),
+            ("pay_intent", "0203000000000000000700000000000000588d22852c18d3b3988640b229271f78cf59719c11000000000000000000000000000000000000000000000000000000000000001300000000000000000000000000000000000000000000000000000000000000"),
+            ("pay_done", "0303000000000000004d000000000000000000000000000000"),
+            ("settle_intent", "04030000000000000007000000000000001100000000000000000000000000000000000000000000000000000000000000"),
+            ("prove_done", "050300000000000000"),
+            ("settle_done", "060300000000000000"),
+            ("retrieve_intent", "0703000000000000000200000000000000"),
+            ("retrieve_done", "080300000000000000"),
+            ("decrypt_done", "090300000000000000"),
+            ("refund_intent", "0a0300000000000000"),
+            ("refund_done", "0b0300000000000000"),
+            ("terminal", "0c030000000000000001250000000000000073656c6c6572206d69737365642074686520736574746c656d656e7420646561646c696e65"),
+            ("swap_offer_intent", "0d17000000000000000000000000000000000000000000000000000000000000001d00000000000000000000000000000000000000000000000000000000000000020000000000000000000000000000000000000000000000000000000000000000000000000000001f00000000000000000000000000000000000000000000000000000000000000f4010000000000000000000000000000"),
+            ("swap_offer_done", "0e0100000000000000"),
+            ("swap_accept_intent", "0f0100000000000000913acdd0ceb73a2b3b97c725e8146cec4e7b802701000000000000000100000000000000000000000000000000000000000000000000000000000000020000000000000002000000000000000000000000000000000000000000000000000000000000000300000000000000000000000000000000000000000000000000000000000000"),
+            ("swap_accept_done", "100100000000000000f4010000000000000000000000000000"),
+            ("swap_reveal_intent", "110100000000000000"),
+            ("swap_reveal_done", "120100000000000000"),
+            ("swap_finish_intent", "130100000000000000"),
+            ("swap_finish_done", "14010000000000000001"),
+            ("traced", "ffad0befbeadde00000703000000000000000200000000000000"),
+        ];
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let records = sample_records();
+        let traced = encode_frame(Some(0xdead_beef_0bad), &records[7]);
+        let got: Vec<(&str, String)> = records
+            .iter()
+            .map(|rec| (rec.step_name(), hex(&rec.to_bytes())))
+            .chain([("traced", hex(&traced))])
+            .collect();
+        assert_eq!(got.len(), GOLDEN.len());
+        for ((name, bytes), (want_name, want_bytes)) in got.iter().zip(GOLDEN) {
+            assert_eq!((*name, bytes.as_str()), (want_name, want_bytes));
+        }
     }
 
     #[test]
@@ -853,22 +682,18 @@ mod tests {
     fn append_stamps_the_ambient_trace() {
         let trace = zkdet_telemetry::TraceId::for_exchange(42);
         let mut wal = ExchangeWal::new();
-        wal.append(&ExchangeRecord::ProveDone {
-            listing: ListingId(1),
-        })
-        .unwrap();
+        wal.append(&ExchangeRecord::ProveDone(ListingId(1)))
+            .unwrap();
         {
             let _g = zkdet_telemetry::enter_trace(trace);
-            wal.append(&ExchangeRecord::SettleDone {
-                listing: ListingId(1),
-            })
-            .unwrap();
+            wal.append(&ExchangeRecord::SettleDone(ListingId(1)))
+                .unwrap();
         }
-        wal.append(&ExchangeRecord::Terminal {
+        wal.append(&ExchangeRecord::Terminal(Terminal {
             listing: ListingId(1),
             outcome: ExchangeOutcome::Settled,
             reason: String::new(),
-        })
+        }))
         .unwrap();
         let reopened = ExchangeWal::open(wal.durable_bytes().to_vec()).unwrap();
         let traced = reopened.traced_records().unwrap();
@@ -884,9 +709,7 @@ mod tests {
         let mut wal = ExchangeWal::new();
         wal.set_crash_after(1, CrashMode::Clean);
         let err = wal
-            .append(&ExchangeRecord::ProveDone {
-                listing: ListingId(0),
-            })
+            .append(&ExchangeRecord::ProveDone(ListingId(0)))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -921,13 +744,13 @@ mod tests {
                 kv_raw in 1u64..u64::MAX,
                 com_raw in 1u64..u64::MAX,
             ) {
-                let rec = ExchangeRecord::PayIntent {
+                let rec = ExchangeRecord::PayIntent(PayIntent {
                     listing: ListingId(listing),
                     token: TokenId(token),
                     buyer: Address::from_seed(addr_seed),
                     k_v: Fr::from(kv_raw),
                     expected_commitment: Fr::from(com_raw),
-                };
+                });
                 let bytes = rec.to_bytes();
                 prop_assert_eq!(ExchangeRecord::from_bytes(&bytes).unwrap(), rec);
             }

@@ -16,20 +16,20 @@
 //! (the [`DataOwner`] secrets) is durable key-management state outside
 //! this subsystem's scope.
 
+use std::collections::BTreeMap;
+
 use rand::Rng;
 use zkdet_chain::contracts::{ListingId, ListingState, SwapId, SwapState};
 use zkdet_chain::{Address, Event, TokenId, Wei};
-use zkdet_crypto::commitment::Opening;
-use zkdet_crypto::mimc::MimcCtr;
 use zkdet_crypto::poseidon::Poseidon;
-use zkdet_crypto::MerkleTree;
-use zkdet_field::Fr;
 
-use crate::dataset::Dataset;
 use crate::error::ZkdetError;
 use crate::exchange::{BuyerSession, ExchangeOutcome, ExchangeReport, SellerListing};
-use crate::fairswap::{FairSwapBuyer, FairSwapSeller};
-use crate::journal::{ExchangeRecord, ExchangeWal};
+use crate::fairswap::FairSwapBuyer;
+use crate::journal::{
+    ExchangeRecord, ExchangeWal, ListDone, ListIntent, PayDone, PayIntent, SettleIntent,
+    SwapAcceptDone, SwapAcceptIntent, SwapOfferIntent,
+};
 use crate::market::{DataOwner, Marketplace};
 
 /// Why a recovered exchange is in the state it is.
@@ -80,14 +80,16 @@ pub struct RecoveryReport {
     pub records_replayed: u64,
 }
 
-/// Replayed per-exchange progress, folded from the record stream.
+/// Replayed per-exchange progress, folded from the record stream. The
+/// intents are the journaled values themselves, handed back unchanged to
+/// the effect halves that first executed them.
 #[derive(Debug, Default)]
 struct Progress {
-    list_intent: Option<ListIntentData>,
+    list_intent: Option<ListIntent>,
     listing: Option<ListingId>,
-    pay_intent: Option<(Address, Fr, Fr)>, // (buyer, k_v, expected_commitment)
+    pay_intent: Option<PayIntent>,
     paid: Option<Wei>,
-    settle_k_v: Option<Fr>,
+    settle_intent: Option<SettleIntent>,
     settle_done: bool,
     retrieve_started: bool,
     refund_intent: bool,
@@ -95,22 +97,12 @@ struct Progress {
     terminal: Option<ExchangeOutcome>,
 }
 
-#[derive(Debug, Clone)]
-struct ListIntentData {
-    start_price: Wei,
-    floor_price: Wei,
-    decay_per_block: Wei,
-    key_commitment: Fr,
-    key_opening: Fr,
-    predicate: String,
-}
-
 /// Replayed per-swap progress.
 #[derive(Debug, Default)]
 struct SwapProgress {
-    offer_intent: Option<(Fr, Fr, Vec<Fr>, Wei)>, // (key, nonce, data, price)
+    offer_intent: Option<SwapOfferIntent>,
     swap: Option<SwapId>,
-    accept_intent: Option<(Address, Vec<Fr>, Vec<Fr>)>, // (buyer, expected, ciphertext)
+    accept_intent: Option<SwapAcceptIntent>,
     accepted: Option<Wei>,
     revealed: bool,
     finished: bool,
@@ -124,7 +116,7 @@ impl Progress {
             "refund"
         } else if self.retrieve_started {
             "retrieve"
-        } else if self.settle_done || self.settle_k_v.is_some() {
+        } else if self.settle_done || self.settle_intent.is_some() {
             "settle"
         } else if self.pay_intent.is_some() {
             "pay"
@@ -170,12 +162,13 @@ impl Marketplace {
         let mut replay_span = zkdet_telemetry::span("recovery.replay");
         zkdet_telemetry::counter_add("zkdet.recovery.replays", 1);
         let records = wal.records()?;
-        zkdet_telemetry::counter_add("zkdet.recovery.records_replayed", records.len() as u64);
-        replay_span.record("records", records.len() as u64);
+        let records_replayed = records.len() as u64;
+        zkdet_telemetry::counter_add("zkdet.recovery.records_replayed", records_replayed);
+        replay_span.record("records", records_replayed);
 
-        let (progress, swaps) = fold_records(&records);
+        let (progress, swaps) = fold_records(records);
         let mut report = RecoveryReport {
-            records_replayed: records.len() as u64,
+            records_replayed,
             ..RecoveryReport::default()
         };
 
@@ -221,69 +214,51 @@ impl Marketplace {
         }
 
         // 1. List intent without completion: find the listing on-chain by
-        //    its idempotency key, else re-create it with the journaled
-        //    commitment and opening.
-        let listing_id = if let Some(listing) = p.listing {
-            listing
-        } else {
-            let Some(intent) = p.list_intent.clone() else {
-                // A journal fragment with neither a listing nor the intent
-                // to create one — nothing to recover.
-                return Ok(RecoveredExchange {
-                    token,
-                    listing: None,
-                    resumed_from,
-                    outcome: RecoveryOutcome::Listed,
-                });
-            };
-            let found = self
-                .chain
-                .auction(&self.auction_addr)?
-                .listings()
-                .find(|(_, l)| {
-                    l.token == token
-                        && l.key_commitment == intent.key_commitment
-                        && seller.is_none_or(|s| l.seller == s.address)
-                })
-                .map(|(id, _)| id);
-            match (found, seller) {
-                (Some(listing), _) => {
-                    wal.append(&ExchangeRecord::ListDone { listing, token })?;
-                    listing
-                }
-                (None, Some(seller_owner)) => self.create_listing(
-                    wal,
-                    seller_owner.address,
-                    token,
-                    intent.start_price,
-                    intent.floor_price,
-                    intent.decay_per_block,
-                    intent.key_commitment,
-                    intent.predicate,
-                )?,
-                // The listing never landed and the seller is gone: the
-                // intent is abandoned with nothing durable to unwind.
-                (None, None) => {
-                    return Ok(RecoveredExchange {
-                        token,
-                        listing: None,
-                        resumed_from,
-                        outcome: RecoveryOutcome::Listed,
+        //    its idempotency key, else re-create it from the journaled
+        //    intent.
+        let unlisted = RecoveredExchange {
+            token,
+            listing: None,
+            resumed_from,
+            outcome: RecoveryOutcome::Listed,
+        };
+        let listing_id = match (p.listing, &p.list_intent) {
+            (Some(listing), _) => listing,
+            // A journal fragment with neither a listing nor the intent to
+            // create one — nothing to recover.
+            (None, None) => return Ok(unlisted),
+            (None, Some(intent)) => {
+                let found = self
+                    .chain
+                    .auction(&self.auction_addr)?
+                    .listings()
+                    .find(|(_, l)| {
+                        l.token == token
+                            && l.key_commitment == intent.key_commitment
+                            && seller.is_none_or(|s| l.seller == s.address)
                     })
+                    .map(|(id, _)| id);
+                match (found, seller) {
+                    (Some(listing), _) => {
+                        wal.append(&ExchangeRecord::ListDone(ListDone { listing, token }))?;
+                        listing
+                    }
+                    (None, Some(owner)) => self.create_listing(wal, owner.address, intent)?,
+                    // The listing never landed and the seller is gone: the
+                    // intent is abandoned with nothing durable to unwind.
+                    (None, None) => return Ok(unlisted),
                 }
             }
         };
 
         // No buyer engaged: the listing stands, nothing further to drive.
-        let Some((buyer_addr, k_v, expected_commitment)) = p.pay_intent else {
+        let Some(pay) = p.pay_intent else {
             return Ok(RecoveredExchange {
-                token,
                 listing: Some(listing_id),
-                resumed_from,
-                outcome: RecoveryOutcome::Listed,
+                ..unlisted
             });
         };
-        if buyer_addr != buyer.address {
+        if pay.buyer != buyer.address {
             return Err(ZkdetError::Protocol(
                 "journal's buyer does not match the recovering buyer".into(),
             ));
@@ -298,22 +273,30 @@ impl Marketplace {
             .clone();
         let price = match (p.paid, &listing_state) {
             (Some(price), _) => price,
-            (None, ListingState::Locked { buyer: b, payment, h_v, .. }) => {
-                if *b != buyer_addr || *h_v != Poseidon::hash(&[k_v]) {
+            (
+                None,
+                ListingState::Locked {
+                    buyer: b,
+                    payment,
+                    h_v,
+                    ..
+                },
+            ) => {
+                if *b != pay.buyer || *h_v != Poseidon::hash(&[pay.k_v]) {
                     return Err(ZkdetError::Protocol(
                         "listing is locked by a different buyer".into(),
                     ));
                 }
-                let payment = *payment;
-                wal.append(&ExchangeRecord::PayDone {
+                let price = *payment;
+                wal.append(&ExchangeRecord::PayDone(PayDone {
                     listing: listing_id,
-                    price: payment,
-                })?;
-                payment
+                    price,
+                }))?;
+                price
             }
             // The lock never landed: re-lock at the current clock price
             // with the journaled k_v.
-            (None, ListingState::Open) => self.lock_payment(wal, buyer_addr, listing_id, k_v)?,
+            (None, ListingState::Open) => self.lock_payment(wal, &pay)?,
             (None, _) => {
                 // Settled without a journaled payment: the lock landed in
                 // a previous life — reconstruct it from the chain's log.
@@ -328,14 +311,7 @@ impl Marketplace {
                 })?
             }
         };
-        let session = BuyerSession {
-            buyer: buyer_addr,
-            listing: listing_id,
-            token,
-            price,
-            k_v,
-            expected_commitment,
-        };
+        let session = BuyerSession::from_intent(&pay, price);
 
         // 3. Settle side: if the settlement has not landed and the seller
         //    can still settle, resume there (idempotent under replays).
@@ -346,21 +322,11 @@ impl Marketplace {
             && !p.refund_intent
             && !p.refund_done
         {
-            let settle_k_v = p.settle_k_v.unwrap_or(k_v);
-            if let (Some(seller_owner), Some(intent)) = (seller, p.list_intent.clone()) {
-                if seller_owner.secret(token).is_some() {
-                    let seller_listing = SellerListing {
-                        listing: listing_id,
-                        token,
-                        key_opening: Opening(intent.key_opening),
-                    };
-                    self.journaled_seller_settle(
-                        wal,
-                        seller_owner,
-                        &seller_listing,
-                        settle_k_v,
-                        rng,
-                    )?;
+            let k_v = p.settle_intent.map_or(pay.k_v, |settle| settle.k_v);
+            if let (Some(owner), Some(intent)) = (seller, &p.list_intent) {
+                if owner.secret(token).is_some() {
+                    let seller_listing = SellerListing::from_intent(intent, listing_id);
+                    self.journaled_seller_settle(wal, owner, &seller_listing, k_v, rng)?;
                 }
             }
         }
@@ -389,77 +355,65 @@ impl Marketplace {
         })?;
 
         // 1. Offer intent without completion: find the swap by its offer
-        //    roots, else re-post it with the journaled key material.
-        let swap = if let Some(swap) = sp.swap {
-            swap
-        } else {
-            let Some((key, nonce, data, price)) = sp.offer_intent.clone() else {
+        //    roots, else re-post it from the journaled intent.
+        let swap = match (sp.swap, &sp.offer_intent) {
+            (Some(swap), _) => swap,
+            (None, None) => {
                 return Ok(RecoveredSwap {
                     swap: None,
                     state: "unposted",
-                });
-            };
-            let ciphertext = MimcCtr::new(key, nonce).encrypt(&data);
-            let root_c = MerkleTree::new(&ciphertext.blocks).root();
-            let root_d = MerkleTree::new(&data).root();
-            let key_hash = Poseidon::hash(&[key]);
-            let found = self
-                .chain
-                .fairswap(&contract)?
-                .swaps()
-                .find(|(_, s)| {
-                    s.root_c == root_c && s.root_d == root_d && s.key_hash == key_hash
                 })
-                .map(|(id, _)| id);
-            match found {
-                Some(swap) => {
-                    wal.append(&ExchangeRecord::SwapOfferDone { swap })?;
-                    swap
-                }
-                None => {
-                    let seller_owner = seller.ok_or_else(|| {
-                        ZkdetError::Protocol(
-                            "journal has an unposted swap offer but no seller was supplied"
-                                .into(),
-                        )
-                    })?;
-                    let (state, _ct) = self.post_swap_offer(
-                        wal,
-                        contract,
-                        seller_owner,
-                        Dataset::from_entries(data.clone()),
-                        price,
-                        key,
-                        nonce,
-                    )?;
-                    state.swap
+            }
+            (None, Some(intent)) => {
+                let sealed = intent.seal();
+                let found = self
+                    .chain
+                    .fairswap(&contract)?
+                    .swaps()
+                    .find(|(_, s)| {
+                        s.root_c == sealed.root_c
+                            && s.root_d == sealed.root_d
+                            && s.key_hash == sealed.key_hash
+                    })
+                    .map(|(id, _)| id);
+                match (found, seller) {
+                    (Some(swap), _) => {
+                        wal.append(&ExchangeRecord::SwapOfferDone(swap))?;
+                        swap
+                    }
+                    (None, Some(owner)) => self.post_swap_offer(wal, contract, owner, intent)?.swap,
+                    (None, None) => {
+                        return Err(ZkdetError::Protocol(
+                            "journal has an unposted swap offer but no seller was supplied".into(),
+                        ))
+                    }
                 }
             }
         };
+        let state_of = |market: &Marketplace| -> Result<SwapState, ZkdetError> {
+            Ok(market.chain.fairswap(&contract)?.swap(swap)?.state.clone())
+        };
 
         // 2. Accept intent without completion: did the escrow land?
-        if let (Some((buyer_addr, ..)), None) = (&sp.accept_intent, sp.accepted) {
-            let state = self.chain.fairswap(&contract)?.swap(swap)?.state.clone();
-            match state {
-                SwapState::Offered => {
-                    let on_chain = self.chain.fairswap(&contract)?.swap(swap)?.clone();
-                    self.chain
-                        .fairswap_accept(contract, *buyer_addr, swap, on_chain.price)?;
-                    wal.append(&ExchangeRecord::SwapAcceptDone {
-                        swap,
-                        payment: on_chain.price,
-                    })?;
-                }
-                SwapState::Paid { buyer: b, payment }
-                | SwapState::Revealed {
-                    buyer: b, payment, ..
-                } => {
-                    if b != *buyer_addr {
+        if let (Some(intent), None) = (&sp.accept_intent, sp.accepted) {
+            match state_of(self)? {
+                // It did not: re-execute the intent through the checks the
+                // live step ran. Blocks that step rejected are rejected
+                // again — nothing is escrowed and the swap stays offered.
+                SwapState::Offered => match self.escrow_swap_accept(wal, contract, intent) {
+                    Ok(_) | Err(ZkdetError::Inconsistent(_)) => {}
+                    Err(e) => return Err(e),
+                },
+                SwapState::Paid { buyer, payment } | SwapState::Revealed { buyer, payment, .. } => {
+                    if buyer != intent.buyer {
                         return Err(ZkdetError::Protocol(
                             "swap is escrowed by a different buyer".into(),
                         ));
                     }
-                    wal.append(&ExchangeRecord::SwapAcceptDone { swap, payment })?;
+                    wal.append(&ExchangeRecord::SwapAcceptDone(SwapAcceptDone {
+                        swap,
+                        payment,
+                    }))?;
                 }
                 SwapState::Completed | SwapState::Refunded => {}
             }
@@ -467,50 +421,26 @@ impl Marketplace {
 
         // 3. Reveal: if the escrow stands and the key is not on-chain yet,
         //    the seller (if present, with the journaled key) reveals.
-        let state = self.chain.fairswap(&contract)?.swap(swap)?.state.clone();
-        if matches!(state, SwapState::Paid { .. }) && !sp.revealed {
-            if let (Some(seller_owner), Some((key, nonce, data, _price))) =
-                (seller, sp.offer_intent.clone())
-            {
-                let ciphertext = MimcCtr::new(key, nonce).encrypt(&data);
-                let seller_state = FairSwapSeller {
-                    swap,
-                    key,
-                    nonce,
-                    data: Dataset::from_entries(data),
-                    ciphertext_blocks: ciphertext.blocks,
-                };
-                self.journaled_fairswap_reveal(wal, contract, seller_owner, &seller_state)?;
+        if matches!(state_of(self)?, SwapState::Paid { .. }) && !sp.revealed {
+            if let (Some(owner), Some(intent)) = (seller, &sp.offer_intent) {
+                let seller_state = intent.seal().posted_as(swap, intent);
+                self.journaled_fairswap_reveal(wal, contract, owner, &seller_state)?;
             }
         }
 
         // 4. Finish: with a revealed key and journaled buyer blocks, the
         //    buyer decrypts and finishes or disputes.
-        let state = self.chain.fairswap(&contract)?.swap(swap)?.state.clone();
-        if matches!(state, SwapState::Revealed { .. }) && !sp.finished {
-            if let Some((buyer_addr, expected, ciphertext)) = sp.accept_intent.clone() {
-                let on_chain = self.chain.fairswap(&contract)?.swap(swap)?.clone();
-                let buyer_state = FairSwapBuyer {
-                    swap,
-                    buyer: buyer_addr,
-                    expected: MerkleTree::new(&expected),
-                    expected_blocks: expected,
-                    ciphertext: MerkleTree::new(&ciphertext),
-                    ciphertext_blocks: ciphertext,
-                    payment: match on_chain.state {
-                        SwapState::Revealed { payment, .. } => payment,
-                        _ => on_chain.price,
-                    },
-                };
-                // Finished or disputed: the state read below reports which.
-                let _ = self.journaled_fairswap_finish(wal, contract, &buyer_state)?;
-            }
+        if let (SwapState::Revealed { payment, .. }, false, Some(intent)) =
+            (state_of(self)?, sp.finished, &sp.accept_intent)
+        {
+            let buyer_state = FairSwapBuyer::from_intent(intent, payment);
+            // Finished or disputed: the state read below reports which.
+            let _ = self.journaled_fairswap_finish(wal, contract, &buyer_state)?;
         }
 
-        let state = self.chain.fairswap(&contract)?.swap(swap)?.state.clone();
         Ok(RecoveredSwap {
             swap: Some(swap),
-            state: match state {
+            state: match state_of(self)? {
                 SwapState::Offered => "offered",
                 SwapState::Paid { .. } => "paid",
                 SwapState::Revealed { .. } => "revealed",
@@ -521,176 +451,327 @@ impl Marketplace {
     }
 }
 
-/// Folds the record stream into per-exchange and per-swap progress.
-///
-/// Exchanges are keyed by token (the journal-level idempotency key: one
-/// active exchange per token per journal); swap records attach to the
-/// most recent offer without an id, or by swap id once assigned.
-fn fold_records(records: &[ExchangeRecord]) -> (Vec<(TokenId, Progress)>, Vec<SwapProgress>) {
-    let mut order: Vec<TokenId> = Vec::new();
-    let mut by_token: std::collections::BTreeMap<TokenId, Progress> =
-        std::collections::BTreeMap::new();
-    let mut listing_token: std::collections::BTreeMap<ListingId, TokenId> =
-        std::collections::BTreeMap::new();
-    let mut swaps: Vec<SwapProgress> = Vec::new();
+/// The fold's working state: exchanges keyed by token (the journal-level
+/// idempotency key: one active exchange per token per journal) in
+/// first-record order, the listing → token map that attaches id-only
+/// records, and the swaps in first-record order.
+#[derive(Default)]
+struct Fold {
+    order: Vec<TokenId>,
+    by_token: BTreeMap<TokenId, Progress>,
+    listing_token: BTreeMap<ListingId, TokenId>,
+    swaps: Vec<SwapProgress>,
+}
 
-    let touch = |order: &mut Vec<TokenId>,
-                     by_token: &mut std::collections::BTreeMap<TokenId, Progress>,
-                     token: TokenId|
-     -> TokenId {
-        by_token.entry(token).or_insert_with(|| {
-            order.push(token);
+impl Fold {
+    /// The exchange of `token`, opened on first sight.
+    fn token(&mut self, token: TokenId) -> &mut Progress {
+        self.by_token.entry(token).or_insert_with(|| {
+            self.order.push(token);
             Progress::default()
-        });
-        token
-    };
-    let swap_entry = |swaps: &mut Vec<SwapProgress>, id: SwapId| -> usize {
-        if let Some(i) = swaps.iter().position(|s| s.swap == Some(id)) {
-            return i;
-        }
-        swaps.push(SwapProgress {
-            swap: Some(id),
-            ..SwapProgress::default()
-        });
-        swaps.len() - 1
-    };
+        })
+    }
 
-    for rec in records {
-        match rec {
-            ExchangeRecord::ListIntent {
-                token,
-                start_price,
-                floor_price,
-                decay_per_block,
-                key_commitment,
-                key_opening,
-                predicate,
-            } => {
-                let t = touch(&mut order, &mut by_token, *token);
-                if let Some(p) = by_token.get_mut(&t) {
-                    p.list_intent = Some(ListIntentData {
-                        start_price: *start_price,
-                        floor_price: *floor_price,
-                        decay_per_block: *decay_per_block,
-                        key_commitment: *key_commitment,
-                        key_opening: *key_opening,
-                        predicate: predicate.clone(),
-                    });
-                }
-            }
-            ExchangeRecord::ListDone { listing, token } => {
-                let t = touch(&mut order, &mut by_token, *token);
-                listing_token.insert(*listing, t);
-                if let Some(p) = by_token.get_mut(&t) {
-                    p.listing = Some(*listing);
-                }
-            }
-            ExchangeRecord::PayIntent {
-                listing,
-                token,
-                buyer,
-                k_v,
-                expected_commitment,
-            } => {
-                let t = touch(&mut order, &mut by_token, *token);
-                listing_token.insert(*listing, t);
-                if let Some(p) = by_token.get_mut(&t) {
-                    p.listing = Some(*listing);
-                    p.pay_intent = Some((*buyer, *k_v, *expected_commitment));
-                }
-            }
-            ExchangeRecord::PayDone { listing, price } => {
-                if let Some(p) = listing_token.get(listing).and_then(|t| by_token.get_mut(t)) {
-                    p.paid = Some(*price);
-                }
-            }
-            ExchangeRecord::SettleIntent { listing, token, k_v } => {
-                let t = touch(&mut order, &mut by_token, *token);
-                listing_token.insert(*listing, t);
-                if let Some(p) = by_token.get_mut(&t) {
-                    p.listing = Some(*listing);
-                    p.settle_k_v = Some(*k_v);
-                }
-            }
-            ExchangeRecord::ProveDone { .. } => {
-                // Proving has no side effect; a replay simply re-proves.
-            }
-            ExchangeRecord::SettleDone { listing } => {
-                if let Some(p) = listing_token.get(listing).and_then(|t| by_token.get_mut(t)) {
-                    p.settle_done = true;
-                }
-            }
-            ExchangeRecord::RetrieveIntent { listing, .. }
-            | ExchangeRecord::RetrieveDone { listing }
-            | ExchangeRecord::DecryptDone { listing } => {
-                if let Some(p) = listing_token.get(listing).and_then(|t| by_token.get_mut(t)) {
-                    p.retrieve_started = true;
-                }
-            }
-            ExchangeRecord::RefundIntent { listing } => {
-                if let Some(p) = listing_token.get(listing).and_then(|t| by_token.get_mut(t)) {
-                    p.refund_intent = true;
-                }
-            }
-            ExchangeRecord::RefundDone { listing } => {
-                if let Some(p) = listing_token.get(listing).and_then(|t| by_token.get_mut(t)) {
-                    p.refund_done = true;
-                }
-            }
-            ExchangeRecord::Terminal {
-                listing, outcome, ..
-            } => {
-                if let Some(p) = listing_token.get(listing).and_then(|t| by_token.get_mut(t)) {
-                    p.terminal = Some(outcome.clone());
-                }
-            }
-            ExchangeRecord::SwapOfferIntent {
-                key,
-                nonce,
-                data,
-                price,
-            } => {
-                swaps.push(SwapProgress {
-                    offer_intent: Some((*key, *nonce, data.clone(), *price)),
-                    ..SwapProgress::default()
-                });
-            }
-            ExchangeRecord::SwapOfferDone { swap } => {
-                if let Some(sp) = swaps.iter_mut().rev().find(|s| s.swap.is_none()) {
-                    sp.swap = Some(*swap);
-                } else {
-                    let _ = swap_entry(&mut swaps, *swap);
-                }
-            }
-            ExchangeRecord::SwapAcceptIntent {
-                swap,
-                buyer,
-                expected,
-                ciphertext,
-            } => {
-                let i = swap_entry(&mut swaps, *swap);
-                swaps[i].accept_intent = Some((*buyer, expected.clone(), ciphertext.clone()));
-            }
-            ExchangeRecord::SwapAcceptDone { swap, payment } => {
-                let i = swap_entry(&mut swaps, *swap);
-                swaps[i].accepted = Some(*payment);
-            }
-            ExchangeRecord::SwapRevealIntent { .. } => {}
-            ExchangeRecord::SwapRevealDone { swap } => {
-                let i = swap_entry(&mut swaps, *swap);
-                swaps[i].revealed = true;
-            }
-            ExchangeRecord::SwapFinishIntent { .. } => {}
-            ExchangeRecord::SwapFinishDone { swap, .. } => {
-                let i = swap_entry(&mut swaps, *swap);
-                swaps[i].finished = true;
-            }
+    /// The exchange of `token`, now known to run as `listing`.
+    fn listed(&mut self, token: TokenId, listing: ListingId) -> &mut Progress {
+        self.listing_token.insert(listing, token);
+        let p = self.token(token);
+        p.listing = Some(listing);
+        p
+    }
+
+    /// Applies `f` to the exchange running as `listing`; a record whose
+    /// listing no earlier record tied to a token is ignored.
+    fn on_listing(&mut self, listing: ListingId, f: impl FnOnce(&mut Progress)) {
+        if let Some(p) = self
+            .listing_token
+            .get(&listing)
+            .and_then(|t| self.by_token.get_mut(t))
+        {
+            f(p);
         }
     }
 
+    /// The swap with id `swap`, opened by id on first sight.
+    fn swap(&mut self, swap: SwapId) -> &mut SwapProgress {
+        let i = self
+            .swaps
+            .iter()
+            .position(|s| s.swap == Some(swap))
+            .unwrap_or_else(|| {
+                self.swaps.push(SwapProgress {
+                    swap: Some(swap),
+                    ..SwapProgress::default()
+                });
+                self.swaps.len() - 1
+            });
+        &mut self.swaps[i]
+    }
+}
+
+/// Folds the record stream into per-exchange and per-swap progress, both
+/// in first-record order. A `SwapOfferDone` binds to the most recent offer
+/// without an id; every other swap record attaches by swap id.
+fn fold_records(records: Vec<ExchangeRecord>) -> (Vec<(TokenId, Progress)>, Vec<SwapProgress>) {
+    use ExchangeRecord as R;
+    let mut f = Fold::default();
+    for rec in records {
+        match rec {
+            R::ListIntent(intent) => {
+                let p = f.token(intent.token);
+                p.list_intent = Some(intent);
+            }
+            R::ListDone(done) => {
+                f.listed(done.token, done.listing);
+            }
+            R::PayIntent(intent) => {
+                let p = f.listed(intent.token, intent.listing);
+                p.pay_intent = Some(intent);
+            }
+            R::PayDone(done) => f.on_listing(done.listing, |p| p.paid = Some(done.price)),
+            R::SettleIntent(intent) => {
+                let p = f.listed(intent.token, intent.listing);
+                p.settle_intent = Some(intent);
+            }
+            R::SettleDone(listing) => f.on_listing(listing, |p| p.settle_done = true),
+            R::RetrieveIntent(intent) => {
+                f.on_listing(intent.listing, |p| p.retrieve_started = true)
+            }
+            R::RetrieveDone(listing) | R::DecryptDone(listing) => {
+                f.on_listing(listing, |p| p.retrieve_started = true);
+            }
+            R::RefundIntent(listing) => f.on_listing(listing, |p| p.refund_intent = true),
+            R::RefundDone(listing) => f.on_listing(listing, |p| p.refund_done = true),
+            R::Terminal(t) => f.on_listing(t.listing, |p| p.terminal = Some(t.outcome)),
+            R::SwapOfferIntent(intent) => f.swaps.push(SwapProgress {
+                offer_intent: Some(intent),
+                ..SwapProgress::default()
+            }),
+            R::SwapOfferDone(swap) => match f.swaps.iter_mut().rev().find(|s| s.swap.is_none()) {
+                Some(unposted) => unposted.swap = Some(swap),
+                None => {
+                    f.swap(swap);
+                }
+            },
+            R::SwapAcceptIntent(intent) => {
+                let sp = f.swap(intent.swap);
+                sp.accept_intent = Some(intent);
+            }
+            R::SwapAcceptDone(done) => f.swap(done.swap).accepted = Some(done.payment),
+            R::SwapRevealDone(swap) => f.swap(swap).revealed = true,
+            R::SwapFinishDone(done) => f.swap(done.swap).finished = true,
+            // No progress to note: proving has no side effect (a replay
+            // re-proves), and a reveal or finish intent is reconciled from
+            // the swap's on-chain state alone.
+            R::ProveDone(_) | R::SwapRevealIntent(_) | R::SwapFinishIntent(_) => {}
+        }
+    }
+    let Fold {
+        order,
+        mut by_token,
+        swaps,
+        ..
+    } = f;
     let progress = order
         .into_iter()
         .filter_map(|t| by_token.remove(&t).map(|p| (t, p)))
         .collect();
     (progress, swaps)
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+mod tests {
+    use super::*;
+    use crate::dataset::Dataset;
+    use crate::journal::{SwapFinishDone, Terminal};
+    use rand::{rngs::StdRng, SeedableRng};
+    use zkdet_field::Fr;
+
+    fn list_intent(token: u64) -> ExchangeRecord {
+        ExchangeRecord::ListIntent(ListIntent {
+            token: TokenId(token),
+            start_price: 100,
+            floor_price: 10,
+            decay_per_block: 1,
+            key_commitment: Fr::from(token),
+            key_opening: Fr::from(token + 1),
+            predicate: "any".into(),
+        })
+    }
+
+    fn list_done(listing: u64, token: u64) -> ExchangeRecord {
+        ExchangeRecord::ListDone(ListDone {
+            listing: ListingId(listing),
+            token: TokenId(token),
+        })
+    }
+
+    fn pay_intent(listing: u64, token: u64) -> ExchangeRecord {
+        ExchangeRecord::PayIntent(PayIntent {
+            listing: ListingId(listing),
+            token: TokenId(token),
+            buyer: Address::from_seed(1),
+            k_v: Fr::from(5u64),
+            expected_commitment: Fr::from(6u64),
+        })
+    }
+
+    fn pay_done(listing: u64, price: Wei) -> ExchangeRecord {
+        ExchangeRecord::PayDone(PayDone {
+            listing: ListingId(listing),
+            price,
+        })
+    }
+
+    fn terminal(listing: u64) -> ExchangeRecord {
+        ExchangeRecord::Terminal(Terminal {
+            listing: ListingId(listing),
+            outcome: ExchangeOutcome::Settled,
+            reason: String::new(),
+        })
+    }
+
+    fn swap_offer(key: u64) -> ExchangeRecord {
+        ExchangeRecord::SwapOfferIntent(SwapOfferIntent {
+            key: Fr::from(key),
+            nonce: Fr::from(1u64),
+            data: vec![Fr::from(2u64)],
+            price: 50,
+        })
+    }
+
+    #[test]
+    fn interleaved_tokens_fold_in_first_record_order() {
+        let (exchanges, swaps) = fold_records(vec![
+            list_intent(9),
+            list_intent(4),
+            list_done(0, 4),
+            list_done(1, 9),
+            pay_intent(1, 9),
+            pay_done(0, 40),
+            pay_done(1, 90),
+            ExchangeRecord::SettleDone(ListingId(0)),
+            terminal(1),
+        ]);
+        assert!(swaps.is_empty());
+        let tokens: Vec<u64> = exchanges.iter().map(|(t, _)| t.0).collect();
+        assert_eq!(tokens, [9, 4]);
+        let (nine, four) = (&exchanges[0].1, &exchanges[1].1);
+        assert_eq!((nine.listing, nine.paid), (Some(ListingId(1)), Some(90)));
+        assert_eq!(nine.terminal, Some(ExchangeOutcome::Settled));
+        assert_eq!(nine.pay_intent.as_ref().map(|i| i.token), Some(TokenId(9)));
+        let opening = nine.list_intent.as_ref().map(|i| i.key_opening);
+        assert_eq!(opening, Some(Fr::from(10u64)));
+        assert!(!nine.settle_done);
+        assert_eq!((four.listing, four.paid), (Some(ListingId(0)), Some(40)));
+        assert!(four.settle_done && four.pay_intent.is_none() && four.terminal.is_none());
+        assert_eq!(nine.resumed_from(), "terminal");
+        assert_eq!(four.resumed_from(), "settle");
+    }
+
+    #[test]
+    fn id_only_records_before_their_listing_is_known_are_ignored() {
+        // Listing 7 is tied to a token only by the last record: everything
+        // before it names a listing the fold cannot place, and must not
+        // land on the one exchange that is open.
+        let (exchanges, _) = fold_records(vec![
+            list_intent(3),
+            pay_done(7, 99),
+            ExchangeRecord::SettleDone(ListingId(7)),
+            ExchangeRecord::RefundDone(ListingId(7)),
+            terminal(7),
+            list_done(7, 3),
+        ]);
+        assert_eq!(exchanges.len(), 1);
+        let p = &exchanges[0].1;
+        assert_eq!((p.listing, p.paid), (Some(ListingId(7)), None));
+        assert!(p.terminal.is_none() && !p.settle_done && !p.refund_done);
+        assert_eq!(p.resumed_from(), "list");
+    }
+
+    #[test]
+    fn swap_offer_done_binds_to_the_latest_offer_without_an_id() {
+        let accept = |swap| {
+            ExchangeRecord::SwapAcceptDone(SwapAcceptDone {
+                swap: SwapId(swap),
+                payment: 50,
+            })
+        };
+        let (_, swaps) = fold_records(vec![
+            swap_offer(11),
+            ExchangeRecord::SwapOfferDone(SwapId(0)),
+            swap_offer(12),
+            swap_offer(13),
+            // Binds to offer 13, the latest without an id; 12 still waits.
+            ExchangeRecord::SwapOfferDone(SwapId(1)),
+            accept(1),
+            ExchangeRecord::SwapOfferDone(SwapId(2)),
+            // No offer is waiting for an id: opens an entry by id.
+            ExchangeRecord::SwapOfferDone(SwapId(5)),
+            ExchangeRecord::SwapRevealDone(SwapId(5)),
+            // So does any other record naming an unseen swap.
+            ExchangeRecord::SwapFinishDone(SwapFinishDone {
+                swap: SwapId(6),
+                disputed: false,
+            }),
+        ]);
+        let view: Vec<_> = swaps
+            .iter()
+            .map(|s| (s.offer_intent.as_ref().map(|i| i.key), s.swap.map(|id| id.0)))
+            .collect();
+        assert_eq!(
+            view,
+            [
+                (Some(Fr::from(11u64)), Some(0)),
+                (Some(Fr::from(12u64)), Some(2)),
+                (Some(Fr::from(13u64)), Some(1)),
+                (None, Some(5)),
+                (None, Some(6)),
+            ]
+        );
+        assert_eq!(swaps[2].accepted, Some(50));
+        assert!(swaps[3].revealed && !swaps[3].finished);
+        assert!(swaps[4].finished && !swaps[4].revealed);
+    }
+
+    #[test]
+    fn recovering_a_completed_journal_appends_nothing() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut m = Marketplace::bootstrap(1 << 12, 4, &mut rng).unwrap();
+        let (seller, mut buyer) = (m.register(), m.register());
+        let fs = m.deploy_fairswap_contract();
+        let mut wal = ExchangeWal::new();
+        // A key-secure exchange the journal already closed…
+        for rec in [list_intent(3), list_done(0, 3), pay_intent(0, 3), terminal(0)] {
+            wal.append(&rec).unwrap();
+        }
+        // …and a swap driven through every step.
+        let d = Dataset::from_entries((1..=4u64).map(Fr::from).collect());
+        let (s_state, ct) = m
+            .journaled_fairswap_offer(&mut wal, fs, &seller, d.clone(), 500, &mut rng)
+            .unwrap();
+        let b_state = m
+            .journaled_fairswap_accept(&mut wal, fs, &buyer, s_state.swap, ct, &d)
+            .unwrap();
+        m.journaled_fairswap_reveal(&mut wal, fs, &seller, &s_state)
+            .unwrap();
+        let got = m.journaled_fairswap_finish(&mut wal, fs, &b_state).unwrap();
+        assert_eq!(got.unwrap(), d);
+
+        let (count, digest) = (wal.record_count(), m.chain.export_digest());
+        for _ in 0..2 {
+            let report = m
+                .recover(&mut wal, Some(&seller), &mut buyer, Some(fs), &mut rng)
+                .unwrap();
+            assert!(matches!(
+                report.exchanges[0].outcome,
+                RecoveryOutcome::AlreadyTerminal(ExchangeOutcome::Settled)
+            ));
+            assert_eq!(report.swaps[0].state, "revealed");
+            assert_eq!(report.records_replayed, count);
+            assert_eq!(wal.record_count(), count);
+            assert_eq!(m.chain.export_digest(), digest);
+        }
+    }
 }

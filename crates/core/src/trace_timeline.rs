@@ -83,7 +83,7 @@ pub fn trace_timeline(
 mod tests {
     use super::*;
     use crate::exchange::ExchangeOutcome;
-    use crate::journal::ExchangeRecord;
+    use crate::journal::{ExchangeRecord, RetrieveIntent, Terminal};
     use zkdet_chain::contracts::ListingId;
 
     fn span(id: u64, name: &'static str, fields: Vec<(&'static str, u64)>) -> SpanRecord {
@@ -106,27 +106,27 @@ mod tests {
         let mut wal = ExchangeWal::new();
         {
             let _g = zkdet_telemetry::enter_trace(trace);
-            wal.append(&ExchangeRecord::RetrieveIntent {
+            wal.append(&ExchangeRecord::RetrieveIntent(RetrieveIntent {
                 listing: ListingId(1),
                 attempt: 1,
-            })
+            }))
             .unwrap();
         }
         {
             let _g = zkdet_telemetry::enter_trace(other);
-            wal.append(&ExchangeRecord::RetrieveIntent {
+            wal.append(&ExchangeRecord::RetrieveIntent(RetrieveIntent {
                 listing: ListingId(2),
                 attempt: 1,
-            })
+            }))
             .unwrap();
         }
         {
             let _g = zkdet_telemetry::enter_trace(trace);
-            wal.append(&ExchangeRecord::Terminal {
+            wal.append(&ExchangeRecord::Terminal(Terminal {
                 listing: ListingId(1),
                 outcome: ExchangeOutcome::Settled,
                 reason: String::new(),
-            })
+            }))
             .unwrap();
         }
 

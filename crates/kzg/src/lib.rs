@@ -182,40 +182,6 @@ impl Srs {
         multi_pairing(&[(lhs, self.g2), ((-proof.0.to_projective()).to_affine(), self.tau_g2)])
             == Fq12::ONE
     }
-
-    /// Batch-verifies openings of several commitments at a shared point,
-    /// folding with the random factor `r` (one multi-pairing total).
-    ///
-    /// Mismatched slice lengths are a malformed claim, not a caller bug —
-    /// the batch simply does not verify.
-    pub fn batch_verify_same_point(
-        &self,
-        commitments: &[KzgCommitment],
-        z: &Fr,
-        values: &[Fr],
-        proofs: &[KzgProof],
-        r: Fr,
-    ) -> bool {
-        zkdet_telemetry::counter_add("zkdet.kzg.batch_verify.calls", 1);
-        if commitments.len() != values.len() || commitments.len() != proofs.len() {
-            return false;
-        }
-        let mut acc_c = G1Projective::identity();
-        let mut acc_y = Fr::ZERO;
-        let mut acc_w = G1Projective::identity();
-        let mut pow = Fr::ONE;
-        for ((c, y), w) in commitments.iter().zip(values).zip(proofs) {
-            acc_c += c.0.to_projective() * pow;
-            acc_y += *y * pow;
-            acc_w += w.0.to_projective() * pow;
-            pow *= r;
-        }
-        let lhs = (acc_c - G1Projective::generator() * acc_y + acc_w * *z).to_affine();
-        multi_pairing(&[
-            (lhs, self.g2),
-            ((-acc_w).to_affine(), self.tau_g2),
-        ]) == Fq12::ONE
-    }
 }
 
 #[cfg(test)]
@@ -302,23 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_verify_same_point_works_and_rejects() {
-        let (srs, mut rng) = setup(16);
-        let polys: Vec<DensePolynomial> =
-            (0..4).map(|_| DensePolynomial::random(9, &mut rng)).collect();
-        let z = Fr::random(&mut rng);
-        let comms: Vec<_> = polys.iter().map(|p| srs.commit(p)).collect();
-        let opens: Vec<_> = polys.iter().map(|p| srs.open(p, &z)).collect();
-        let values: Vec<Fr> = opens.iter().map(|(y, _)| *y).collect();
-        let proofs: Vec<KzgProof> = opens.iter().map(|(_, w)| *w).collect();
-        let r = Fr::random(&mut rng);
-        assert!(srs.batch_verify_same_point(&comms, &z, &values, &proofs, r));
-        let mut bad = values.clone();
-        bad[2] += Fr::ONE;
-        assert!(!srs.batch_verify_same_point(&comms, &z, &bad, &proofs, r));
-    }
-
-    #[test]
     fn max_degree_enforced() {
         let (srs, mut rng) = setup(4);
         let p = DensePolynomial::random(4, &mut rng);
@@ -329,17 +278,6 @@ mod tests {
             srs.try_commit(&too_big),
             Err(KzgError::DegreeTooLarge { degree: 5, max: 4 })
         );
-    }
-
-    #[test]
-    fn batch_verify_rejects_length_mismatch_without_panicking() {
-        let (srs, mut rng) = setup(8);
-        let p = DensePolynomial::random(4, &mut rng);
-        let c = srs.commit(&p);
-        let z = Fr::random(&mut rng);
-        let (y, w) = srs.open(&p, &z);
-        assert!(!srs.batch_verify_same_point(&[c], &z, &[y, y], &[w], Fr::ONE));
-        assert!(!srs.batch_verify_same_point(&[c], &z, &[y], &[], Fr::ONE));
     }
 
     #[test]

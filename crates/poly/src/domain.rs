@@ -196,15 +196,6 @@ impl EvaluationDomain {
         }
         a
     }
-
-    /// Evaluates `Z_H(x) = xⁿ - 1` at every point of the coset `g·⟨ω⟩`
-    /// (constant across each coset element's `n`-th power: `gⁿωⁱⁿ = gⁿ`).
-    pub fn coset_vanishing_evals(&self) -> Vec<Fr> {
-        let g_n = self
-            .coset_shift
-            .pow(&[self.size as u64, 0, 0, 0]);
-        vec![g_n - Fr::ONE; self.size]
-    }
 }
 
 #[cfg(test)]
@@ -257,12 +248,7 @@ mod tests {
         for x in domain.elements() {
             assert_eq!(domain.evaluate_vanishing(&x), Fr::ZERO);
         }
-        let coset_vals = domain.coset_vanishing_evals();
-        assert_ne!(coset_vals[0], Fr::ZERO);
-        assert_eq!(
-            coset_vals[0],
-            domain.evaluate_vanishing(&domain.coset_shift())
-        );
+        assert_ne!(domain.evaluate_vanishing(&domain.coset_shift()), Fr::ZERO);
     }
 
     #[test]

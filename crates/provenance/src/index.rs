@@ -1,12 +1,12 @@
 //! The incrementally-maintained transformation-DAG index.
 //!
 //! One [`ProvenanceIndex`] owns the full mint/transform history of a token
-//! registry: for every node its parents and children, its depth, its
-//! position in a topological order, and whether it has been burned.
-//! Structure is maintained *at insert time* — parent-existence and
-//! acyclicity are rejected up front, so every query can assume a DAG —
-//! and ancestor/descendant sets are memoised behind the query surface so
-//! repeated lineage walks (the common auditing pattern) cost one lookup.
+//! registry: for every node its parents and children, its depth, and
+//! whether it has been burned. Structure is maintained *at insert time* —
+//! parent-existence and acyclicity are rejected up front, so every query
+//! can assume a DAG — and ancestor sets are memoised behind the query
+//! surface so repeated lineage walks (the common auditing pattern) cost
+//! one lookup.
 
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::sync::Arc;
@@ -93,34 +93,25 @@ mod metric {
 /// The indexed transformation DAG.
 ///
 /// Mutations (`insert`, `mark_burned`) take `&mut self`; queries take
-/// `&self` and memoise ancestor/descendant sets internally. Memoisation is
-/// sound because inserts can only *add leaves* (parents must pre-exist, so
-/// no new node ever becomes an ancestor of an existing one): ancestor sets
-/// of existing nodes never change on insert, and descendant sets are
-/// invalidated wholesale. Burns tombstone the node — edges are kept so
-/// lineage stays traceable through burned tokens — and drop both memo
-/// tables so any liveness-sensitive consumer re-derives.
+/// `&self` and memoise ancestor sets internally. Memoisation is sound
+/// because inserts can only *add leaves* (parents must pre-exist, so no
+/// new node ever becomes an ancestor of an existing one): ancestor sets of
+/// existing nodes never change on insert. Burns tombstone the node — edges
+/// are kept so lineage stays traceable through burned tokens — and drop
+/// the memo table so any liveness-sensitive consumer re-derives.
 #[derive(Default)]
 pub struct ProvenanceIndex {
     nodes: BTreeMap<NodeId, NodeRecord>,
-    /// Insertion order; a valid topological order by construction.
-    topo: Vec<NodeId>,
-    roots: BTreeSet<NodeId>,
     /// Memoised BFS ancestor lists (excluding the node itself).
     ancestors_memo: Mutex<BTreeMap<NodeId, Arc<Vec<NodeId>>>>,
-    /// Memoised BFS descendant lists (excluding the node itself).
-    descendants_memo: Mutex<BTreeMap<NodeId, Arc<Vec<NodeId>>>>,
 }
 
 impl Clone for ProvenanceIndex {
     fn clone(&self) -> Self {
         ProvenanceIndex {
             nodes: self.nodes.clone(),
-            topo: self.topo.clone(),
-            roots: self.roots.clone(),
-            // Memos restart cold; they are a cache, not state.
+            // The memo restarts cold; it is a cache, not state.
             ancestors_memo: Mutex::new(BTreeMap::new()),
-            descendants_memo: Mutex::new(BTreeMap::new()),
         }
     }
 }
@@ -129,7 +120,6 @@ impl core::fmt::Debug for ProvenanceIndex {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("ProvenanceIndex")
             .field("nodes", &self.nodes.len())
-            .field("roots", &self.roots.len())
             .finish()
     }
 }
@@ -205,10 +195,6 @@ impl ProvenanceIndex {
                 burned: false,
             },
         );
-        self.topo.push(id);
-        if parents.is_empty() {
-            self.roots.insert(id);
-        }
         // Dedupe the reverse edges so a repeated parent (allowed in
         // prevIds[]) does not double-link the child.
         let mut linked = BTreeSet::new();
@@ -219,16 +205,14 @@ impl ProvenanceIndex {
                 }
             }
         }
-        // Ancestor memos of existing nodes are untouched by a new leaf;
-        // descendant memos of its ancestors are now stale.
-        self.descendants_memo.lock().clear();
+        // Ancestor memos of existing nodes are untouched by a new leaf.
         zkdet_telemetry::counter_add(metric::INSERTS, 1);
         Ok(())
     }
 
     /// Tombstones a node. Edges are kept — burned ancestors still appear
-    /// in lineage queries, mirroring `prevIds[]` on-chain — but both memo
-    /// tables are dropped so liveness-sensitive consumers re-derive.
+    /// in lineage queries, mirroring `prevIds[]` on-chain — but the memo
+    /// table is dropped so liveness-sensitive consumers re-derive.
     ///
     /// # Errors
     ///
@@ -237,7 +221,6 @@ impl ProvenanceIndex {
         let rec = self.nodes.get_mut(&id).ok_or(DagError::UnknownNode(id))?;
         rec.burned = true;
         self.ancestors_memo.lock().clear();
-        self.descendants_memo.lock().clear();
         zkdet_telemetry::counter_add(metric::BURNS, 1);
         Ok(())
     }
@@ -251,18 +234,6 @@ impl ProvenanceIndex {
         self.nodes
             .get(&id)
             .map(|n| n.parents.as_slice())
-            .ok_or(DagError::UnknownNode(id))
-    }
-
-    /// The node's direct children, in mint order.
-    ///
-    /// # Errors
-    ///
-    /// [`DagError::UnknownNode`] for unindexed nodes.
-    pub fn children(&self, id: NodeId) -> Result<&[NodeId], DagError> {
-        self.nodes
-            .get(&id)
-            .map(|n| n.children.as_slice())
             .ok_or(DagError::UnknownNode(id))
     }
 
@@ -303,16 +274,6 @@ impl ProvenanceIndex {
             .ok_or(DagError::UnknownNode(id))
     }
 
-    /// All root (parentless) nodes, ascending.
-    pub fn roots(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.roots.iter().copied()
-    }
-
-    /// A full topological order of the index (parents before children).
-    pub fn topo_order(&self) -> &[NodeId] {
-        &self.topo
-    }
-
     /// All ancestors of `id` in BFS order (nearest first, excluding `id`
     /// itself), exactly the paper's `prevIds[]` walk. Memoised: the first
     /// call costs O(sub-DAG), repeats cost one map lookup.
@@ -321,17 +282,30 @@ impl ProvenanceIndex {
     ///
     /// [`DagError::UnknownNode`] for unindexed nodes.
     pub fn ancestors(&self, id: NodeId) -> Result<Arc<Vec<NodeId>>, DagError> {
-        self.walk_memo(id, true)
-    }
-
-    /// All descendants of `id` in BFS order (nearest first, excluding `id`
-    /// itself). Memoised; invalidated whenever any node is inserted.
-    ///
-    /// # Errors
-    ///
-    /// [`DagError::UnknownNode`] for unindexed nodes.
-    pub fn descendants(&self, id: NodeId) -> Result<Arc<Vec<NodeId>>, DagError> {
-        self.walk_memo(id, false)
+        if !self.nodes.contains_key(&id) {
+            return Err(DagError::UnknownNode(id));
+        }
+        if let Some(hit) = self.ancestors_memo.lock().get(&id) {
+            zkdet_telemetry::counter_add(metric::MEMO_HITS, 1);
+            return Ok(hit.clone());
+        }
+        zkdet_telemetry::counter_add(metric::MEMO_MISSES, 1);
+        let mut out = Vec::new();
+        let mut queue = VecDeque::from([id]);
+        let mut seen = BTreeSet::from([id]);
+        while let Some(cur) = queue.pop_front() {
+            if let Some(rec) = self.nodes.get(&cur) {
+                for n in &rec.parents {
+                    if seen.insert(*n) {
+                        out.push(*n);
+                        queue.push_back(*n);
+                    }
+                }
+            }
+        }
+        let out = Arc::new(out);
+        self.ancestors_memo.lock().insert(id, out.clone());
+        Ok(out)
     }
 
     /// True when `ancestor` is reachable upward from `descendant`
@@ -346,39 +320,6 @@ impl ProvenanceIndex {
             return Err(DagError::UnknownNode(ancestor));
         }
         Ok(self.ancestors(descendant)?.contains(&ancestor))
-    }
-
-    fn walk_memo(&self, id: NodeId, up: bool) -> Result<Arc<Vec<NodeId>>, DagError> {
-        if !self.nodes.contains_key(&id) {
-            return Err(DagError::UnknownNode(id));
-        }
-        let memo = if up {
-            &self.ancestors_memo
-        } else {
-            &self.descendants_memo
-        };
-        if let Some(hit) = memo.lock().get(&id) {
-            zkdet_telemetry::counter_add(metric::MEMO_HITS, 1);
-            return Ok(hit.clone());
-        }
-        zkdet_telemetry::counter_add(metric::MEMO_MISSES, 1);
-        let mut out = Vec::new();
-        let mut queue = VecDeque::from([id]);
-        let mut seen = BTreeSet::from([id]);
-        while let Some(cur) = queue.pop_front() {
-            if let Some(rec) = self.nodes.get(&cur) {
-                let next = if up { &rec.parents } else { &rec.children };
-                for n in next {
-                    if seen.insert(*n) {
-                        out.push(*n);
-                        queue.push_back(*n);
-                    }
-                }
-            }
-        }
-        let out = Arc::new(out);
-        memo.lock().insert(id, out.clone());
-        Ok(out)
     }
 
     /// The sub-DAG rooted (downward) at `id` — `id` plus all ancestors — in
@@ -485,25 +426,12 @@ mod tests {
         let again = idx.ancestors(n(4)).unwrap();
         assert!(Arc::ptr_eq(&anc, &again));
 
-        let desc = idx.descendants(n(0)).unwrap();
-        assert_eq!(*desc, vec![n(2), n(3), n(4)]);
-
         assert!(idx.reaches(n(4), n(0)).unwrap());
         assert!(!idx.reaches(n(0), n(4)).unwrap());
         assert!(!idx.reaches(n(0), n(0)).unwrap());
 
         assert_eq!(idx.depth(n(0)).unwrap(), 0);
         assert_eq!(idx.depth(n(4)).unwrap(), 3);
-        assert_eq!(idx.roots().collect::<Vec<_>>(), vec![n(0), n(1)]);
-    }
-
-    #[test]
-    fn descendant_memo_invalidated_by_insert() {
-        let mut idx = ProvenanceIndex::new();
-        idx.insert(n(0), fr(1), &[], "original").unwrap();
-        assert!(idx.descendants(n(0)).unwrap().is_empty());
-        idx.insert(n(1), fr(2), &[n(0)], "duplication").unwrap();
-        assert_eq!(*idx.descendants(n(0)).unwrap(), vec![n(1)]);
     }
 
     #[test]
@@ -544,7 +472,9 @@ mod tests {
         let mut idx = ProvenanceIndex::new();
         idx.insert(n(0), fr(1), &[], "original").unwrap();
         idx.insert(n(1), fr(2), &[n(0), n(0)], "processing").unwrap();
-        assert_eq!(idx.children(n(0)).unwrap(), &[n(1)]);
         assert_eq!(*idx.ancestors(n(1)).unwrap(), vec![n(0)]);
+        // A double reverse link would drive the child's in-degree below
+        // zero in Kahn's walk.
+        assert_eq!(idx.canonical_lineage(n(1)).unwrap(), vec![n(0), n(1)]);
     }
 }

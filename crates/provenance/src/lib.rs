@@ -5,11 +5,11 @@
 //! transformation DAG and everything auditors do with it:
 //!
 //! * [`ProvenanceIndex`] — an incrementally-maintained index over
-//!   mint/transform/burn events: parent/child adjacency, roots, depths,
-//!   topological order. Parent-existence and cycles are rejected at
-//!   insert, so every query may assume a DAG. Ancestor/descendant sets are
-//!   memoised (invalidated on burn), so the repeated lineage walks of an
-//!   audit cost O(sub-DAG) once and a lookup after;
+//!   mint/transform/burn events: parent/child adjacency and depths.
+//!   Parent-existence and cycles are rejected at insert, so every query
+//!   may assume a DAG. Ancestor sets are memoised (invalidated on burn),
+//!   so the repeated lineage walks of an audit cost O(sub-DAG) once and a
+//!   lookup after;
 //! * [`AuditCache`] — remembers which `(token, proof, vk, statement)`
 //!   combinations already verified, so re-auditing a token whose ancestors
 //!   were audited before verifies only the new edges (keys are SHA-256

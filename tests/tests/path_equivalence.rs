@@ -236,7 +236,7 @@ fn plain_and_journaled_fairswap_agree() {
         assert!(
             matches!(
                 records.last(),
-                Some(ExchangeRecord::SwapFinishDone { disputed, .. }) if *disputed == cheat
+                Some(ExchangeRecord::SwapFinishDone(done)) if done.disputed == cheat
             ),
             "cheat={cheat}: {:?}",
             records.last()
