@@ -1,7 +1,10 @@
-//! `zkdet_analyzer` — the CI gate for workspace determinism.
+//! `zkdet_analyzer` — the CI gate for circuit soundness and workspace
+//! determinism.
 //!
-//! Scans every workspace crate's sources with the determinism lint and
-//! emits a deterministic `zkdet-analyzer-v1` JSON report. Exit status:
+//! Runs the circuit pass over every registered protocol circuit (with the
+//! two-seed structural-digest cross-check), scans every workspace crate's
+//! sources with the determinism lint, and emits one deterministic
+//! `zkdet-analyzer-v2` JSON report. Exit status:
 //!
 //! * `0` — no unallowed finding at or above the threshold (default:
 //!   `warning`);
@@ -19,8 +22,9 @@
 
 use std::process::ExitCode;
 
-use zkdet_analyzer::report::scan_to_value;
-use zkdet_analyzer::{scan_workspace, Severity};
+use zkdet_analyzer::circuit::digest_hex;
+use zkdet_analyzer::report::to_value;
+use zkdet_analyzer::{check_registry, scan_workspace, Finding, Severity};
 
 struct Options {
     root: String,
@@ -56,12 +60,32 @@ fn parse_args(args: &[String]) -> Result<Options, ()> {
     Ok(opts)
 }
 
+/// Prints the findings that gate at `min`, returning how many did.
+fn print_gating(findings: &[Finding], min: Severity) -> usize {
+    let gating: Vec<&Finding> = findings.iter().filter(|f| f.gates(min)).collect();
+    for f in &gating {
+        let at = if f.file.is_empty() {
+            String::new()
+        } else {
+            format!("{}:{} ", f.file, f.line)
+        };
+        println!(
+            "  [{}] {at}{}: {}",
+            f.severity().label(),
+            f.rule.slug(),
+            f.message
+        );
+    }
+    gating.len()
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Ok(opts) = parse_args(&args) else {
         return usage();
     };
 
+    let circuits = check_registry();
     let scan = match scan_workspace(std::path::Path::new(&opts.root)) {
         Ok(scan) => scan,
         Err(e) => {
@@ -70,29 +94,30 @@ fn main() -> ExitCode {
         }
     };
 
-    let gating: Vec<_> = scan.gating(opts.threshold).collect();
+    let mut gating = 0;
+    for c in &circuits {
+        let dof = &c.analysis.dof;
+        println!(
+            "{:<24} gates={:<5} classes={:<5} free={:<5} digest={}…  {} finding(s)",
+            c.name,
+            dof.gates,
+            dof.copy_classes,
+            dof.free_classes,
+            &digest_hex(c.digest)[..16],
+            c.analysis.findings.len(),
+        );
+        gating += print_gating(&c.analysis.findings, opts.threshold);
+    }
     let allowed = scan.findings.iter().filter(|f| f.allowed.is_some()).count();
     println!(
-        "scanned {} files: {} finding(s), {} allowlisted, {} gating at '{}'",
+        "scanned {} files: {} finding(s), {} allowlisted",
         scan.files_scanned,
         scan.findings.len(),
         allowed,
-        gating.len(),
-        opts.threshold.label(),
     );
-    for f in &gating {
-        println!(
-            "  [{}] {}:{} {}: {}",
-            f.rule.severity().label(),
-            f.file,
-            f.line,
-            f.rule.slug(),
-            f.message
-        );
-    }
+    gating += print_gating(&scan.findings, opts.threshold);
 
-    let report = scan_to_value(&scan, opts.threshold, &opts.root);
-    let encoded = report.encode_pretty();
+    let encoded = to_value(&circuits, &scan, opts.threshold, &opts.root).encode_pretty();
     if let Some(path) = &opts.json_out {
         if let Err(e) = std::fs::write(path, &encoded) {
             eprintln!("zkdet_analyzer: cannot write {path}: {e}");
@@ -101,12 +126,12 @@ fn main() -> ExitCode {
         println!("report written to {path}");
     }
 
-    if gating.is_empty() {
+    if gating == 0 {
+        println!("0 gating at '{}'", opts.threshold.label());
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "zkdet_analyzer: {} finding(s) at or above '{}'",
-            gating.len(),
+            "zkdet_analyzer: {gating} finding(s) at or above '{}'",
             opts.threshold.label()
         );
         ExitCode::from(1)

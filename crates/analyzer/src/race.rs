@@ -1,7 +1,7 @@
 //! Schedule-log race detector: a vector-clock happens-before checker over
 //! the declared World-state accesses of a `zkdet-exec` run.
 //!
-//! ## Model (DESIGN.md §17)
+//! ## Model (DESIGN.md §12.5)
 //!
 //! Tasks declare semantic protocol resources they touch —
 //! `(shard, key, read|write)` via [`zkdet_exec::TaskCx::declare_read`] /

@@ -1,7 +1,7 @@
 //! The source-level determinism lint.
 //!
 //! Scans every workspace crate's sources with the hand-rolled lexer and
-//! flags token patterns that break replay determinism (DESIGN.md §17).
+//! flags token patterns that break replay determinism (DESIGN.md §12.4).
 //! Intentional sites are suppressed — auditably, with a reason — by an
 //! adjacent allow directive:
 //!
@@ -94,13 +94,13 @@ pub fn scan_source(file: &str, src: &str, class: FileClass) -> Vec<Finding> {
             continue;
         };
         if reason.is_empty() {
-            findings.push(Finding {
-                rule: Rule::AllowMissingReason,
-                file: file.to_string(),
-                line: c.line,
-                message: format!("allow({slug}) has no reason"),
-                allowed: None,
-            });
+            findings.push(
+                Finding::new(
+                    Rule::AllowMissingReason,
+                    format!("allow({slug}) has no reason"),
+                )
+                .at_line(file, c.line),
+            );
         }
         directives.push(AllowDirective {
             rule,
@@ -113,13 +113,7 @@ pub fn scan_source(file: &str, src: &str, class: FileClass) -> Vec<Finding> {
     let names: BTreeSet<&str> = hash_bindings.iter().map(|(n, _, _)| n.as_str()).collect();
 
     let mut push = |rule: Rule, line: u32, message: String| {
-        findings.push(Finding {
-            rule,
-            file: file.to_string(),
-            line,
-            message,
-            allowed: None,
-        });
+        findings.push(Finding::new(rule, message).at_line(file, line));
     };
 
     let ident = |i: usize| -> Option<&str> {
@@ -472,13 +466,13 @@ fn codec_type_findings(
         }
         for (field, tok_idx, line) in hash_bindings {
             if *tok_idx > *open && *tok_idx < *close {
-                out.push(Finding {
-                    rule: Rule::HashInCodecType,
-                    file: file.to_string(),
-                    line: *line,
-                    message: format!("hash-collection field `{field}` in codec type `{name}`"),
-                    allowed: None,
-                });
+                out.push(
+                    Finding::new(
+                        Rule::HashInCodecType,
+                        format!("hash-collection field `{field}` in codec type `{name}`"),
+                    )
+                    .at_line(file, *line),
+                );
             }
         }
     }
@@ -492,15 +486,6 @@ pub struct ScanReport {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-}
-
-impl ScanReport {
-    /// Findings that gate (not allowlisted) at or above `min`.
-    pub fn gating(&self, min: crate::rules::Severity) -> impl Iterator<Item = &Finding> {
-        self.findings
-            .iter()
-            .filter(move |f| f.allowed.is_none() && f.rule.severity() >= min)
-    }
 }
 
 /// Scans the workspace rooted at `root`: every `crates/*/src/**/*.rs` and
@@ -691,7 +676,7 @@ mod tests {
             findings[0].allowed.as_deref(),
             Some("measurement only, never scheduling")
         );
-        assert_eq!(findings[0].effective_severity(), Severity::Info);
+        assert_eq!(findings[0].severity(), Severity::Info);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! ```
 //!
 //! Exit status 1 if any `*_ns` measurement regressed by more than 15%
-//! (warnings at 5% are printed but pass). Artefact pairs measured over
+//! (warnings at 5% are printed but pass; a delta under 50 µs never
+//! counts, whatever its percentage). Artefact pairs measured over
 //! different workloads — differing `meta.bench_seed`, changed sweep
 //! shape — are skipped with a warning instead of producing a bogus
 //! verdict; a fresh artefact missing entirely is likewise a skip (the
@@ -20,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use zkdet_bench::diff::{render, DiffOutcome};
-use zkdet_bench::{diff_reports, Severity};
+use zkdet_bench::{diff_reports, Verdict};
 use zkdet_telemetry::Value;
 
 fn load(path: &Path) -> Result<Value, String> {
@@ -74,7 +75,7 @@ fn run(baseline_dir: &Path, fresh_dir: &Path) -> Result<bool, String> {
         if matches!(outcome, DiffOutcome::Compared(_)) {
             compared += 1;
         }
-        if outcome.worst() == Severity::Fail {
+        if outcome.worst() == Verdict::Fail {
             regressed = true;
         }
     }

@@ -11,6 +11,9 @@
 //!   nudge to refresh the baseline);
 //! * otherwise → within noise.
 //!
+//! A delta smaller than [`FLOOR_MICROS`] in absolute terms is within noise
+//! whatever its percentage: a 1 µs row reading 2 µs is +100 % of nothing.
+//!
 //! Comparisons are refused — skipped with a warning, never failed — when
 //! the two artefacts did not measure the same workload: different
 //! `meta.bench_seed`, different row counts, or a missing/duplicate
@@ -23,10 +26,14 @@ use zkdet_telemetry::Value;
 pub const FAIL_PCT: f64 = 15.0;
 /// Percent slowdown above which a measurement draws a warning.
 pub const WARN_PCT: f64 = 5.0;
+/// Absolute delta below which a measurement is within noise (50 000 for
+/// `_ns` keys). The smallest real timing row, `fig_storage` repair at
+/// ≈ 785 µs, still fails a 15 % slowdown (118 µs).
+pub const FLOOR_MICROS: u64 = 50;
 
 /// Classification of one measurement's delta.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Severity {
+pub enum Verdict {
     /// Within noise (±[`WARN_PCT`]).
     Ok,
     /// Faster than baseline by more than [`WARN_PCT`].
@@ -53,7 +60,7 @@ pub struct RowDelta {
     /// Percent change, positive = slower.
     pub delta_pct: f64,
     /// Classification against the thresholds.
-    pub severity: Severity,
+    pub verdict: Verdict,
 }
 
 /// The result of diffing one artefact pair.
@@ -66,19 +73,19 @@ pub enum DiffOutcome {
 }
 
 impl DiffOutcome {
-    /// The worst severity across the comparison ([`Severity::Ok`] for a
+    /// The worst verdict across the comparison ([`Verdict::Ok`] for a
     /// skip — skips are surfaced separately, they are not failures).
-    pub fn worst(&self) -> Severity {
+    pub fn worst(&self) -> Verdict {
         match self {
-            DiffOutcome::Skipped(_) => Severity::Ok,
+            DiffOutcome::Skipped(_) => Verdict::Ok,
             DiffOutcome::Compared(deltas) => {
-                let mut worst = Severity::Ok;
+                let mut worst = Verdict::Ok;
                 for d in deltas {
-                    worst = match (worst, d.severity) {
-                        (_, Severity::Fail) | (Severity::Fail, _) => Severity::Fail,
-                        (_, Severity::Warn) | (Severity::Warn, _) => Severity::Warn,
-                        (_, Severity::Improved) | (Severity::Improved, _) => Severity::Improved,
-                        _ => Severity::Ok,
+                    worst = match (worst, d.verdict) {
+                        (_, Verdict::Fail) | (Verdict::Fail, _) => Verdict::Fail,
+                        (_, Verdict::Warn) | (Verdict::Warn, _) => Verdict::Warn,
+                        (_, Verdict::Improved) | (Verdict::Improved, _) => Verdict::Improved,
+                        _ => Verdict::Ok,
                     };
                 }
                 worst
@@ -91,23 +98,32 @@ fn meta_u64(artefact: &Value, key: &str) -> Option<u64> {
     artefact.get("meta")?.get(key)?.as_u64()
 }
 
-fn classify(base: u64, fresh: u64) -> (f64, Severity) {
-    if base == 0 {
-        // A zero baseline cannot yield a ratio; flag any growth softly.
-        let sev = if fresh == 0 { Severity::Ok } else { Severity::Warn };
-        return (0.0, sev);
-    }
-    let pct = (fresh as f64 - base as f64) * 100.0 / base as f64;
-    let sev = if pct > FAIL_PCT {
-        Severity::Fail
-    } else if pct > WARN_PCT {
-        Severity::Warn
-    } else if pct < -WARN_PCT {
-        Severity::Improved
+fn classify(key: &str, base: u64, fresh: u64) -> (f64, Verdict) {
+    let floor = if key.ends_with("_ns") {
+        FLOOR_MICROS * 1_000
     } else {
-        Severity::Ok
+        FLOOR_MICROS
     };
-    (pct, sev)
+    // A zero baseline cannot yield a ratio; growth past the floor warns.
+    let pct = if base == 0 {
+        0.0
+    } else {
+        (fresh as f64 - base as f64) * 100.0 / base as f64
+    };
+    let verdict = if base.abs_diff(fresh) < floor {
+        Verdict::Ok
+    } else if base == 0 {
+        Verdict::Warn
+    } else if pct > FAIL_PCT {
+        Verdict::Fail
+    } else if pct > WARN_PCT {
+        Verdict::Warn
+    } else if pct < -WARN_PCT {
+        Verdict::Improved
+    } else {
+        Verdict::Ok
+    };
+    (pct, verdict)
 }
 
 /// Timing measurement keys: nanosecond rows from the proving benches and
@@ -192,7 +208,7 @@ pub fn diff_reports(base: &Value, fresh: &Value) -> Result<DiffOutcome, String> 
                     "fresh rows[{i}] lacks {key} — measurement set changed"
                 )));
             };
-            let (delta_pct, severity) = classify(base_ns, fresh_ns);
+            let (delta_pct, verdict) = classify(key, base_ns, fresh_ns);
             deltas.push(RowDelta {
                 row: i,
                 label: row_label(b_row),
@@ -200,7 +216,7 @@ pub fn diff_reports(base: &Value, fresh: &Value) -> Result<DiffOutcome, String> 
                 base: base_ns,
                 fresh: fresh_ns,
                 delta_pct,
-                severity,
+                verdict,
             });
         }
     }
@@ -217,11 +233,11 @@ pub fn render(name: &str, outcome: &DiffOutcome) -> String {
         DiffOutcome::Compared(deltas) => {
             out.push_str(&format!("{name}: {} measurements\n", deltas.len()));
             for d in deltas {
-                let tag = match d.severity {
-                    Severity::Ok => "     ok",
-                    Severity::Improved => " faster",
-                    Severity::Warn => "   WARN",
-                    Severity::Fail => "REGRESS",
+                let tag = match d.verdict {
+                    Verdict::Ok => "     ok",
+                    Verdict::Improved => " faster",
+                    Verdict::Warn => "   WARN",
+                    Verdict::Fail => "REGRESS",
                 };
                 out.push_str(&format!(
                     "  [{tag}] row {:>2} {:<24} {:<12} {:>14} -> {:>14}  {:+.1}%\n",
@@ -266,13 +282,13 @@ mod tests {
         let base = artefact(1, &[1_000_000, 2_000_000]);
         let fresh = artefact(1, &[1_200_000, 2_000_000]);
         let outcome = diff_reports(&base, &fresh).unwrap();
-        assert_eq!(outcome.worst(), Severity::Fail);
+        assert_eq!(outcome.worst(), Verdict::Fail);
         let DiffOutcome::Compared(deltas) = &outcome else {
             panic!("expected a comparison");
         };
         let bad = deltas
             .iter()
-            .find(|d| d.severity == Severity::Fail)
+            .find(|d| d.verdict == Verdict::Fail)
             .expect("the regressed row");
         assert_eq!(bad.key, "pi_e_ns");
         assert_eq!(bad.row, 0);
@@ -285,17 +301,17 @@ mod tests {
         let base = artefact(1, &[1_000_000]);
         let fresh = artefact(1, &[1_100_000]);
         let outcome = diff_reports(&base, &fresh).unwrap();
-        assert_eq!(outcome.worst(), Severity::Warn);
+        assert_eq!(outcome.worst(), Verdict::Warn);
     }
 
     #[test]
     fn identical_runs_are_clean_and_speedups_are_noted() {
         let base = artefact(1, &[1_000_000]);
-        assert_eq!(diff_reports(&base, &base).unwrap().worst(), Severity::Ok);
+        assert_eq!(diff_reports(&base, &base).unwrap().worst(), Verdict::Ok);
         let fresh = artefact(1, &[800_000]);
         assert_eq!(
             diff_reports(&base, &fresh).unwrap().worst(),
-            Severity::Improved
+            Verdict::Improved
         );
     }
 
@@ -305,7 +321,7 @@ mod tests {
         let fresh = artefact(2, &[9_000_000]); // 9× slower — but a different workload
         let outcome = diff_reports(&base, &fresh).unwrap();
         assert!(matches!(&outcome, DiffOutcome::Skipped(r) if r.contains("bench_seed")));
-        assert_eq!(outcome.worst(), Severity::Ok);
+        assert_eq!(outcome.worst(), Verdict::Ok);
     }
 
     #[test]
@@ -327,8 +343,41 @@ mod tests {
     #[test]
     fn zero_baseline_never_divides() {
         let base = artefact(1, &[0]);
-        let fresh = artefact(1, &[5]);
-        let outcome = diff_reports(&base, &fresh).unwrap();
-        assert_eq!(outcome.worst(), Severity::Warn);
+        let outcome = diff_reports(&base, &artefact(1, &[5])).unwrap();
+        assert_eq!(outcome.worst(), Verdict::Ok);
+        let outcome = diff_reports(&base, &artefact(1, &[60_000])).unwrap();
+        assert_eq!(outcome.worst(), Verdict::Warn);
+    }
+
+    #[test]
+    fn sub_floor_deltas_do_not_regress() {
+        let storage = |repair: &[u64]| {
+            let rows: Vec<Value> = repair
+                .iter()
+                .map(|us| Value::object().with("repair_micros", *us))
+                .collect();
+            Value::object()
+                .with("meta", Value::object().with("bench_seed", 1u64))
+                .with("rows", rows)
+        };
+        // `fig_storage` row 0: 1 → 2 µs is +100 % of one microsecond.
+        let base = storage(&[1, 785]);
+        assert_eq!(
+            diff_reports(&base, &storage(&[2, 785])).unwrap().worst(),
+            Verdict::Ok
+        );
+        // The smallest real row still fails a 15 % (118 µs) slowdown.
+        assert_eq!(
+            diff_reports(&base, &storage(&[1, 903])).unwrap().worst(),
+            Verdict::Fail
+        );
+        // `_ns` keys floor at 50 000 ns.
+        let base = artefact(1, &[40_000]);
+        assert_eq!(
+            diff_reports(&base, &artefact(1, &[80_000]))
+                .unwrap()
+                .worst(),
+            Verdict::Ok
+        );
     }
 }

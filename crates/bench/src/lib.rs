@@ -23,7 +23,7 @@
 pub mod diff;
 pub mod report;
 
-pub use diff::{diff_reports, DiffOutcome, RowDelta, Severity, FAIL_PCT, WARN_PCT};
+pub use diff::{diff_reports, DiffOutcome, RowDelta, Verdict, FAIL_PCT, WARN_PCT};
 pub use report::{check, init_telemetry, write_profile, BenchReport, SCHEMA};
 
 use std::time::{Duration, Instant};

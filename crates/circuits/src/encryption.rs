@@ -50,7 +50,7 @@ impl EncryptionCircuit {
     }
 
     /// Synthesizes the constraint system without finalizing it — the
-    /// pre-build [`CircuitBuilder`] is what `zkdet-lint` analyzes.
+    /// pre-build [`CircuitBuilder`] is what `zkdet-analyzer` analyzes.
     pub fn synthesize_builder(
         &self,
         plaintext: &[Fr],

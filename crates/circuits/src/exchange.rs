@@ -99,7 +99,7 @@ impl<P: ValidationPredicate> ValidationCircuit<P> {
     }
 
     /// Synthesizes the constraint system without finalizing it — the
-    /// pre-build [`CircuitBuilder`] is what `zkdet-lint` analyzes.
+    /// pre-build [`CircuitBuilder`] is what `zkdet-analyzer` analyzes.
     pub fn synthesize_builder(&self, data: &[Fr], c_d: &Commitment, o_d: &Opening) -> CircuitBuilder {
         assert_eq!(data.len(), self.len);
         let mut b = CircuitBuilder::new();
@@ -146,7 +146,7 @@ impl KeyNegotiationCircuit {
     }
 
     /// Synthesizes the constraint system without finalizing it — the
-    /// pre-build [`CircuitBuilder`] is what `zkdet-lint` analyzes.
+    /// pre-build [`CircuitBuilder`] is what `zkdet-analyzer` analyzes.
     pub fn synthesize_builder(
         &self,
         key: Fr,

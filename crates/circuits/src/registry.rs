@@ -1,7 +1,7 @@
 //! The lintable circuit registry: every protocol circuit the scheme ships,
 //! instantiated at a representative shape with a seeded witness.
 //!
-//! `zkdet-lint`'s `circuit_lint` binary walks this list, analyzes each
+//! The `zkdet_analyzer` binary walks this list, analyzes each
 //! pre-build [`CircuitBuilder`], and fails CI on soundness findings. The
 //! registry is also the anchor for the witness-independence property: for a
 //! fixed entry, [`RegisteredCircuit::builder`] called with two different

@@ -54,7 +54,7 @@ impl DuplicationCircuit {
     }
 
     /// Synthesizes the constraint system without finalizing it — the
-    /// pre-build [`CircuitBuilder`] is what `zkdet-lint` analyzes.
+    /// pre-build [`CircuitBuilder`] is what `zkdet-analyzer` analyzes.
     pub fn synthesize_builder(
         &self,
         source: &[Fr],
@@ -115,7 +115,7 @@ impl AggregationCircuit {
     }
 
     /// Synthesizes the constraint system without finalizing it — the
-    /// pre-build [`CircuitBuilder`] is what `zkdet-lint` analyzes.
+    /// pre-build [`CircuitBuilder`] is what `zkdet-analyzer` analyzes.
     pub fn synthesize_builder(
         &self,
         sources: &[Vec<Fr>],
@@ -196,7 +196,7 @@ impl PartitionCircuit {
     }
 
     /// Synthesizes the constraint system without finalizing it — the
-    /// pre-build [`CircuitBuilder`] is what `zkdet-lint` analyzes.
+    /// pre-build [`CircuitBuilder`] is what `zkdet-analyzer` analyzes.
     pub fn synthesize_builder(
         &self,
         source: &[Fr],

@@ -298,7 +298,7 @@ impl Task<MarketWorld> for ExchangeMachine {
         // Every step mutates this exchange's lifecycle state (listing,
         // session, settlement) — a token-unique resource, so healthy
         // workloads stay conflict-free while a second writer of the same
-        // exchange would trip the race detector (DESIGN.md §17).
+        // exchange would trip the race detector (DESIGN.md §12.5).
         cx.declare_write(
             self.spec.shard as u32,
             &format!("exchange/{}", self.spec.token.0),
@@ -555,7 +555,7 @@ impl Task<MarketWorld> for MaintenanceDaemon {
 
     fn step(&mut self, world: &mut MarketWorld, cx: &mut TaskCx<'_>) -> Result<Step, TaskError> {
         // The daemon is the sole declared writer of its shard's block
-        // clock and repair scheduler (DESIGN.md §17).
+        // clock and repair scheduler (DESIGN.md §12.5).
         cx.declare_write(self.shard as u32, &format!("chain-blocks/{}", self.shard));
         cx.declare_write(self.shard as u32, &format!("storage-repairs/{}", self.shard));
         let shard = world.sharded.shard_mut(self.shard);
@@ -594,7 +594,7 @@ impl Task<MarketWorld> for BatcherDaemon {
 
     fn step(&mut self, world: &mut MarketWorld, cx: &mut TaskCx<'_>) -> Result<Step, TaskError> {
         // Sole declared owner of the drain side of the verify batcher
-        // (enqueues are any-order by design — DESIGN.md §17).
+        // (enqueues are any-order by design — DESIGN.md §12.5).
         cx.declare_write(0, "verify-batcher");
         if let Some(job) = self.inflight.take() {
             let verdicts = *cx
@@ -697,7 +697,7 @@ impl Task<MarketWorld> for SwapMachine {
     fn step(&mut self, world: &mut MarketWorld, cx: &mut TaskCx<'_>) -> Result<Step, TaskError> {
         // Before the contract assigns a swap id the machine's only
         // footprint is its own offer; afterwards every step writes the
-        // id-unique swap resource (DESIGN.md §17).
+        // id-unique swap resource (DESIGN.md §12.5).
         let declared_shard = self.spec.shard as u32;
         match &self.phase {
             SwapPhase::Offer => {

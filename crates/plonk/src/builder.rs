@@ -40,7 +40,7 @@ pub(crate) struct GateWires {
 }
 
 /// Read-only view of one gate row — selectors plus wire variables — for
-/// analysis tooling (`zkdet-lint`). The view exposes the *pre-build* gate
+/// analysis tooling (`zkdet-analyzer`). The view exposes the *pre-build* gate
 /// list: public-input rows and power-of-two padding are added by
 /// [`CircuitBuilder::build`] and are not part of a gadget's own structure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

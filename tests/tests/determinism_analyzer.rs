@@ -1,5 +1,5 @@
 //! Integration gates for the workspace determinism analyzer
-//! (DESIGN.md §17): the schedule-log race detector and the byte-identity
+//! (DESIGN.md §12): the schedule-log race detector and the byte-identity
 //! of replay-visible state exports.
 //!
 //! Three layers:
@@ -265,7 +265,11 @@ fn workspace_scan_has_no_gating_findings() {
         .expect("workspace root");
     let report = zkdet_analyzer::scan_workspace(root).expect("scan workspace");
     assert!(report.files_scanned > 100, "scanned {}", report.files_scanned);
-    let gating: Vec<_> = report.gating(Severity::Warning).collect();
+    let gating: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.gates(Severity::Warning))
+        .collect();
     assert!(
         gating.is_empty(),
         "workspace determinism lint found gating findings:\n{}",
