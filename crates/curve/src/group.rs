@@ -7,6 +7,7 @@
 use core::fmt::Debug;
 use core::marker::PhantomData;
 use core::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
+use std::sync::OnceLock;
 
 use rand::Rng;
 use serde::{de::DeserializeOwned, Deserialize, Serialize};
@@ -76,9 +77,13 @@ impl CurveParams for G2 {
     // ξ = 9 + i is a fixed nonzero constant, so the inverse always exists.
     #[allow(clippy::expect_used)]
     fn b() -> Fq2 {
-        // b' = 3 / ξ with ξ = 9 + i.
-        let xi = Fq2::new(Fq::from(9u64), Fq::ONE);
-        Fq2::from(3u64) * xi.inverse().expect("ξ ≠ 0")
+        // b' = 3 / ξ with ξ = 9 + i, computed once: curve checks on every
+        // G2 decode and every Miller-loop doubling read it.
+        static B: OnceLock<Fq2> = OnceLock::new();
+        *B.get_or_init(|| {
+            let xi = Fq2::new(Fq::from(9u64), Fq::ONE);
+            Fq2::from(3u64) * xi.inverse().expect("ξ ≠ 0")
+        })
     }
 
     fn generator_xy() -> (Fq2, Fq2) {
@@ -495,6 +500,12 @@ mod tests {
     fn generators_on_curve() {
         assert!(G1Affine::generator().is_on_curve());
         assert!(G2Affine::generator().is_on_curve());
+    }
+
+    #[test]
+    fn twist_coefficient_times_xi_is_three() {
+        let xi = Fq2::new(Fq::from(9u64), Fq::ONE);
+        assert_eq!(G2::b() * xi, Fq2::from(3u64));
     }
 
     #[test]
