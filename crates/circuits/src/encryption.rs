@@ -10,9 +10,10 @@
 //! of §IV-B) — the dataset is referenced through its commitment everywhere
 //! else.
 
-use zkdet_crypto::commitment::{Commitment, Opening};
-use zkdet_crypto::mimc::Ciphertext;
-use zkdet_field::Fr;
+use rand::Rng;
+use zkdet_crypto::commitment::{Commitment, CommitmentScheme, Opening};
+use zkdet_crypto::mimc::{Ciphertext, MimcCtr};
+use zkdet_field::{Field, Fr};
 use zkdet_plonk::{CircuitBuilder, CompiledCircuit};
 
 use crate::gadgets::{mimc_ctr_encrypt, poseidon_commit};
@@ -93,6 +94,16 @@ impl EncryptionCircuit {
         b
     }
 
+    /// A satisfied instance: random plaintext, key, nonce and blinder.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> CircuitBuilder {
+        let plaintext: Vec<Fr> = (0..self.num_blocks).map(|_| Fr::random(rng)).collect();
+        let key = Fr::random(rng);
+        let nonce = Fr::random(rng);
+        let ct = MimcCtr::new(key, nonce).encrypt(&plaintext);
+        let (c, o) = CommitmentScheme::commit(&plaintext, rng);
+        self.synthesize_builder(&plaintext, key, &ct, &c, &o)
+    }
+
     /// The public-input vector a verifier should check a `π_e` proof
     /// against.
     pub fn public_inputs(&self, ciphertext: &Ciphertext, commitment: &Commitment) -> Vec<Fr> {
@@ -108,9 +119,6 @@ impl EncryptionCircuit {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
-    use zkdet_crypto::commitment::CommitmentScheme;
-    use zkdet_crypto::mimc::MimcCtr;
-    use zkdet_field::Field;
     use zkdet_kzg::Srs;
     use zkdet_plonk::Plonk;
 

@@ -9,9 +9,10 @@
 //!   `Open(k, c, o) = 1 ∧ h_v = H(k_v) ∧ k_c = k + k_v`, which lets the
 //!   arbiter verify the blinded key `k_c` without ever learning `k`.
 
-use zkdet_crypto::commitment::{Commitment, Opening};
+use rand::Rng;
+use zkdet_crypto::commitment::{Commitment, CommitmentScheme, Opening};
 use zkdet_crypto::poseidon::Poseidon;
-use zkdet_field::Fr;
+use zkdet_field::{Field, Fr};
 use zkdet_plonk::{CircuitBuilder, CompiledCircuit, Variable};
 
 use crate::gadgets::{assert_range, poseidon_commit, vec_sum, Fixed};
@@ -120,6 +121,19 @@ impl<P: ValidationPredicate> ValidationCircuit<P> {
     }
 }
 
+impl ValidationCircuit<RangePredicate> {
+    /// A satisfied instance: random `bits`-bit entries under a fresh commitment.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> CircuitBuilder {
+        let shift = 64usize.saturating_sub(self.predicate.bits);
+        let mask = u64::MAX.checked_shr(shift as u32).unwrap_or(0);
+        let data: Vec<Fr> = (0..self.len)
+            .map(|_| Fr::from(rng.gen::<u64>() & mask))
+            .collect();
+        let (c_d, o_d) = CommitmentScheme::commit(&data, rng);
+        self.synthesize_builder(&data, &c_d, &o_d)
+    }
+}
+
 /// The `π_k` key-negotiation circuit.
 ///
 /// Statement: `(k_c, c, h_v)` — the blinded key, the key commitment held by
@@ -179,6 +193,14 @@ impl KeyNegotiationCircuit {
         b
     }
 
+    /// A satisfied instance: random key, buyer key and blinder.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> CircuitBuilder {
+        let key = Fr::random(rng);
+        let buyer_key = Fr::random(rng);
+        let (c, o) = CommitmentScheme::commit_scalar(key, rng);
+        self.synthesize_builder(key, buyer_key, &c, &o)
+    }
+
     /// Public inputs `[k_c, c, h_v]` for a given exchange.
     pub fn public_inputs(k_c: Fr, c: &Commitment, h_v: Fr) -> Vec<Fr> {
         vec![k_c, c.0, h_v]
@@ -190,8 +212,6 @@ impl KeyNegotiationCircuit {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
-    use zkdet_field::Field;
-    use zkdet_crypto::commitment::CommitmentScheme;
     use zkdet_kzg::Srs;
     use zkdet_plonk::Plonk;
 

@@ -7,8 +7,9 @@
 //! `π_{e_s} ∧ π_t ∧ π_{e_d}` proves the full claim without re-proving
 //! encryption at every step.
 
-use zkdet_crypto::commitment::{Commitment, Opening};
-use zkdet_field::Fr;
+use rand::Rng;
+use zkdet_crypto::commitment::{Commitment, CommitmentScheme, Opening};
+use zkdet_field::{Field, Fr};
 use zkdet_plonk::{CircuitBuilder, CompiledCircuit, Variable};
 
 use crate::gadgets::poseidon_commit;
@@ -24,6 +25,10 @@ fn commit_open(
     let c_computed = poseidon_commit(b, data, o);
     b.assert_equal(c_computed, c_pub);
     c_pub
+}
+
+fn random_entries<R: Rng + ?Sized>(len: usize, rng: &mut R) -> Vec<Fr> {
+    (0..len).map(|_| Fr::random(rng)).collect()
 }
 
 /// Duplication (§IV-D 1): `D = S` with `n = m`, proven over commitments.
@@ -71,6 +76,14 @@ impl DuplicationCircuit {
         commit_open(&mut b, &s, o_s.0, c_s.0);
         commit_open(&mut b, &s, o_d.0, c_d.0);
         b
+    }
+
+    /// A satisfied instance: random data under two fresh commitments.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> CircuitBuilder {
+        let data = random_entries(self.len, rng);
+        let (c_s, o_s) = CommitmentScheme::commit(&data, rng);
+        let (c_d, o_d) = CommitmentScheme::commit(&data, rng);
+        self.synthesize_builder(&data, &c_s, &o_s, &c_d, &o_d)
     }
 
     /// Public inputs: `[c_s, c_d]`.
@@ -142,6 +155,21 @@ impl AggregationCircuit {
             commit_open(&mut b, wires, o.0, c.0);
         }
         b
+    }
+
+    /// A satisfied instance: random sources, each and their concatenation committed.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> CircuitBuilder {
+        let sources: Vec<Vec<Fr>> = self
+            .source_lens
+            .iter()
+            .map(|len| random_entries(*len, rng))
+            .collect();
+        let commits: Vec<(Commitment, Opening)> = sources
+            .iter()
+            .map(|source| CommitmentScheme::commit(source, rng))
+            .collect();
+        let (c_d, o_d) = CommitmentScheme::commit(&sources.concat(), rng);
+        self.synthesize_builder(&sources, &commits, &c_d, &o_d)
     }
 
     /// Public inputs: `[c_d, c_{s₁}, …, c_{sₓ}]`.
@@ -218,6 +246,23 @@ impl PartitionCircuit {
         b
     }
 
+    /// A satisfied instance: a random source, committed whole and per part.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> CircuitBuilder {
+        let source = random_entries(self.source_len(), rng);
+        let (c_s, o_s) = CommitmentScheme::commit(&source, rng);
+        let mut offset = 0;
+        let parts: Vec<(Commitment, Opening)> = self
+            .part_lens
+            .iter()
+            .map(|len| {
+                let part = &source[offset..offset + len];
+                offset += len;
+                CommitmentScheme::commit(part, rng)
+            })
+            .collect();
+        self.synthesize_builder(&source, &c_s, &o_s, &parts)
+    }
+
     /// Public inputs: `[c_s, c_{d₁}, …, c_{d_y}]`.
     pub fn public_inputs(&self, c_s: &Commitment, parts: &[Commitment]) -> Vec<Fr> {
         let mut pi = vec![c_s.0];
@@ -231,8 +276,6 @@ impl PartitionCircuit {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
-    use zkdet_crypto::commitment::CommitmentScheme;
-    use zkdet_field::Field;
     use zkdet_kzg::Srs;
     use zkdet_plonk::Plonk;
 

@@ -73,6 +73,36 @@ pub struct ProofBundle {
 }
 
 impl ProofBundle {
+    /// Whether the sizes `π_t` carries fit the token's own verified length
+    /// `self.len`, its `parents` count and the SRS's `max_degree`: every
+    /// part non-empty, as many sources as parents, the sources summing to
+    /// `len`, the indexed part `len` long. The bundle comes from untrusted
+    /// storage, and these sizes pick the circuit a key is derived from.
+    pub(crate) fn shape_fits(&self, parents: usize, max_degree: usize) -> bool {
+        let sizes = |lens: &[usize]| !lens.is_empty() && !lens.contains(&0);
+        let sum = |lens: &[usize]| lens.iter().try_fold(0usize, |s, l| s.checked_add(*l));
+        match &self.pi_t {
+            Some(TransformProof::Duplication { len, .. }) => *len == self.len,
+            Some(TransformProof::Aggregation { source_lens, .. }) => {
+                sizes(source_lens)
+                    && source_lens.len() == parents
+                    && sum(source_lens) == Some(self.len)
+            }
+            Some(TransformProof::Partition {
+                part_lens,
+                part_index,
+                part_commitments,
+                ..
+            }) => {
+                sizes(part_lens)
+                    && part_lens.len() == part_commitments.len()
+                    && part_lens.get(*part_index) == Some(&self.len)
+                    && sum(part_lens).is_some_and(|total| total <= max_degree)
+            }
+            None | Some(TransformProof::Processing { .. }) => true,
+        }
+    }
+
     /// Serializes the bundle for storage.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();

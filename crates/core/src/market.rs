@@ -10,17 +10,17 @@
 //! [`MarketConfig::keys`] together with the SRS it is derived from. It is
 //! never process-global — a new deployment starts empty, which keeps a
 //! replayed run's schedule identical. π_e/π_t/π_k entries are keyed by
-//! their public sizes; π_p, whose predicate is the caller's, by a digest of
-//! the compiled circuit. Keys are derived once and reused — the
-//! universal-setup property the paper evaluates in Fig. 5.
+//! their public sizes and derived from the circuit's own sampler, so no
+//! lookup takes an rng or builds a witness; π_p, whose predicate is the
+//! caller's, is keyed by a digest of the compiled circuit and derived from
+//! it. Keys are derived once and reused — the universal-setup property the
+//! paper evaluates in Fig. 5.
 
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::Rng;
 use zkdet_chain::{Address, Blockchain, TokenId, TokenMeta, TransformKind};
-use zkdet_circuits::exchange::KeyNegotiationCircuit;
 use zkdet_circuits::{AggregationCircuit, DuplicationCircuit, EncryptionCircuit, PartitionCircuit};
 use zkdet_crypto::commitment::{Commitment, CommitmentScheme, Opening};
 use zkdet_crypto::mimc::{Ciphertext, MimcCtr};
@@ -105,8 +105,8 @@ pub struct RobustnessMetrics {
     pub retrievals: u64,
     /// Full lookup attempts across all fetches (≥ `retrievals`).
     pub attempts: u64,
-    /// Redundant replica probes issued after drops, stale records or slow
-    /// replicas.
+    /// Redundant share probes issued after drops, stale records or slow
+    /// share holders.
     pub hedges: u64,
     /// Nodes quarantined for serving corrupt bytes.
     pub quarantined: u64,
@@ -265,14 +265,8 @@ impl Marketplace {
 
         // The (fixed-shape) π_k relation: the first bootstrap of a
         // deployment preprocesses it, later shards find it in the registry.
-        // The blinder is drawn either way, so every shard consumes the same
-        // randomness whether or not it derived the key.
         let metrics = zkdet_telemetry::Registry::new();
-        let dummy_key = Fr::from(1u64);
-        let (c, o) = CommitmentScheme::commit_scalar(dummy_key, rng);
-        let keyneg = keys.get_or_derive(Shape::KeyNeg, &metrics, || {
-            KeyNegotiationCircuit.synthesize(dummy_key, Fr::from(2u64), &c, &o)
-        })?;
+        let keyneg = keys.keys(Shape::KeyNeg, &metrics)?;
         let (keyneg_verifier_addr, _) =
             chain.deploy_verifier(operator, VerifyingKey::clone(&keyneg.vk));
         chain.mine_block();
@@ -369,7 +363,7 @@ impl Marketplace {
         let key = Fr::random(rng);
         let nonce = Fr::random(rng);
         let ciphertext = MimcCtr::new(key, nonce).encrypt(derived.entries());
-        let keys = self.enc_keys(derived.len(), rng)?;
+        let keys = self.keys_of(Shape::Enc(derived.len()))?;
         let circuit = EncryptionCircuit::new(derived.len()).synthesize(
             derived.entries(),
             key,
@@ -422,37 +416,20 @@ impl Marketplace {
         &self.keys
     }
 
-    /// The shape's keys from the registry, preprocessing `synthesize()`'s
-    /// circuit (owned or borrowed) if this deployment has not seen the
-    /// shape yet.
-    fn keys_for<C: Borrow<CompiledCircuit>>(
-        &self,
-        shape: Shape,
-        synthesize: impl FnOnce() -> C,
-    ) -> Result<KeyPair, ZkdetError> {
-        Ok(self.keys.get_or_derive(shape, &self.metrics, synthesize)?)
+    /// A fixed shape's keys from the registry, derived from the shape's
+    /// sample if this deployment has not seen the shape yet.
+    fn keys_of(&self, shape: Shape) -> Result<KeyPair, ZkdetError> {
+        Ok(self.keys.keys(shape, &self.metrics)?)
     }
 
     /// The π_p keys for a synthesized validation circuit, keyed by its
     /// shape digest so that no predicate can alias another's relation.
     pub(crate) fn validation_keys(&self, circuit: &CompiledCircuit) -> Result<KeyPair, ZkdetError> {
-        self.keys_for(Shape::Validation(circuit.shape_digest()), || circuit)
-    }
-
-    pub(crate) fn enc_keys(
-        &self,
-        n: usize,
-        rng: &mut (impl Rng + ?Sized),
-    ) -> Result<KeyPair, ZkdetError> {
-        // Dummy instance with the right shape for preprocessing.
-        let plaintext = vec![Fr::ZERO; n];
-        let key = Fr::random(rng);
-        let nonce = Fr::random(rng);
-        let ct = MimcCtr::new(key, nonce).encrypt(&plaintext);
-        let (c, o) = CommitmentScheme::commit(&plaintext, rng);
-        self.keys_for(Shape::Enc(n), || {
-            EncryptionCircuit::new(n).synthesize(&plaintext, key, &ct, &c, &o)
-        })
+        let shape = Shape::Validation(circuit.shape_digest());
+        if let Some(keys) = self.keys.lookup(&shape, &self.metrics) {
+            return Ok(keys);
+        }
+        Ok(self.keys.insert(shape, KeyRegistry::derive(&self.srs, circuit)?))
     }
 
     /// Encrypts, commits, proves and publishes a dataset end-to-end,
@@ -493,7 +470,7 @@ impl Marketplace {
         let nonce = Fr::random(rng);
         let ciphertext = MimcCtr::new(key, nonce).encrypt(data.entries());
         let (commitment, opening) = CommitmentScheme::commit(data.entries(), rng);
-        let keys = self.enc_keys(data.len(), rng)?;
+        let keys = self.keys_of(Shape::Enc(data.len()))?;
         let circuit = EncryptionCircuit::new(data.len()).synthesize(
             data.entries(),
             key,
@@ -563,7 +540,7 @@ impl Marketplace {
             &secret.commitment,
             &secret.opening,
         );
-        let keys = self.keys_for(Shape::Dup(n), || &circuit)?;
+        let keys = self.keys_of(Shape::Dup(n))?;
         let proof = Plonk::prove(&keys.pk, &circuit, rng)?;
         let bundle = ProofBundle {
             pi_e,
@@ -621,7 +598,7 @@ impl Marketplace {
             &secret.commitment,
             &secret.opening,
         );
-        let keys = self.keys_for(Shape::Agg(source_lens), || &circuit)?;
+        let keys = self.keys_of(Shape::Agg(source_lens))?;
         let proof = Plonk::prove(&keys.pk, &circuit, rng)?;
         let bundle = ProofBundle {
             pi_e,
@@ -681,7 +658,7 @@ impl Marketplace {
             &src.opening,
             &part_commits,
         );
-        let keys = self.keys_for(Shape::Part(sizes.to_vec()), || &circuit)?;
+        let keys = self.keys_of(Shape::Part(sizes.to_vec()))?;
         let proof = Plonk::prove(&keys.pk, &circuit, rng)?;
 
         let mut tokens = Vec::with_capacity(parts.len());
@@ -713,7 +690,7 @@ impl Marketplace {
     ///
     /// Retrieval goes through [`StorageNetwork::retrieve_resilient`] under
     /// the marketplace's [`RetrievalPolicy`], so transient storage faults
-    /// (drops, slow or crashed replicas, stale records) are retried, hedged
+    /// (drops, slow or crashed share holders, stale records) are retried, hedged
     /// and backed off before an error surfaces; per-fetch statistics are
     /// accumulated into [`Marketplace::robustness`].
     pub fn fetch_artefacts(
@@ -789,7 +766,7 @@ impl Marketplace {
         rng: &mut R,
     ) -> Result<ProvenanceReport, ZkdetError> {
         let mut span = zkdet_telemetry::span("market.audit");
-        let (checks, report) = self.collect_audit_checks(token, rng)?;
+        let (checks, report) = self.collect_audit_checks(token)?;
         span.record("proofs", checks.len() as u64);
         span.record("edges", report.transform_edges as u64);
         verify_lineage(&checks, &mut self.audit_cache, rng).map_err(|r| {
@@ -850,13 +827,12 @@ impl Marketplace {
     }
 
     /// Walks the lineage collecting `(vk, statement, proof, label)` tuples
-    /// plus the structural report; shared by both audit modes. Performs all
-    /// non-cryptographic integrity checks (digests, lengths, statement
-    /// consistency) eagerly.
-    fn collect_audit_checks<R: Rng + ?Sized>(
+    /// plus the structural report. Performs all non-cryptographic integrity
+    /// checks (digests, lengths, bundle shapes, statement consistency)
+    /// eagerly, each before the key lookup it guards.
+    fn collect_audit_checks(
         &mut self,
         token: TokenId,
-        rng: &mut R,
     ) -> Result<(Vec<LineageCheck>, ProvenanceReport), ZkdetError> {
         let mut checks: Vec<LineageCheck> = Vec::new();
         let mut verified = Vec::new();
@@ -875,12 +851,19 @@ impl Marketplace {
                     bundle.len
                 )));
             }
-            let enc_keys = self.enc_keys(bundle.len, rng)?;
+            // π_t's sizes pick the circuit its key derives from: they must
+            // agree with that verified length before any key lookup.
+            if !bundle.shape_fits(meta.prev_ids.len(), self.srs.max_degree()) {
+                return Err(ZkdetError::Inconsistent(format!(
+                    "token {cur}: π_t shape does not fit bundle length {}",
+                    bundle.len
+                )));
+            }
             let enc_shape = EncryptionCircuit::new(bundle.len);
             let commitment = Commitment(meta.commitment);
             checks.push(LineageCheck {
                 node: NodeId(cur.0),
-                vk: enc_keys.vk,
+                vk: self.keys_of(Shape::Enc(bundle.len))?.vk,
                 publics: enc_shape.public_inputs(&ciphertext, &commitment),
                 proof: bundle.pi_e.clone(),
                 label: "π_e",
@@ -898,42 +881,28 @@ impl Marketplace {
                         .map_err(ZkdetError::from)
                 })
                 .collect::<Result<_, _>>()?;
-            match (&meta.kind, &bundle.pi_t) {
-                (TransformKind::Original, None) => {}
+            let parents: Vec<Commitment> =
+                parent_commitments.iter().copied().map(Commitment).collect();
+            let transform = match (&meta.kind, &bundle.pi_t) {
+                (TransformKind::Original, None) => None,
                 (TransformKind::Duplication, Some(TransformProof::Duplication { len, proof })) => {
-                    let shape = DuplicationCircuit::new(*len);
-                    let keys = self.dup_keys(*len, rng)?;
-                    let publics = shape.public_inputs(
-                        &Commitment(parent_commitments[0]),
-                        &commitment,
-                    );
-                    checks.push(LineageCheck {
-                        node: NodeId(cur.0),
-                        vk: keys.vk,
-                        publics,
-                        proof: proof.clone(),
-                        label: "π_t (duplication)",
-                    });
-                    edges += 1;
+                    Some((
+                        self.keys_of(Shape::Dup(*len))?.vk,
+                        DuplicationCircuit::new(*len).public_inputs(&parents[0], &commitment),
+                        proof,
+                        "π_t (duplication)",
+                    ))
                 }
                 (
                     TransformKind::Aggregation,
                     Some(TransformProof::Aggregation { source_lens, proof }),
-                ) => {
-                    let shape = AggregationCircuit::new(source_lens.clone());
-                    let keys = self.agg_keys(source_lens.clone(), rng)?;
-                    let parents: Vec<Commitment> =
-                        parent_commitments.iter().map(|c| Commitment(*c)).collect();
-                    let publics = shape.public_inputs(&commitment, &parents);
-                    checks.push(LineageCheck {
-                        node: NodeId(cur.0),
-                        vk: keys.vk,
-                        publics,
-                        proof: proof.clone(),
-                        label: "π_t (aggregation)",
-                    });
-                    edges += 1;
-                }
+                ) => Some((
+                    self.keys_of(Shape::Agg(source_lens.clone()))?.vk,
+                    AggregationCircuit::new(source_lens.clone())
+                        .public_inputs(&commitment, &parents),
+                    proof,
+                    "π_t (aggregation)",
+                )),
                 (
                     TransformKind::Partition,
                     Some(TransformProof::Partition {
@@ -948,20 +917,14 @@ impl Marketplace {
                             "token {cur}: partition index does not match its commitment"
                         )));
                     }
-                    let shape = PartitionCircuit::new(part_lens.clone());
-                    let keys = self.part_keys(part_lens.clone(), rng)?;
                     let parts: Vec<Commitment> =
-                        part_commitments.iter().map(|c| Commitment(*c)).collect();
-                    let publics =
-                        shape.public_inputs(&Commitment(parent_commitments[0]), &parts);
-                    checks.push(LineageCheck {
-                        node: NodeId(cur.0),
-                        vk: keys.vk,
-                        publics,
-                        proof: proof.clone(),
-                        label: "π_t (partition)",
-                    });
-                    edges += 1;
+                        part_commitments.iter().copied().map(Commitment).collect();
+                    Some((
+                        self.keys_of(Shape::Part(part_lens.clone()))?.vk,
+                        PartitionCircuit::new(part_lens.clone()).public_inputs(&parents[0], &parts),
+                        proof,
+                        "π_t (partition)",
+                    ))
                 }
                 (
                     TransformKind::Processing(kind_formula),
@@ -995,20 +958,23 @@ impl Marketplace {
                             "token {cur}: processing statement omits the derived commitment"
                         )));
                     }
-                    checks.push(LineageCheck {
-                        node: NodeId(cur.0),
-                        vk: std::sync::Arc::new(vk.clone()),
-                        publics: publics.clone(),
-                        proof: proof.clone(),
-                        label: "π_t (processing)",
-                    });
-                    edges += 1;
+                    Some((Arc::new(vk.clone()), publics.clone(), proof, "π_t (processing)"))
                 }
                 _ => {
                     return Err(ZkdetError::Inconsistent(format!(
                         "token {cur}: transformation kind does not match proof bundle"
                     )))
                 }
+            };
+            if let Some((vk, publics, proof, label)) = transform {
+                checks.push(LineageCheck {
+                    node: NodeId(cur.0),
+                    vk,
+                    publics,
+                    proof: proof.clone(),
+                    label,
+                });
+                edges += 1;
             }
 
             verified.push(cur);
@@ -1025,55 +991,5 @@ impl Marketplace {
                 transform_edges: edges,
             },
         ))
-    }
-
-    fn dup_keys(&self, n: usize, rng: &mut (impl Rng + ?Sized)) -> Result<KeyPair, ZkdetError> {
-        let data: Vec<Fr> = vec![Fr::ZERO; n];
-        let (c_s, o_s) = CommitmentScheme::commit(&data, rng);
-        let (c_d, o_d) = CommitmentScheme::commit(&data, rng);
-        self.keys_for(Shape::Dup(n), || {
-            DuplicationCircuit::new(n).synthesize(&data, &c_s, &o_s, &c_d, &o_d)
-        })
-    }
-
-    fn agg_keys(
-        &self,
-        lens: Vec<usize>,
-        rng: &mut (impl Rng + ?Sized),
-    ) -> Result<KeyPair, ZkdetError> {
-        let sources: Vec<Vec<Fr>> = lens.iter().map(|l| vec![Fr::ZERO; *l]).collect();
-        let commits: Vec<(Commitment, Opening)> = sources
-            .iter()
-            .map(|s| CommitmentScheme::commit(s, rng))
-            .collect();
-        let merged: Vec<Fr> = sources.iter().flatten().copied().collect();
-        let (c_d, o_d) = CommitmentScheme::commit(&merged, rng);
-        let shape = AggregationCircuit::new(lens.clone());
-        self.keys_for(Shape::Agg(lens), || {
-            shape.synthesize(&sources, &commits, &c_d, &o_d)
-        })
-    }
-
-    fn part_keys(
-        &self,
-        lens: Vec<usize>,
-        rng: &mut (impl Rng + ?Sized),
-    ) -> Result<KeyPair, ZkdetError> {
-        let total: usize = lens.iter().sum();
-        let data: Vec<Fr> = vec![Fr::ZERO; total];
-        let (c_s, o_s) = CommitmentScheme::commit(&data, rng);
-        let mut offset = 0;
-        let commits: Vec<(Commitment, Opening)> = lens
-            .iter()
-            .map(|l| {
-                let c = CommitmentScheme::commit(&data[offset..offset + l], rng);
-                offset += l;
-                c
-            })
-            .collect();
-        let shape = PartitionCircuit::new(lens.clone());
-        self.keys_for(Shape::Part(lens), || {
-            shape.synthesize(&data, &c_s, &o_s, &commits)
-        })
     }
 }

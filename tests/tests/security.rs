@@ -275,3 +275,108 @@ fn audit_detects_kind_bundle_mismatch() {
         other => panic!("kind/bundle mismatch must be caught, got {other:?}"),
     }
 }
+
+/// Mints a token of `kind` over `source`'s ciphertext, commitment and π_e
+/// whose bundle carries `pi_t` instead — anyone can store such a bundle.
+fn mint_forged_bundle(
+    m: &mut Marketplace,
+    owner: &zkdet_core::DataOwner,
+    source: zkdet_chain::TokenId,
+    kind: zkdet_chain::TransformKind,
+    prev_ids: Vec<zkdet_chain::TokenId>,
+    pi_t: impl FnOnce(&zkdet_core::ProofBundle, Fr) -> TransformProof,
+) -> zkdet_chain::TokenId {
+    let (ct, bundle) = m.fetch_artefacts(source).unwrap();
+    let commitment = m.chain.nft(&m.nft_addr).unwrap().token_meta(source).unwrap().commitment;
+    let forged = zkdet_core::ProofBundle {
+        pi_t: Some(pi_t(&bundle, commitment)),
+        ..bundle
+    };
+    let cid = m
+        .storage
+        .publish(owner.pin, zkdet_core::codec::encode_ciphertext(&ct))
+        .expect("publish");
+    let proof_cid = m.storage.publish(owner.pin, forged.to_bytes()).expect("publish");
+    let meta = zkdet_chain::TokenMeta {
+        cid,
+        commitment,
+        prev_ids,
+        kind,
+        proof_cid: Some(proof_cid),
+    };
+    m.chain.nft_mint(m.nft_addr, owner.address, meta).unwrap().0
+}
+
+/// The audit of `token` fails with a typed inconsistency naming it.
+fn assert_shape_rejected(m: &mut Marketplace, token: zkdet_chain::TokenId, r: &mut StdRng) {
+    match m.audit_token(token, r) {
+        Err(ZkdetError::Inconsistent(msg)) => {
+            assert!(msg.contains(&format!("token {token}")), "{msg}");
+            assert!(msg.contains("shape"), "{msg}");
+        }
+        other => panic!("a hostile bundle shape must be caught, got {other:?}"),
+    }
+}
+
+#[test]
+fn audit_rejects_aggregation_bundle_without_sources() {
+    let mut r = rng(1008);
+    let mut m = market(&mut r);
+    let mut alice = m.register();
+    let t1 = m.publish_original(&mut alice, data(&[1]), &mut r).unwrap();
+    let t2 = m.publish_original(&mut alice, data(&[2]), &mut r).unwrap();
+    let forged = mint_forged_bundle(
+        &mut m,
+        &alice,
+        t1,
+        zkdet_chain::TransformKind::Aggregation,
+        vec![t1, t2],
+        |bundle, _| TransformProof::Aggregation {
+            source_lens: vec![],
+            proof: bundle.pi_e.clone(),
+        },
+    );
+    assert_shape_rejected(&mut m, forged, &mut r);
+}
+
+#[test]
+fn audit_rejects_partition_bundle_with_an_empty_part() {
+    let mut r = rng(1009);
+    let mut m = market(&mut r);
+    let mut alice = m.register();
+    let t1 = m.publish_original(&mut alice, data(&[1]), &mut r).unwrap();
+    let forged = mint_forged_bundle(
+        &mut m,
+        &alice,
+        t1,
+        zkdet_chain::TransformKind::Partition,
+        vec![t1],
+        |bundle, commitment| TransformProof::Partition {
+            part_lens: vec![0, 1],
+            part_index: 1,
+            part_commitments: vec![commitment, commitment],
+            proof: bundle.pi_e.clone(),
+        },
+    );
+    assert_shape_rejected(&mut m, forged, &mut r);
+}
+
+#[test]
+fn audit_rejects_duplication_bundle_longer_than_its_ciphertext() {
+    let mut r = rng(1010);
+    let mut m = market(&mut r);
+    let mut alice = m.register();
+    let t1 = m.publish_original(&mut alice, data(&[1]), &mut r).unwrap();
+    let forged = mint_forged_bundle(
+        &mut m,
+        &alice,
+        t1,
+        zkdet_chain::TransformKind::Duplication,
+        vec![t1],
+        |bundle, _| TransformProof::Duplication {
+            len: 1 << 40,
+            proof: bundle.pi_e.clone(),
+        },
+    );
+    assert_shape_rejected(&mut m, forged, &mut r);
+}
