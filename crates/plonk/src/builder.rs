@@ -576,6 +576,7 @@ impl CircuitBuilder {
 
         // Pad to ≥ 8 rows and a power of two (blinding needs n ≥ gates + slack,
         // handled by preprocessing choosing the domain).
+        let rows_used = selectors.len();
         let n = (selectors.len().max(8)).next_power_of_two();
         while selectors.len() < n {
             selectors.push(Selectors::default());
@@ -612,6 +613,7 @@ impl CircuitBuilder {
             num_public_inputs: ell,
             public_values,
             rows: n,
+            rows_used,
         }
     }
 }
@@ -627,12 +629,19 @@ pub struct CompiledCircuit {
     pub(crate) num_public_inputs: usize,
     pub(crate) public_values: Vec<Fr>,
     pub(crate) rows: usize,
+    /// Rows before padding: public-input rows plus gates.
+    pub(crate) rows_used: usize,
 }
 
 impl CompiledCircuit {
     /// Number of gate rows (padded to a power of two).
     pub fn rows(&self) -> usize {
         self.rows
+    }
+
+    /// Rows before padding to a power of two.
+    pub(crate) fn rows_used(&self) -> usize {
+        self.rows_used
     }
 
     /// Number of public inputs `ℓ`.

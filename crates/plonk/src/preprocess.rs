@@ -232,8 +232,6 @@ pub struct ProvingKey {
     pub(crate) sigma_ext: [Vec<Fr>; 3],
     /// Per-row σ values (σ_j(ωⁱ)) used to build the permutation product.
     pub(crate) sigma_vals: [Vec<Fr>; 3],
-    /// Coset-extended evaluations of `L₁` on `domain4`.
-    pub(crate) l1_ext: Vec<Fr>,
     pub(crate) vk: VerifyingKey,
 }
 
@@ -330,12 +328,6 @@ pub(crate) fn preprocess(
         ext(&sigma_polys[1]),
         ext(&sigma_polys[2]),
     ];
-
-    // L₁ — the Lagrange basis polynomial at ω⁰ = 1.
-    let mut l1_evals = vec![Fr::ZERO; n];
-    l1_evals[0] = Fr::ONE;
-    let l1_poly = DensePolynomial::from_coefficients(domain.ifft(&l1_evals));
-    let l1_ext = ext(&l1_poly);
     drop(phase_span);
 
     let phase_span = zkdet_telemetry::span("plonk.preprocess.vk_commit");
@@ -366,7 +358,6 @@ pub(crate) fn preprocess(
             q_ext,
             sigma_ext,
             sigma_vals,
-            l1_ext,
             vk: vk.clone(),
         },
         vk,

@@ -5,7 +5,7 @@
 //! polynomial, and two batched KZG openings at `ζ` and `ζω`.
 
 use rand::Rng;
-use zkdet_field::{Field, Fr};
+use zkdet_field::{Field, Fr, PrimeField};
 use zkdet_poly::DensePolynomial;
 
 use crate::builder::CompiledCircuit;
@@ -39,10 +39,144 @@ pub(crate) fn init_transcript(
     t
 }
 
-/// Multiplies a low-degree polynomial by the vanishing polynomial
-/// `Z_H = Xⁿ - 1`.
-fn mul_by_vanishing(p: &DensePolynomial, n: usize) -> DensePolynomial {
-    &p.shift_up(n) - p
+/// The polynomial taking `evals` on the domain, plus `blinder(X)·(Xⁿ − 1)`
+/// for the blinder with coefficients `blinders` (low first): it takes the
+/// same values on the domain and hides them everywhere else.
+fn blind(
+    domain: &zkdet_poly::EvaluationDomain,
+    evals: &[Fr],
+    blinders: &[Fr],
+) -> DensePolynomial {
+    let n = domain.size();
+    let mut coeffs = domain.ifft(evals);
+    coeffs.resize(n + blinders.len(), Fr::ZERO);
+    for (i, b) in blinders.iter().enumerate() {
+        coeffs[i] -= *b;
+        coeffs[n + i] += *b;
+    }
+    DensePolynomial::from_coefficients(coeffs)
+}
+
+/// Stamps how wide the witness on each wire is: the rows the circuit uses
+/// before padding, and per wire the zero, ±1, other-below-2¹⁶ and
+/// full-width counts — what a commitment that skips zero or short scalars
+/// would have to go on.
+fn record_wire_widths(
+    span: &mut zkdet_telemetry::SpanGuard<'_>,
+    rows_used: usize,
+    wires: [&[Fr]; 3],
+) {
+    const KEYS: [[&str; 4]; 3] = [
+        ["a_zero", "a_unit", "a_small", "a_full"],
+        ["b_zero", "b_unit", "b_small", "b_full"],
+        ["c_zero", "c_unit", "c_small", "c_full"],
+    ];
+    span.record("rows_used", rows_used as u64);
+    for (vals, keys) in wires.iter().zip(KEYS) {
+        let mut counts = [0u64; 4];
+        for v in vals.iter() {
+            let class = if v.is_zero() {
+                0
+            } else if *v == Fr::ONE || *v == -Fr::ONE {
+                1
+            } else {
+                let limbs = v.to_canonical();
+                if limbs[1..].iter().all(|l| *l == 0) && limbs[0] < 1 << 16 {
+                    2
+                } else {
+                    3
+                }
+            };
+            counts[class] += 1;
+        }
+        for (key, count) in keys.into_iter().zip(counts) {
+            span.record(key, count);
+        }
+    }
+}
+
+/// Round 3's quotient `t = (gate + α·perm + α²·(z − 1)·L₁) / Z_H` as the
+/// `4n` coefficients of the coset interpolation (degree ≤ 3n + 5 for a
+/// satisfied witness). `polys` are `a, b, c, z, PI`; `challenges` are
+/// `β, γ, α`.
+///
+/// The `4n` coset `g·⟨ω₄ₙ⟩` is walked as its four quarter-cosets
+/// `s_j·⟨ω⟩`, `s_j = g·ω₄ₙʲ`, whose k-th point is the coset's point
+/// `j + 4k`. Per quarter the five polynomials are evaluated into five
+/// reused size-n buffers; `z(ωX)` is `z`'s quarter read one slot on;
+/// `Z_H = s_jⁿ − 1` is one constant; `L₁/Z_H = 1/(n·(x − 1))`. The selector
+/// and σ extensions in the key are read at `j + 4k`, the values land in
+/// `t4[j + 4k]`, and one in-place coset iFFT turns `t4` into `t(X)`.
+fn quotient(
+    pk: &ProvingKey,
+    polys: [&DensePolynomial; 5],
+    [beta, gamma, alpha]: [Fr; 3],
+) -> Result<Vec<Fr>, PlonkError> {
+    let domain = &pk.domain;
+    let n = domain.size();
+    let omega = domain.group_gen();
+    let (beta_k1, beta_k2) = (beta * coset_k1(), beta * coset_k2());
+    let alpha2 = alpha.square();
+    let n_fr = Fr::from(n as u64);
+    let workers = std::thread::available_parallelism().map_or(1, |c| c.get().min(8));
+    let chunk_len = n.div_ceil(workers);
+
+    let mut t4 = vec![Fr::ZERO; pk.domain4.size()];
+    let mut evals: [Vec<Fr>; 5] = Default::default();
+    let mut shift = pk.domain4.coset_shift();
+    for j in 0..4 {
+        for (buf, p) in evals.iter_mut().zip(polys) {
+            domain.coset_fft_into(p.coefficients(), shift, buf);
+        }
+        let zh_inv = (shift.pow(&[n as u64, 0, 0, 0]) - Fr::ONE)
+            .inverse()
+            .ok_or(PlonkError::Internal("quotient coset meets the domain"))?;
+        let [a, b, c, z, pi] = &evals;
+        // zkdet-analyzer: allow(raw-thread-spawn) quotient evaluations over disjoint runs of one quarter-coset; each value is a pure function of its index, whatever the chunking
+        crossbeam::thread::scope(|scope| {
+            for (chunk_idx, out) in t4.chunks_mut(4 * chunk_len).enumerate() {
+                scope.spawn(move |_| {
+                    let base = chunk_idx * chunk_len;
+                    let start = shift * omega.pow(&[base as u64, 0, 0, 0]);
+                    // L₁(x)/Z_H(x) = 1/(n·(x − 1)) over this run's points.
+                    let mut l1 = Vec::with_capacity(out.len() / 4);
+                    let mut x = start;
+                    for _ in 0..out.len() / 4 {
+                        l1.push(n_fr * (x - Fr::ONE));
+                        x *= omega;
+                    }
+                    Fr::batch_inverse(&mut l1);
+                    let mut x = start;
+                    for (off, point) in out.chunks_exact_mut(4).enumerate() {
+                        let k = base + off;
+                        let i = j + 4 * k;
+                        let gate = pk.q_ext[0][i] * a[k]
+                            + pk.q_ext[1][i] * b[k]
+                            + pk.q_ext[2][i] * c[k]
+                            + pk.q_ext[3][i] * a[k] * b[k]
+                            + pk.q_ext[4][i]
+                            + pi[k];
+                        let perm1 = z[k]
+                            * (a[k] + beta * x + gamma)
+                            * (b[k] + beta_k1 * x + gamma)
+                            * (c[k] + beta_k2 * x + gamma);
+                        let perm2 = z[(k + 1) % n]
+                            * (a[k] + beta * pk.sigma_ext[0][i] + gamma)
+                            * (b[k] + beta * pk.sigma_ext[1][i] + gamma)
+                            * (c[k] + beta * pk.sigma_ext[2][i] + gamma);
+                        point[j] = (gate + alpha * (perm1 - perm2)) * zh_inv
+                            + alpha2 * (z[k] - Fr::ONE) * l1[off];
+                        x *= omega;
+                    }
+                });
+            }
+        })
+        .map_err(|_| PlonkError::Internal("quotient worker panicked"))?;
+        shift *= pk.domain4.group_gen();
+    }
+    drop(evals);
+    pk.domain4.coset_ifft_in_place(&mut t4);
+    Ok(t4)
 }
 
 /// Commits through the fallible SRS path, mapping degree overflow back to
@@ -71,7 +205,6 @@ pub(crate) fn prove<R: Rng + ?Sized>(
         return Err(PlonkError::UnsatisfiedWitness);
     }
     let domain = &pk.domain;
-    let domain4 = &pk.domain4;
     let n = domain.size();
     debug_assert_eq!(n, circuit.rows());
     let srs = &pk.srs;
@@ -87,36 +220,20 @@ pub(crate) fn prove<R: Rng + ?Sized>(
     let mut transcript = init_transcript(&pk.vk, &public_inputs);
 
     // ---- Round 1: wire polynomials -------------------------------------
-    let round_span = zkdet_telemetry::span("plonk.prove.round1.wires");
+    let mut round_span = zkdet_telemetry::span("plonk.prove.round1.wires");
     let (a_vals, b_vals, c_vals) = circuit.wire_values();
-    let blind = |vals: &[Fr], rng: &mut R, domain: &zkdet_poly::EvaluationDomain| {
-        let base = DensePolynomial::from_coefficients(domain.ifft(vals));
-        let blinder =
-            DensePolynomial::from_coefficients(vec![Fr::random(rng), Fr::random(rng)]);
-        &base + &mul_by_vanishing(&blinder, domain.size())
-    };
-    let a_poly = blind(&a_vals, rng, domain);
-    let b_poly = blind(&b_vals, rng, domain);
-    let c_poly = blind(&c_vals, rng, domain);
-    let [a_c, b_c, c_c] = {
-        let polys = [&a_poly, &b_poly, &c_poly];
-        let mut out = [zkdet_kzg::KzgCommitment(zkdet_curve::G1Affine::identity()); 3];
-        // zkdet-analyzer: allow(raw-thread-spawn) three wire commitments, joined in wire order before the transcript absorbs them; no RNG on the workers
-        crossbeam::thread::scope(|scope| -> Result<(), PlonkError> {
-            let handles: Vec<_> = polys
-                .iter()
-                .map(|p| scope.spawn(move |_| commit_checked(srs, p)))
-                .collect();
-            for (slot, h) in out.iter_mut().zip(handles) {
-                *slot = h
-                    .join()
-                    .map_err(|_| PlonkError::Internal("commit worker panicked"))??;
-            }
-            Ok(())
-        })
-        .map_err(|_| PlonkError::Internal("commit scope panicked"))??;
-        out
-    };
+    if zkdet_telemetry::is_enabled() {
+        record_wire_widths(&mut round_span, circuit.rows_used(), [&a_vals, &b_vals, &c_vals]);
+    }
+    let mut wire_blinders = || [Fr::random(rng), Fr::random(rng)];
+    let a_poly = blind(domain, &a_vals, &wire_blinders());
+    let b_poly = blind(domain, &b_vals, &wire_blinders());
+    let c_poly = blind(domain, &c_vals, &wire_blinders());
+    // One commitment at a time: each msm already spreads over every core,
+    // and only one of them holds its digit matrix and bucket scratch.
+    let a_c = commit_checked(srs, &a_poly)?;
+    let b_c = commit_checked(srs, &b_poly)?;
+    let c_c = commit_checked(srs, &c_poly)?;
     transcript.absorb_g1(b"a", &a_c.0);
     transcript.absorb_g1(b"b", &b_c.0);
     transcript.absorb_g1(b"c", &c_c.0);
@@ -126,34 +243,32 @@ pub(crate) fn prove<R: Rng + ?Sized>(
 
     // ---- Round 2: permutation product z ---------------------------------
     let round_span = zkdet_telemetry::span("plonk.prove.round2.permutation");
-    let omegas = domain.elements();
-    let mut denominators = Vec::with_capacity(n);
-    let mut numerators = Vec::with_capacity(n);
-    for i in 0..n {
-        let num = (a_vals[i] + beta * omegas[i] + gamma)
-            * (b_vals[i] + beta * k1 * omegas[i] + gamma)
-            * (c_vals[i] + beta * k2 * omegas[i] + gamma);
-        let den = (a_vals[i] + beta * pk.sigma_vals[0][i] + gamma)
-            * (b_vals[i] + beta * pk.sigma_vals[1][i] + gamma)
-            * (c_vals[i] + beta * pk.sigma_vals[2][i] + gamma);
-        numerators.push(num);
-        denominators.push(den);
-    }
-    Fr::batch_inverse(&mut denominators);
-    let mut z_vals = Vec::with_capacity(n);
-    let mut acc = Fr::ONE;
-    for i in 0..n {
-        z_vals.push(acc);
-        acc *= numerators[i] * denominators[i];
-    }
-    debug_assert_eq!(acc, Fr::ONE, "permutation grand product must close");
-    let z_base = DensePolynomial::from_coefficients(domain.ifft(&z_vals));
-    let z_blinder = DensePolynomial::from_coefficients(vec![
-        Fr::random(rng),
-        Fr::random(rng),
-        Fr::random(rng),
-    ]);
-    let z_poly = &z_base + &mul_by_vanishing(&z_blinder, n);
+    let z_poly = {
+        let omegas = domain.elements();
+        let mut denominators = Vec::with_capacity(n);
+        let mut numerators = Vec::with_capacity(n);
+        for i in 0..n {
+            let num = (a_vals[i] + beta * omegas[i] + gamma)
+                * (b_vals[i] + beta * k1 * omegas[i] + gamma)
+                * (c_vals[i] + beta * k2 * omegas[i] + gamma);
+            let den = (a_vals[i] + beta * pk.sigma_vals[0][i] + gamma)
+                * (b_vals[i] + beta * pk.sigma_vals[1][i] + gamma)
+                * (c_vals[i] + beta * pk.sigma_vals[2][i] + gamma);
+            numerators.push(num);
+            denominators.push(den);
+        }
+        Fr::batch_inverse(&mut denominators);
+        let mut z_vals = Vec::with_capacity(n);
+        let mut acc = Fr::ONE;
+        for i in 0..n {
+            z_vals.push(acc);
+            acc *= numerators[i] * denominators[i];
+        }
+        debug_assert_eq!(acc, Fr::ONE, "permutation grand product must close");
+        let z_blinders = [Fr::random(rng), Fr::random(rng), Fr::random(rng)];
+        blind(domain, &z_vals, &z_blinders)
+    };
+    drop((a_vals, b_vals, c_vals));
     let z_c = commit_checked(srs, &z_poly)?;
     transcript.absorb_g1(b"z", &z_c.0);
     let alpha = transcript.challenge_fr(b"alpha");
@@ -167,100 +282,14 @@ pub(crate) fn prove<R: Rng + ?Sized>(
     for (i, x) in public_inputs.iter().enumerate() {
         pi_vals[i] = -*x;
     }
-    let pi_poly = DensePolynomial::from_coefficients(domain.ifft(&pi_vals));
+    domain.ifft_in_place(&mut pi_vals);
+    let pi_poly = DensePolynomial::from_coefficients(pi_vals);
 
-    // z(ωX): coefficients zᵢ·ωⁱ.
-    let z_shift_poly = DensePolynomial::from_coefficients(
-        z_poly
-            .coefficients()
-            .iter()
-            .scan(Fr::ONE, |w, c| {
-                let out = *c * *w;
-                *w *= domain.group_gen();
-                Some(out)
-            })
-            .collect(),
-    );
-    // Six independent coset extensions — run them on scoped threads.
-    let [a4, b4, c4, z4, pi4, zw4] = {
-        let polys = [&a_poly, &b_poly, &c_poly, &z_poly, &pi_poly, &z_shift_poly];
-        let mut out: [Vec<Fr>; 6] = Default::default();
-        // zkdet-analyzer: allow(raw-thread-spawn) six pure coset FFTs, joined in a fixed order into fixed slots
-        crossbeam::thread::scope(|scope| -> Result<(), PlonkError> {
-            let handles: Vec<_> = polys
-                .iter()
-                .map(|p| scope.spawn(move |_| domain4.coset_fft(p.coefficients())))
-                .collect();
-            for (slot, h) in out.iter_mut().zip(handles) {
-                *slot = h
-                    .join()
-                    .map_err(|_| PlonkError::Internal("coset fft worker panicked"))?;
-            }
-            Ok(())
-        })
-        .map_err(|_| PlonkError::Internal("coset fft scope panicked"))??;
-        out
-    };
-
-    // Coset point values X and vanishing values Xⁿ - 1.
-    let g = domain4.coset_shift();
-    let n4 = domain4.size();
-    let mut x4 = Vec::with_capacity(n4);
-    let mut xv = g;
-    for _ in 0..n4 {
-        x4.push(xv);
-        xv *= domain4.group_gen();
-    }
-    let w4_n = domain4.group_gen().pow(&[n as u64, 0, 0, 0]);
-    let g_n = g.pow(&[n as u64, 0, 0, 0]);
-    let mut zh4 = Vec::with_capacity(n4);
-    let mut acc_zh = g_n;
-    for _ in 0..n4 {
-        zh4.push(acc_zh - Fr::ONE);
-        acc_zh *= w4_n;
-    }
-    Fr::batch_inverse(&mut zh4);
-
-    let alpha2 = alpha.square();
-    let mut t4 = vec![Fr::ZERO; n4];
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
-    let chunk_len = n4.div_ceil(threads);
-    // zkdet-analyzer: allow(raw-thread-spawn) quotient evaluations over disjoint output chunks; each value is a pure function of its index, whatever the chunking
-    crossbeam::thread::scope(|scope| {
-        for (chunk_idx, out_chunk) in t4.chunks_mut(chunk_len).enumerate() {
-            let (a4, b4, c4, z4, pi4, zw4) = (&a4, &b4, &c4, &z4, &pi4, &zw4);
-            let (x4, zh4) = (&x4, &zh4);
-            let pk = &pk;
-            scope.spawn(move |_| {
-                let base = chunk_idx * chunk_len;
-                for (j, slot) in out_chunk.iter_mut().enumerate() {
-                    let i = base + j;
-                    let gate = pk.q_ext[0][i] * a4[i]
-                        + pk.q_ext[1][i] * b4[i]
-                        + pk.q_ext[2][i] * c4[i]
-                        + pk.q_ext[3][i] * a4[i] * b4[i]
-                        + pk.q_ext[4][i]
-                        + pi4[i];
-                    let perm1 = z4[i]
-                        * (a4[i] + beta * x4[i] + gamma)
-                        * (b4[i] + beta * k1 * x4[i] + gamma)
-                        * (c4[i] + beta * k2 * x4[i] + gamma);
-                    let perm2 = zw4[i]
-                        * (a4[i] + beta * pk.sigma_ext[0][i] + gamma)
-                        * (b4[i] + beta * pk.sigma_ext[1][i] + gamma)
-                        * (c4[i] + beta * pk.sigma_ext[2][i] + gamma);
-                    let l1_term = (z4[i] - Fr::ONE) * pk.l1_ext[i];
-                    let num = gate + alpha * (perm1 - perm2) + alpha2 * l1_term;
-                    *slot = num * zh4[i];
-                }
-            });
-        }
-    })
-    .map_err(|_| PlonkError::Internal("quotient worker panicked"))?;
-    let t_poly = DensePolynomial::from_coefficients(domain4.coset_ifft(&t4));
+    let t_poly = DensePolynomial::from_coefficients(quotient(
+        pk,
+        [&a_poly, &b_poly, &c_poly, &z_poly, &pi_poly],
+        [beta, gamma, alpha],
+    )?);
     debug_assert!(
         t_poly.degree() <= 3 * n + 5,
         "quotient degree {} exceeds 3n+5",
@@ -317,6 +346,7 @@ pub(crate) fn prove<R: Rng + ?Sized>(
 
     // ---- Round 5: linearisation and openings -----------------------------
     let round_span = zkdet_telemetry::span("plonk.prove.round5.openings");
+    let alpha2 = alpha.square();
     let zeta_n = zeta.pow(&[n as u64, 0, 0, 0]);
     let zh_zeta = zeta_n - Fr::ONE;
     let l1_zeta = zh_zeta
@@ -398,4 +428,96 @@ pub(crate) fn prove<R: Rng + ?Sized>(
         sigma2_eval,
         z_omega_eval,
     })
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+mod tests {
+    use rand::{rngs::StdRng, SeedableRng};
+
+    use super::*;
+    use crate::{CircuitBuilder, Plonk};
+
+    /// The whole-coset quotient: every polynomial and `z(ωX)` extended onto
+    /// the `4n` coset at once, `Z_H` and `L₁` as `4n` vectors of their own.
+    fn quotient_4n_reference(
+        pk: &ProvingKey,
+        [a, b, c, z, pi]: [&DensePolynomial; 5],
+        [beta, gamma, alpha]: [Fr; 3],
+    ) -> Vec<Fr> {
+        let (domain, domain4) = (&pk.domain, &pk.domain4);
+        let z_shift = DensePolynomial::from_coefficients(
+            z.coefficients()
+                .iter()
+                .enumerate()
+                .map(|(i, c)| *c * domain.element(i))
+                .collect(),
+        );
+        let ext = |p: &DensePolynomial| domain4.coset_fft(p.coefficients());
+        let [a4, b4, c4, z4, pi4, zw4] = [a, b, c, z, pi, &z_shift].map(ext);
+        let mut l1 = vec![Fr::ZERO; domain.size()];
+        l1[0] = Fr::ONE;
+        let l1_4 = ext(&DensePolynomial::from_coefficients(domain.ifft(&l1)));
+        let (k1, k2) = (coset_k1(), coset_k2());
+        let t4: Vec<Fr> = (0..domain4.size())
+            .map(|i| {
+                let x = domain4.coset_shift() * domain4.element(i);
+                let gate = pk.q_ext[0][i] * a4[i]
+                    + pk.q_ext[1][i] * b4[i]
+                    + pk.q_ext[2][i] * c4[i]
+                    + pk.q_ext[3][i] * a4[i] * b4[i]
+                    + pk.q_ext[4][i]
+                    + pi4[i];
+                let perm1 = z4[i]
+                    * (a4[i] + beta * x + gamma)
+                    * (b4[i] + beta * k1 * x + gamma)
+                    * (c4[i] + beta * k2 * x + gamma);
+                let perm2 = zw4[i]
+                    * (a4[i] + beta * pk.sigma_ext[0][i] + gamma)
+                    * (b4[i] + beta * pk.sigma_ext[1][i] + gamma)
+                    * (c4[i] + beta * pk.sigma_ext[2][i] + gamma);
+                let num = gate
+                    + alpha * (perm1 - perm2)
+                    + alpha.square() * (z4[i] - Fr::ONE) * l1_4[i];
+                num * domain.evaluate_vanishing(&x).inverse().unwrap()
+            })
+            .collect();
+        domain4.coset_ifft(&t4)
+    }
+
+    /// A circuit of random additions and multiplications that pads to
+    /// exactly `n` rows.
+    fn random_circuit(n: usize, rng: &mut StdRng) -> crate::CompiledCircuit {
+        let rows = n / 2 + 1 + rng.gen_range(0..n / 2);
+        let mut b = CircuitBuilder::new();
+        let mut vars = vec![b.alloc(Fr::random(rng)), b.public_input(Fr::random(rng))];
+        while b.gate_count() + 1 < rows {
+            let x = vars[rng.gen_range(0..vars.len())];
+            let y = vars[rng.gen_range(0..vars.len())];
+            let v = if rng.gen_bool(0.5) { b.add(x, y) } else { b.mul(x, y) };
+            vars.push(v);
+        }
+        let circuit = b.build();
+        assert_eq!(circuit.rows(), n);
+        circuit
+    }
+
+    #[test]
+    fn quarter_coset_quotient_equals_the_whole_coset_one() {
+        let mut rng = StdRng::seed_from_u64(78);
+        let srs = zkdet_kzg::Srs::universal_setup((1 << 10) + 5, &mut rng);
+        for log_n in 3..=10 {
+            let n = 1usize << log_n;
+            let (pk, _) = Plonk::preprocess(&srs, &random_circuit(n, &mut rng)).unwrap();
+            let mut poly = |len: usize| DensePolynomial::random(len - 1, &mut rng);
+            let (a, b, c, z, pi) = (poly(n + 2), poly(n + 2), poly(n + 2), poly(n + 3), poly(n));
+            let polys = [&a, &b, &c, &z, &pi];
+            let challenges = [Fr::random(&mut rng), Fr::random(&mut rng), Fr::random(&mut rng)];
+            assert_eq!(
+                quotient(&pk, polys, challenges).unwrap(),
+                quotient_4n_reference(&pk, polys, challenges),
+                "n = {n}"
+            );
+        }
+    }
 }

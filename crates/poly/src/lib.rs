@@ -25,4 +25,4 @@ mod domain;
 mod polynomial;
 
 pub use domain::EvaluationDomain;
-pub use polynomial::{lagrange_interpolate, poly_from_u64, DensePolynomial};
+pub use polynomial::DensePolynomial;

@@ -3,7 +3,7 @@
 use core::ops::{Add, AddAssign, Mul, Neg, Sub};
 
 use serde::{Deserialize, Serialize};
-use zkdet_field::{Field, Fr, PrimeField};
+use zkdet_field::{Field, Fr};
 
 use crate::EvaluationDomain;
 
@@ -118,17 +118,36 @@ impl DensePolynomial {
         Self::from_coefficients(quotient)
     }
 
-    /// FFT-based product (degree of result must fit in `2^28`).
+    /// FFT-based product; a product past the field's `2^28` FFT bound
+    /// falls back to schoolbook multiplication.
     pub fn mul_fft(&self, rhs: &DensePolynomial) -> DensePolynomial {
         if self.is_zero() || rhs.is_zero() {
             return Self::zero();
         }
         let result_len = self.coeffs.len() + rhs.coeffs.len() - 1;
-        let domain = EvaluationDomain::new(result_len).expect("product fits the 2-adic bound");
-        let a = domain.fft(&self.coeffs);
-        let b = domain.fft(&rhs.coeffs);
-        let prod: Vec<Fr> = a.iter().zip(&b).map(|(x, y)| *x * *y).collect();
-        Self::from_coefficients(domain.ifft(&prod))
+        let Some(domain) = EvaluationDomain::new(result_len) else {
+            return self.mul_naive(rhs);
+        };
+        let mut a = self.coeffs.clone();
+        let mut b = rhs.coeffs.clone();
+        domain.fft_in_place(&mut a);
+        domain.fft_in_place(&mut b);
+        for (x, y) in a.iter_mut().zip(&b) {
+            *x *= *y;
+        }
+        domain.ifft_in_place(&mut a);
+        Self::from_coefficients(a)
+    }
+
+    /// Schoolbook product.
+    fn mul_naive(&self, rhs: &DensePolynomial) -> DensePolynomial {
+        let mut out = vec![Fr::ZERO; self.coeffs.len() + rhs.coeffs.len() - 1];
+        for (i, a) in self.coeffs.iter().enumerate() {
+            for (j, b) in rhs.coeffs.iter().enumerate() {
+                out[i + j] += *a * *b;
+            }
+        }
+        DensePolynomial::from_coefficients(out)
     }
 
     /// Random polynomial of the given degree (for blinding).
@@ -197,13 +216,7 @@ impl Mul for &DensePolynomial {
         if self.coeffs.len().min(rhs.coeffs.len()) > 64 {
             return self.mul_fft(rhs);
         }
-        let mut out = vec![Fr::ZERO; self.coeffs.len() + rhs.coeffs.len() - 1];
-        for (i, a) in self.coeffs.iter().enumerate() {
-            for (j, b) in rhs.coeffs.iter().enumerate() {
-                out[i + j] += *a * *b;
-            }
-        }
-        DensePolynomial::from_coefficients(out)
+        self.mul_naive(rhs)
     }
 }
 
@@ -214,49 +227,37 @@ impl Mul for DensePolynomial {
     }
 }
 
-/// Lagrange interpolation through arbitrary distinct points (O(n²); used in
-/// tests and small fixed interpolations, not the prover hot path).
-///
-/// # Panics
-///
-/// Panics if two x-coordinates coincide.
-pub fn lagrange_interpolate(points: &[(Fr, Fr)]) -> DensePolynomial {
-    let mut acc = DensePolynomial::zero();
-    for (i, (xi, yi)) in points.iter().enumerate() {
-        let mut num = DensePolynomial::constant(*yi);
-        let mut denom = Fr::ONE;
-        for (j, (xj, _)) in points.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            num = &num * &DensePolynomial::from_coefficients(vec![-*xj, Fr::ONE]);
-            denom *= *xi - *xj;
-        }
-        let denom_inv = denom
-            .inverse()
-            .expect("interpolation points must have distinct x");
-        acc = &acc + &num.scale(denom_inv);
-    }
-    acc
-}
-
-/// Computes a deterministic polynomial from integer coefficients (test helper).
-pub fn poly_from_u64(coeffs: &[u64]) -> DensePolynomial {
-    DensePolynomial::from_coefficients(coeffs.iter().map(|c| Fr::from(*c)).collect())
-}
-
-// Silence the unused-import lint: PrimeField is part of the public contract
-// through `Fr` bounds used in doc examples.
-const _: fn() = || {
-    fn assert_prime_field<T: PrimeField>() {}
-    assert_prime_field::<Fr>();
-};
-
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// Lagrange interpolation through distinct points (O(n²)).
+    fn lagrange_interpolate(points: &[(Fr, Fr)]) -> DensePolynomial {
+        let mut acc = DensePolynomial::zero();
+        for (i, (xi, yi)) in points.iter().enumerate() {
+            let mut num = DensePolynomial::constant(*yi);
+            let mut denom = Fr::ONE;
+            for (j, (xj, _)) in points.iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                num = &num * &DensePolynomial::from_coefficients(vec![-*xj, Fr::ONE]);
+                denom *= *xi - *xj;
+            }
+            let denom_inv = denom
+                .inverse()
+                .expect("interpolation points must have distinct x");
+            acc = &acc + &num.scale(denom_inv);
+        }
+        acc
+    }
+
+    fn poly_from_u64(coeffs: &[u64]) -> DensePolynomial {
+        DensePolynomial::from_coefficients(coeffs.iter().map(|c| Fr::from(*c)).collect())
+    }
 
     #[test]
     fn evaluate_horner() {
