@@ -211,26 +211,6 @@ fn gradient(features: &[Vec<f64>], labels: &[f64], beta: &[f64]) -> Vec<f64> {
     grad
 }
 
-/// Host-side reference trainer (plain f64 gradient descent) used by tests
-/// and the benchmark workload generator to produce converged witnesses.
-pub fn train_reference(
-    features: &[Vec<f64>],
-    labels: &[f64],
-    alpha: f64,
-    iterations: usize,
-) -> Vec<f64> {
-    let k = features[0].len();
-    let n = features.len() as f64;
-    let mut beta = vec![0.0; k + 1];
-    for _ in 0..iterations {
-        let grad = gradient(features, labels, &beta);
-        for (b_j, g_j) in beta.iter_mut().zip(&grad) {
-            *b_j -= alpha * g_j / n;
-        }
-    }
-    beta
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {

@@ -8,7 +8,6 @@
 use zkdet_crypto::mimc::Ciphertext;
 use zkdet_curve::G1Affine;
 use zkdet_field::{Fq, Fr, PrimeField};
-use zkdet_kzg::KzgCommitment;
 use zkdet_plonk::Proof;
 
 use crate::error::ZkdetError;
@@ -222,82 +221,13 @@ pub fn decode_proof(r: &mut Reader<'_>) -> Result<Proof, ZkdetError> {
     Proof::from_bytes(bytes).map_err(ZkdetError::from)
 }
 
-/// Compressed proof encoding: 9×33-byte points + 6×32-byte scalars =
-/// **489 bytes** — the wire format a bandwidth-sensitive deployment would
-/// use (the paper's 2.4 KB is SnarkJS's JSON of the same 15 elements).
-pub fn encode_proof_compressed(p: &Proof) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9 * 33 + 6 * 32);
-    for c in [
-        &p.a, &p.b, &p.c, &p.z, &p.t_lo, &p.t_mid, &p.t_hi, &p.w_zeta, &p.w_zeta_omega,
-    ] {
-        out.extend_from_slice(&c.0.to_compressed());
-    }
-    for e in [
-        &p.a_eval,
-        &p.b_eval,
-        &p.c_eval,
-        &p.sigma1_eval,
-        &p.sigma2_eval,
-        &p.z_omega_eval,
-    ] {
-        out.extend_from_slice(&e.to_bytes());
-    }
-    out
-}
-
-/// Decodes a compressed proof (inverse of [`encode_proof_compressed`]).
-pub fn decode_proof_compressed(data: &[u8]) -> Result<Proof, ZkdetError> {
-    if data.len() != 9 * 33 + 6 * 32 {
-        return Err(ZkdetError::Codec(format!(
-            "compressed proof must be 489 bytes, got {}",
-            data.len()
-        )));
-    }
-    let mut points = [G1Affine::identity(); 9];
-    for (i, p) in points.iter_mut().enumerate() {
-        let bytes: [u8; 33] = data[33 * i..33 * (i + 1)]
-            .try_into()
-            .map_err(|_| ZkdetError::Codec("compressed point slice length".into()))?;
-        *p = G1Affine::from_compressed_validated(&bytes)
-            .map_err(|e| ZkdetError::Codec(format!("bad compressed point {i}: {e}")))?;
-    }
-    let base = 9 * 33;
-    let mut evals = [Fr::ZERO; 6];
-    for (i, e) in evals.iter_mut().enumerate() {
-        let bytes: [u8; 32] = data[base + 32 * i..base + 32 * (i + 1)]
-            .try_into()
-            .map_err(|_| ZkdetError::Codec("eval slice length".into()))?;
-        *e = Fr::from_bytes(&bytes)
-            .ok_or_else(|| ZkdetError::Codec(format!("non-canonical eval {i}")))?;
-    }
-    Ok(Proof {
-        a: KzgCommitment(points[0]),
-        b: KzgCommitment(points[1]),
-        c: KzgCommitment(points[2]),
-        z: KzgCommitment(points[3]),
-        t_lo: KzgCommitment(points[4]),
-        t_mid: KzgCommitment(points[5]),
-        t_hi: KzgCommitment(points[6]),
-        w_zeta: KzgCommitment(points[7]),
-        w_zeta_omega: KzgCommitment(points[8]),
-        a_eval: evals[0],
-        b_eval: evals[1],
-        c_eval: evals[2],
-        sigma1_eval: evals[3],
-        sigma2_eval: evals[4],
-        z_omega_eval: evals[5],
-    })
-}
-
-// `Field` is needed for `Fr::ZERO` above.
-use zkdet_field::Field;
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
     use zkdet_crypto::mimc::MimcCtr;
+    use zkdet_field::Field;
 
     #[test]
     fn ciphertext_roundtrip() {
@@ -352,36 +282,6 @@ mod tests {
         r.finish().unwrap();
         assert_eq!(decoded, proof);
         assert!(Plonk::verify(&vk, &[], &decoded));
-    }
-
-    #[test]
-    fn compressed_proof_roundtrip_is_489_bytes() {
-        use zkdet_plonk::{CircuitBuilder, Plonk};
-        let mut rng = StdRng::seed_from_u64(504);
-        let srs = zkdet_kzg::Srs::universal_setup(32, &mut rng);
-        let mut b = CircuitBuilder::new();
-        let x = b.alloc(Fr::from(4u64));
-        let y = b.mul(x, x);
-        b.assert_constant(y, Fr::from(16u64));
-        let circuit = b.build();
-        let (pk, vk) = Plonk::preprocess(&srs, &circuit).unwrap();
-        let proof = Plonk::prove(&pk, &circuit, &mut rng).unwrap();
-        let bytes = encode_proof_compressed(&proof);
-        assert_eq!(bytes.len(), 489);
-        let decoded = decode_proof_compressed(&bytes).unwrap();
-        assert_eq!(decoded, proof);
-        assert!(Plonk::verify(&vk, &[], &decoded));
-        // Truncation rejected.
-        assert!(decode_proof_compressed(&bytes[..488]).is_err());
-        // A corrupted x-coordinate is rejected (off-curve or wrong parity
-        // decodes to a different point that fails verification; most
-        // corruptions fail outright at decompression).
-        let mut bad = bytes.clone();
-        bad[1] ^= 0xff;
-        match decode_proof_compressed(&bad) {
-            Err(_) => {}
-            Ok(p) => assert!(!Plonk::verify(&vk, &[], &p)),
-        }
     }
 
     #[test]

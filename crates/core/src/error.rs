@@ -134,11 +134,6 @@ impl ZkdetError {
             | ZkdetError::Protocol(_) => Recovery::Fatal,
         }
     }
-
-    /// `true` unless the error is [`Recovery::Fatal`].
-    pub fn is_recoverable(&self) -> bool {
-        self.recovery() != Recovery::Fatal
-    }
 }
 
 impl std::error::Error for ZkdetError {}

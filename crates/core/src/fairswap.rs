@@ -235,10 +235,11 @@ impl Marketplace {
 
     /// The effect half of the accept step: checks the already-journaled
     /// `intent`'s ciphertext and plaintext against the offer's on-chain
-    /// roots, then escrows the price and journals `SwapAcceptDone`. The
-    /// checks live here, not before the intent, so a recovery that
-    /// re-executes the intent cannot escrow for blocks the live step
-    /// would have rejected ([`ZkdetError::Inconsistent`], nothing moved).
+    /// roots and block count, then escrows the price and journals
+    /// `SwapAcceptDone`. The checks live here, not before the intent, so a
+    /// recovery that re-executes the intent cannot escrow for blocks the
+    /// live step would have rejected ([`ZkdetError::Inconsistent`], nothing
+    /// moved).
     pub(crate) fn escrow_swap_accept(
         &mut self,
         journal: &mut impl Journal,
@@ -248,6 +249,20 @@ impl Marketplace {
         let swap = intent.swap;
         let on_chain = self.chain.fairswap(&contract)?.swap(swap)?.clone();
         let payment = on_chain.price;
+        // A root does not pin its list's length: leaves are zero-padded to a
+        // power of two, and a seller may post a root over fewer ciphertext
+        // blocks than the file has. Decryption stops at the shorter list,
+        // so a short ciphertext would leave no block to complain about.
+        if intent.ciphertext.len() != on_chain.num_blocks
+            || intent.expected.len() != on_chain.num_blocks
+        {
+            return Err(ZkdetError::Inconsistent(format!(
+                "{} ciphertext blocks served and {} plaintext blocks expected for a {}-block offer",
+                intent.ciphertext.len(),
+                intent.expected.len(),
+                on_chain.num_blocks
+            )));
+        }
         let state = FairSwapBuyer::from_intent(intent, payment);
         if state.ciphertext.root() != on_chain.root_c {
             return Err(ZkdetError::Inconsistent(
@@ -414,23 +429,29 @@ mod tests {
     fn recovery_of_a_rejected_accept_escrows_nothing() {
         // The live accept journals its intent, then rejects: once because
         // the served ciphertext is not the one under the on-chain root_c,
-        // once because the offer is not for the file the buyer expects.
-        for wrong_file in [false, true] {
+        // once because the offer is not for the file the buyer expects, and
+        // once because the buyer expects a shorter file under the same
+        // (zero-padded) plaintext root.
+        for case in ["tampered ciphertext", "wrong file", "short file"] {
             let (mut m, seller, mut buyer, fs, mut rng) = setup();
-            let d = data(&[1, 2, 3, 4]);
+            let d = data(&[1, 2, 3, 0]);
             let mut wal = crate::journal::ExchangeWal::new();
             let (s_state, mut ct) = m
                 .journaled_fairswap_offer(&mut wal, fs, &seller, d.clone(), 500, &mut rng)
                 .unwrap();
-            let expected = if wrong_file {
-                data(&[1, 2, 3, 5])
-            } else {
-                ct[0] += Fr::ONE;
-                d
+            let expected = match case {
+                "tampered ciphertext" => {
+                    ct[0] += Fr::ONE;
+                    d
+                }
+                "wrong file" => data(&[1, 2, 3, 5]),
+                _ => data(&[1, 2, 3]),
             };
             let swap = s_state.swap;
-            m.journaled_fairswap_accept(&mut wal, fs, &buyer, swap, ct, &expected)
+            let err = m
+                .journaled_fairswap_accept(&mut wal, fs, &buyer, swap, ct, &expected)
                 .unwrap_err();
+            assert!(matches!(err, ZkdetError::Inconsistent(_)), "{case}: {err}");
             let (b, s) = (buyer.address, seller.address);
             let balances = |m: &Marketplace| (m.chain.state.balance(&b), m.chain.state.balance(&s));
             let before = balances(&m);
@@ -441,11 +462,47 @@ mod tests {
                 .recover(&mut wal, Some(&seller), &mut buyer, Some(fs), &mut rng)
                 .unwrap();
             assert_eq!(report.swaps.len(), 1);
-            assert_eq!(report.swaps[0].state, "offered");
-            assert_eq!(balances(&m), before);
+            assert_eq!(report.swaps[0].state, "offered", "{case}");
+            assert_eq!(balances(&m), before, "{case}");
             let on_chain = m.chain.fairswap(&fs).unwrap().swap(swap).unwrap();
             assert_eq!(on_chain.state, SwapState::Offered);
         }
+    }
+
+    /// A seller posts a root over a 1-block ciphertext beside the real
+    /// 2-block plaintext root and `num_blocks = 2`. Every root matches what
+    /// the buyer is served and expects, but decryption would stop after
+    /// one block with nothing to complain about, and the seller would
+    /// collect the full price once the window closed. The accept refuses
+    /// the offer and escrows nothing.
+    #[test]
+    fn a_truncated_ciphertext_is_refused_before_escrow() {
+        let (mut m, seller, buyer, fs, _) = setup();
+        let real = data(&[10, 20]);
+        let key = Fr::from(777u64);
+        let nonce = Fr::from(1u64);
+        let ct = MimcCtr::new(key, nonce).encrypt(&real.entries()[..1]);
+        let (swap, _) = m
+            .chain
+            .fairswap_offer(
+                fs,
+                seller.address,
+                500,
+                MerkleTree::new(&ct.blocks).root(),
+                MerkleTree::new(real.entries()).root(),
+                Poseidon::hash(&[key]),
+                2,
+                nonce,
+            )
+            .unwrap();
+        let before = m.chain.state.balance(&buyer.address);
+        let err = m
+            .fairswap_accept(fs, &buyer, swap, ct.blocks, &real)
+            .unwrap_err();
+        assert!(matches!(err, ZkdetError::Inconsistent(_)), "{err}");
+        assert_eq!(m.chain.state.balance(&buyer.address), before);
+        let on_chain = m.chain.fairswap(&fs).unwrap().swap(swap).unwrap();
+        assert_eq!(on_chain.state, SwapState::Offered);
     }
 
     #[test]

@@ -154,11 +154,6 @@ impl ShardedMarketplace {
         Ok(ShardedMarketplace { shards, keys })
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard a token id routes to.
     pub fn shard_of(token: TokenId) -> usize {
         (token.0 / SHARD_TOKEN_STRIDE) as usize
@@ -177,27 +172,6 @@ impl ShardedMarketplace {
     /// All shards, in index order.
     pub fn shards(&self) -> impl Iterator<Item = &MarketShard> {
         self.shards.iter()
-    }
-
-    /// All shards mutably, in index order.
-    pub fn shards_mut(&mut self) -> impl Iterator<Item = &mut MarketShard> {
-        self.shards.iter_mut()
-    }
-
-    /// Routes a token to its shard.
-    ///
-    /// # Errors
-    ///
-    /// [`ZkdetError::Protocol`] if the token's range belongs to no shard.
-    pub fn shard_for_token(&mut self, token: TokenId) -> Result<&mut MarketShard, ZkdetError> {
-        let idx = Self::shard_of(token);
-        if idx >= self.shards.len() {
-            return Err(ZkdetError::Protocol(format!(
-                "token {token:?} routes to shard {idx}, but only {} shards exist",
-                self.shards.len()
-            )));
-        }
-        Ok(&mut self.shards[idx])
     }
 
     /// Crash recovery across every shard, replayed **in shard-index

@@ -35,6 +35,3 @@ pub use group::{CurveParams, G1Affine, G1Projective, G2Affine, G2Projective, G1,
 pub use msm::{fixed_base_batch_mul, msm};
 pub use pairing::{final_exponentiation, miller_loop, multi_miller_loop, multi_pairing, pairing};
 pub use wire::{WireError, G1_UNCOMPRESSED_BYTES, G2_UNCOMPRESSED_BYTES};
-
-/// The target group `G_T ⊂ F_{p¹²}` element type produced by the pairing.
-pub type Gt = zkdet_field::Fq12;

@@ -9,13 +9,14 @@
 //! field multiplications instead of the 11 of a Jacobian mixed add; once a
 //! round would hold too few pairs to pay for its inversion
 //! (`MIN_AFFINE_PAIRS`) the suffix-sum pass takes the buckets as they are,
-//! which is all a verifier-sized input (tens of terms) ever runs. One
-//! scoped worker per core sums an interleaved subset of the windows. This
-//! is the dominant cost of PLONK proving (nine KZG commitments per proof)
-//! and, through the verifier's two linear combinations, of checking one,
-//! so it gets the only real optimisation effort in the curve crate.
+//! which is all a verifier-sized input (tens of terms) ever runs. Up to
+//! [`par::cores`] scoped workers each sum an interleaved subset of the
+//! windows. This is the dominant cost of PLONK proving (nine KZG
+//! commitments per proof) and, through the verifier's two linear
+//! combinations, of checking one, so it gets the only real optimisation
+//! effort in the curve crate.
 
-use zkdet_field::{Field, Fr, PrimeField};
+use zkdet_field::{par, Field, Fr, PrimeField};
 
 use crate::group::{Affine, CurveParams, Projective};
 
@@ -250,9 +251,8 @@ fn window_sums<C: CurveParams>(
 
 /// Multi-scalar multiplication `Σ scalarsᵢ · basesᵢ`.
 ///
-/// The returned group element depends only on the inputs: window sums land
-/// in fixed slots and are combined in window order, whatever the core count
-/// or thread timing.
+/// The returned group element depends only on the inputs: window sums are
+/// combined in window order, whatever the worker count or thread timing.
 ///
 /// # Panics
 ///
@@ -270,12 +270,17 @@ pub fn msm<C: CurveParams>(bases: &[Affine<C>], scalars: &[Fr]) -> Projective<C>
     if bases.is_empty() {
         return Projective::identity();
     }
-    pippenger(bases, scalars, window_size(bases.len()))
+    pippenger(bases, scalars, window_size(bases.len()), par::cores())
 }
 
 /// [`msm`] over non-empty, equally long inputs with `c`-bit windows,
-/// `2 ≤ c ≤ 16`.
-fn pippenger<C: CurveParams>(bases: &[Affine<C>], scalars: &[Fr], c: usize) -> Projective<C> {
+/// `2 ≤ c ≤ 16`, its windows shared among `workers` threads.
+fn pippenger<C: CurveParams>(
+    bases: &[Affine<C>],
+    scalars: &[Fr],
+    c: usize,
+    workers: usize,
+) -> Projective<C> {
     let n = bases.len();
     let num_windows = SCALAR_BITS.div_ceil(c);
 
@@ -287,40 +292,21 @@ fn pippenger<C: CurveParams>(bases: &[Affine<C>], scalars: &[Fr], c: usize) -> P
     }
 
     // Worker `k` sums windows k, k + workers, …; the calling thread is
-    // worker 0, so a single core spawns nothing.
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |cores| cores.get())
-        .min(num_windows);
-    let mut sums = vec![Projective::<C>::identity(); num_windows];
-    let mut place = |k: usize, worker_sums: Vec<Projective<C>>| {
-        for (j, sum) in worker_sums.into_iter().enumerate() {
-            sums[k + j * workers] = sum;
-        }
-    };
-    // Workers run pure field arithmetic on borrowed slices; a panic there
-    // is a library bug, never an input condition, so joining with `expect`
-    // is the right escalation.
-    #[allow(clippy::expect_used)]
-    // zkdet-analyzer: allow(raw-thread-spawn) one worker per core over an interleaved subset of windows, all joined here; each sum lands in its window's slot and slots are combined in window order, so the result does not depend on thread timing or core count
-    crossbeam::thread::scope(|scope| {
-        let digits = &digits;
-        let handles: Vec<_> = (1..workers)
-            .map(|k| scope.spawn(move |_| window_sums(bases, digits, c, k, workers)))
-            .collect();
-        place(0, window_sums(bases, digits, c, 0, workers));
-        for (k, h) in (1..workers).zip(handles) {
-            place(k, h.join().expect("msm worker panicked"));
-        }
-    })
-    .expect("msm scope");
+    // worker 0, so a single worker spawns nothing.
+    let workers = workers.clamp(1, num_windows);
+    let mut sums = vec![Vec::new(); workers];
+    par::for_each_parallel(sums.iter_mut().enumerate(), |(k, out)| {
+        *out = window_sums(bases, &digits, c, k, workers);
+    });
 
-    // Combine windows MSB-first: acc = acc·2^c + window.
+    // Combine windows MSB-first: acc = acc·2^c + window, where window `w`
+    // is worker `w mod workers`'s `(w / workers)`-th sum.
     let mut acc = Projective::<C>::identity();
-    for sum in sums.into_iter().rev() {
+    for w in (0..num_windows).rev() {
         for _ in 0..c {
             acc = acc.double();
         }
-        acc += sum;
+        acc += sums[w % workers][w / workers];
     }
     acc
 }
@@ -499,22 +485,61 @@ mod tests {
         let edges = edge_case_table::<G1>(&mut rng);
         let p = bases[0];
         for c in 2..=16 {
-            assert_eq!(pippenger(&bases, &scalars, c), expected, "c = {c}");
+            assert_eq!(
+                pippenger(&bases, &scalars, c, par::cores()),
+                expected,
+                "c = {c}"
+            );
             // 2^c − 1 recodes to (−1, +1): the low window holds P and −P.
             let (one, all_ones) = (Fr::ONE, Fr::from((1u64 << c) - 1));
             assert_eq!(
-                pippenger(&[p, p], &[one, all_ones], c),
+                pippenger(&[p, p], &[one, all_ones], c, par::cores()),
                 p * (one + all_ones),
                 "c = {c}, opposite digits"
             );
             for (i, (bases, scalars)) in edges.iter().enumerate() {
                 assert_eq!(
-                    pippenger(bases, scalars, c),
+                    pippenger(bases, scalars, c, par::cores()),
                     naive(bases, scalars),
                     "c = {c}, edge case {i}"
                 );
             }
         }
+    }
+
+    /// Workers split the windows between them; the sum must not notice how.
+    /// 8 workers over c = 16's 16 windows take two each, 3 take 6, 5 and 5,
+    /// and at c = 2 (128 windows) every worker count divides unevenly or
+    /// not at all.
+    fn the_sum_does_not_depend_on_the_worker_count<C: CurveParams>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cases = edge_case_table::<C>(&mut rng);
+        cases.push((
+            random_bases::<C>(40, &mut rng),
+            random_scalars(40, &mut rng),
+        ));
+        for (i, (bases, scalars)) in cases.iter().enumerate() {
+            let expected = naive(bases, scalars);
+            for c in [2, 5, 8, 16] {
+                for workers in [1, 2, 3, 8] {
+                    assert_eq!(
+                        pippenger(bases, scalars, c, workers),
+                        expected,
+                        "case {i}, c = {c}, {workers} workers"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_sum_does_not_depend_on_the_worker_count_g1() {
+        the_sum_does_not_depend_on_the_worker_count::<G1>(39);
+    }
+
+    #[test]
+    fn the_sum_does_not_depend_on_the_worker_count_g2() {
+        the_sum_does_not_depend_on_the_worker_count::<G2>(40);
     }
 
     #[test]

@@ -239,15 +239,6 @@ const EV_AWAIT: u8 = 4;
 const EV_DONE: u8 = 5;
 const EV_ACCESS: u8 = 6;
 
-/// Whether a declared World-state access reads or mutates the resource.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Access {
-    /// The step only observes the resource.
-    Read,
-    /// The step mutates the resource.
-    Write,
-}
-
 /// One declared World-state access: which task touched which
 /// `(shard, key)` resource at which tick, and whether it wrote.
 ///
@@ -705,11 +696,6 @@ impl<W> Executor<W> {
             acc = splitmix64(acc ^ u64::from(b));
         }
         acc
-    }
-
-    /// Number of schedule-log events so far.
-    pub fn schedule_len(&self) -> usize {
-        self.sched.log.len()
     }
 
     /// The declared World-state accesses in step order — input to the

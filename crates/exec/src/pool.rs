@@ -2,16 +2,18 @@
 //!
 //! The executor's *scheduling* model is W simulated workers on the
 //! deterministic clock; this module supplies the actual CPU: a fixed set
-//! of OS threads fed over a crossbeam channel. Results re-enter the
+//! of OS threads fed over one `std::sync::mpsc` channel, whose receiver
+//! the workers share behind a mutex. Results re-enter the
 //! executor keyed by job id, so the real completion order — which the OS
 //! controls — never influences the simulated schedule.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use zkdet_telemetry::TraceId;
 
 /// What a job returns: any sendable value, downcast by the awaiting task.
@@ -46,32 +48,38 @@ pub(crate) struct Pool {
 impl Pool {
     pub(crate) fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let (tx, rx) = unbounded::<JobMsg>();
-        let (done_tx, done_rx) = unbounded::<JobDone>();
+        let (tx, rx) = channel::<JobMsg>();
+        let rx = Arc::new(Mutex::new(rx));
+        let (done_tx, done_rx) = channel::<JobDone>();
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
             let done_tx = done_tx.clone();
             // zkdet-analyzer: allow(raw-thread-spawn) this IS the sanctioned pool; completion ticks come from the simulated clock
-            handles.push(std::thread::spawn(move || {
-                while let Ok(msg) = rx.recv() {
-                    // zkdet-analyzer: allow(wall-clock) job wall timing is measurement only, never scheduling
-                    let t0 = Instant::now();
-                    let _guard = msg.trace.map(TraceId::adopt);
-                    let outcome = catch_unwind(AssertUnwindSafe(msg.f))
-                        .map_err(|p| panic_text(p.as_ref()));
-                    let wall_micros =
-                        t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                    if done_tx
-                        .send(JobDone {
-                            id: msg.id,
-                            outcome,
-                            wall_micros,
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
+            handles.push(std::thread::spawn(move || loop {
+                // The lock is held while waiting for a job, never while
+                // running one. Nothing panics under it, so it is never
+                // poisoned; a worker that found it so would leave.
+                let next = match rx.lock() {
+                    Ok(rx) => rx.recv(),
+                    Err(_) => break,
+                };
+                let Ok(msg) = next else { break };
+                // zkdet-analyzer: allow(wall-clock) job wall timing is measurement only, never scheduling
+                let t0 = Instant::now();
+                let _guard = msg.trace.map(TraceId::adopt);
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(msg.f)).map_err(|p| panic_text(p.as_ref()));
+                let wall_micros = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+                if done_tx
+                    .send(JobDone {
+                        id: msg.id,
+                        outcome,
+                        wall_micros,
+                    })
+                    .is_err()
+                {
+                    break;
                 }
             }));
         }

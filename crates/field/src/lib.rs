@@ -13,6 +13,10 @@
 //! constant (Montgomery `R`, `R²`, `-p⁻¹ mod 2⁶⁴`) is computed at compile
 //! time from the modulus, so there are no hand-transcribed magic values.
 //!
+//! [`par`] is the scoped fan-out the MSM, FFT and PLONK quotient kernels
+//! share; it lives here because every crate with such a kernel depends on
+//! this one.
+//!
 //! # Example
 //!
 //! ```rust
@@ -32,6 +36,7 @@ mod fq12;
 mod fq2;
 mod fq6;
 mod montgomery;
+pub mod par;
 mod traits;
 
 pub use bigint::BigInt;

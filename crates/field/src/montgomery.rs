@@ -29,12 +29,6 @@ macro_rules! montgomery_field {
             /// A generator of the multiplicative group.
             pub const GENERATOR_U64: u64 = $generator;
 
-            /// The raw Montgomery representation.
-            #[inline]
-            pub const fn mont_limbs(&self) -> [u64; 4] {
-                self.0
-            }
-
             /// The multiplicative generator as a field element.
             pub fn generator() -> Self {
                 Self::from(Self::GENERATOR_U64)

@@ -434,20 +434,6 @@ impl CircuitBuilder {
         );
     }
 
-    /// Constrains `x·y == z` with a single gate.
-    pub fn assert_mul(&mut self, x: Variable, y: Variable, z: Variable) {
-        self.gate(
-            x,
-            y,
-            z,
-            Selectors {
-                q_m: Fr::ONE,
-                q_o: -Fr::ONE,
-                ..Default::default()
-            },
-        );
-    }
-
     /// Constrains `x ∈ {0, 1}`.
     pub fn assert_bool(&mut self, x: Variable) {
         // x·x − x = 0

@@ -5,7 +5,7 @@
 //! polynomial, and two batched KZG openings at `ζ` and `ζω`.
 
 use rand::Rng;
-use zkdet_field::{Field, Fr, PrimeField};
+use zkdet_field::{par, Field, Fr, PrimeField};
 use zkdet_poly::DensePolynomial;
 
 use crate::builder::CompiledCircuit;
@@ -106,11 +106,14 @@ fn record_wire_widths(
 /// reused size-n buffers; `z(ωX)` is `z`'s quarter read one slot on;
 /// `Z_H = s_jⁿ − 1` is one constant; `L₁/Z_H = 1/(n·(x − 1))`. The selector
 /// and σ extensions in the key are read at `j + 4k`, the values land in
-/// `t4[j + 4k]`, and one in-place coset iFFT turns `t4` into `t(X)`.
+/// `t4[j + 4k]`, and one in-place coset iFFT turns `t4` into `t(X)`. Each
+/// quarter is cut into `workers` runs of consecutive points, the first run
+/// on the calling thread; every value is a function of its index alone.
 fn quotient(
     pk: &ProvingKey,
     polys: [&DensePolynomial; 5],
     [beta, gamma, alpha]: [Fr; 3],
+    workers: usize,
 ) -> Result<Vec<Fr>, PlonkError> {
     let domain = &pk.domain;
     let n = domain.size();
@@ -118,8 +121,7 @@ fn quotient(
     let (beta_k1, beta_k2) = (beta * coset_k1(), beta * coset_k2());
     let alpha2 = alpha.square();
     let n_fr = Fr::from(n as u64);
-    let workers = std::thread::available_parallelism().map_or(1, |c| c.get().min(8));
-    let chunk_len = n.div_ceil(workers);
+    let chunk_len = n.div_ceil(workers.max(1));
 
     let mut t4 = vec![Fr::ZERO; pk.domain4.size()];
     let mut evals: [Vec<Fr>; 5] = Default::default();
@@ -132,46 +134,41 @@ fn quotient(
             .inverse()
             .ok_or(PlonkError::Internal("quotient coset meets the domain"))?;
         let [a, b, c, z, pi] = &evals;
-        // zkdet-analyzer: allow(raw-thread-spawn) quotient evaluations over disjoint runs of one quarter-coset; each value is a pure function of its index, whatever the chunking
-        crossbeam::thread::scope(|scope| {
-            for (chunk_idx, out) in t4.chunks_mut(4 * chunk_len).enumerate() {
-                scope.spawn(move |_| {
-                    let base = chunk_idx * chunk_len;
-                    let start = shift * omega.pow(&[base as u64, 0, 0, 0]);
-                    // L₁(x)/Z_H(x) = 1/(n·(x − 1)) over this run's points.
-                    let mut l1 = Vec::with_capacity(out.len() / 4);
-                    let mut x = start;
-                    for _ in 0..out.len() / 4 {
-                        l1.push(n_fr * (x - Fr::ONE));
-                        x *= omega;
-                    }
-                    Fr::batch_inverse(&mut l1);
-                    let mut x = start;
-                    for (off, point) in out.chunks_exact_mut(4).enumerate() {
-                        let k = base + off;
-                        let i = j + 4 * k;
-                        let gate = pk.q_ext[0][i] * a[k]
-                            + pk.q_ext[1][i] * b[k]
-                            + pk.q_ext[2][i] * c[k]
-                            + pk.q_ext[3][i] * a[k] * b[k]
-                            + pk.q_ext[4][i]
-                            + pi[k];
-                        let perm1 = z[k]
-                            * (a[k] + beta * x + gamma)
-                            * (b[k] + beta_k1 * x + gamma)
-                            * (c[k] + beta_k2 * x + gamma);
-                        let perm2 = z[(k + 1) % n]
-                            * (a[k] + beta * pk.sigma_ext[0][i] + gamma)
-                            * (b[k] + beta * pk.sigma_ext[1][i] + gamma)
-                            * (c[k] + beta * pk.sigma_ext[2][i] + gamma);
-                        point[j] = (gate + alpha * (perm1 - perm2)) * zh_inv
-                            + alpha2 * (z[k] - Fr::ONE) * l1[off];
-                        x *= omega;
-                    }
-                });
+        let runs = t4.chunks_mut(4 * chunk_len).enumerate();
+        par::for_each_parallel(runs, |(chunk_idx, out)| {
+            let base = chunk_idx * chunk_len;
+            let start = shift * omega.pow(&[base as u64, 0, 0, 0]);
+            // L₁(x)/Z_H(x) = 1/(n·(x − 1)) over this run's points.
+            let mut l1 = Vec::with_capacity(out.len() / 4);
+            let mut x = start;
+            for _ in 0..out.len() / 4 {
+                l1.push(n_fr * (x - Fr::ONE));
+                x *= omega;
             }
-        })
-        .map_err(|_| PlonkError::Internal("quotient worker panicked"))?;
+            Fr::batch_inverse(&mut l1);
+            let mut x = start;
+            for (off, point) in out.chunks_exact_mut(4).enumerate() {
+                let k = base + off;
+                let i = j + 4 * k;
+                let gate = pk.q_ext[0][i] * a[k]
+                    + pk.q_ext[1][i] * b[k]
+                    + pk.q_ext[2][i] * c[k]
+                    + pk.q_ext[3][i] * a[k] * b[k]
+                    + pk.q_ext[4][i]
+                    + pi[k];
+                let perm1 = z[k]
+                    * (a[k] + beta * x + gamma)
+                    * (b[k] + beta_k1 * x + gamma)
+                    * (c[k] + beta_k2 * x + gamma);
+                let perm2 = z[(k + 1) % n]
+                    * (a[k] + beta * pk.sigma_ext[0][i] + gamma)
+                    * (b[k] + beta * pk.sigma_ext[1][i] + gamma)
+                    * (c[k] + beta * pk.sigma_ext[2][i] + gamma);
+                point[j] = (gate + alpha * (perm1 - perm2)) * zh_inv
+                    + alpha2 * (z[k] - Fr::ONE) * l1[off];
+                x *= omega;
+            }
+        });
         shift *= pk.domain4.group_gen();
     }
     drop(evals);
@@ -289,6 +286,7 @@ pub(crate) fn prove<R: Rng + ?Sized>(
         pk,
         [&a_poly, &b_poly, &c_poly, &z_poly, &pi_poly],
         [beta, gamma, alpha],
+        par::cores(),
     )?);
     debug_assert!(
         t_poly.degree() <= 3 * n + 5,
@@ -513,11 +511,14 @@ mod tests {
             let (a, b, c, z, pi) = (poly(n + 2), poly(n + 2), poly(n + 2), poly(n + 3), poly(n));
             let polys = [&a, &b, &c, &z, &pi];
             let challenges = [Fr::random(&mut rng), Fr::random(&mut rng), Fr::random(&mut rng)];
-            assert_eq!(
-                quotient(&pk, polys, challenges).unwrap(),
-                quotient_4n_reference(&pk, polys, challenges),
-                "n = {n}"
-            );
+            let expected = quotient_4n_reference(&pk, polys, challenges);
+            for workers in [1, 2, 5] {
+                assert_eq!(
+                    quotient(&pk, polys, challenges, workers).unwrap(),
+                    expected,
+                    "n = {n}, {workers} workers"
+                );
+            }
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Radix-2 FFT evaluation domains.
 
-use zkdet_field::{Field, Fr};
+use zkdet_field::{par, Field, Fr};
 
 /// A multiplicative subgroup `⟨ω⟩ ⊂ F_r*` of power-of-two order, with
 /// in-place radix-2 (i)FFT and coset variants.
@@ -215,14 +215,13 @@ impl EvaluationDomain {
 /// thread: a spawn costs more than the butterflies it would take over.
 const PARALLEL_MIN_LOG_SIZE: u32 = 12;
 
-/// Workers for a transform of `2^log_n` points: a power of two, at most
-/// one per core and at most eight.
+/// Workers for a transform of `2^log_n` points: the largest power of two
+/// not above [`par::cores`].
 fn workers_for(log_n: u32) -> usize {
     if log_n < PARALLEL_MIN_LOG_SIZE {
         return 1;
     }
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get().min(8));
-    1 << cores.ilog2()
+    1 << par::cores().ilog2()
 }
 
 /// `a[i] *= start · ratioⁱ`.
@@ -232,24 +231,6 @@ fn scale_by_powers(a: &mut [Fr], start: Fr, ratio: Fr) {
         *x *= power;
         power *= ratio;
     }
-}
-
-/// Runs `f` on every item, one item per thread (the calling thread takes
-/// the first). Every item is a disjoint piece of one transform, so the
-/// result is the same whatever the item count or the order they finish in.
-fn for_each_parallel<T: Send>(items: Vec<T>, f: impl Fn(T) + Sync) {
-    let mut items = items.into_iter();
-    let Some(first) = items.next() else {
-        return;
-    };
-    let f = &f;
-    // zkdet-analyzer: allow(raw-thread-spawn) one transform's disjoint butterfly runs, all joined before the scope returns; each output slot is a pure function of the input, whatever the worker count
-    std::thread::scope(|scope| {
-        for item in items {
-            scope.spawn(move || f(item));
-        }
-        f(first);
-    });
 }
 
 /// In-place radix-2 decimation-in-time transform of `a` (a power-of-two
@@ -281,15 +262,14 @@ fn radix2(a: &mut [Fr], omega: Fr, workers: usize) {
 
     let mut twiddles = vec![Fr::ONE; half];
     let piece = half / workers;
-    let pieces: Vec<_> = twiddles.chunks_mut(piece).enumerate().collect();
-    for_each_parallel(pieces, |(w, out)| {
+    par::for_each_parallel(twiddles.chunks_mut(piece).enumerate(), |(w, out)| {
         scale_by_powers(out, omega.pow(&[(w * piece) as u64, 0, 0, 0]), omega);
     });
     let twiddles = &twiddles;
 
     // Bottom stages: each worker's block, half-widths 1 … block/2.
     let block = n / workers;
-    for_each_parallel(a.chunks_mut(block).collect(), |chunk| {
+    par::for_each_parallel(a.chunks_mut(block), |chunk| {
         let mut m = 1;
         while m < block {
             let stride = half / m;
@@ -314,7 +294,9 @@ fn radix2(a: &mut [Fr], omega: Fr, workers: usize) {
                 runs.push((lo, hi, r * run));
             }
         }
-        for_each_parallel(runs, |(lo, hi, j0)| butterflies(lo, hi, twiddles, j0, stride));
+        par::for_each_parallel(runs, |(lo, hi, j0)| {
+            butterflies(lo, hi, twiddles, j0, stride)
+        });
         m *= 2;
     }
 }

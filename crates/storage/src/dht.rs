@@ -51,13 +51,6 @@ pub struct DhtNode {
     pub(crate) blocks: BTreeMap<Cid, Bytes>,
 }
 
-impl DhtNode {
-    /// Number of blocks pinned here.
-    pub fn stored_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -56,8 +56,6 @@ pub struct FaultPlan {
     seed: u64,
     /// Probability (parts per million) that any request is dropped.
     global_drop_ppm: u32,
-    /// Per-node drop probability (ppm), overriding the global rate.
-    node_drop_ppm: BTreeMap<NodeId, u32>,
     /// Per-node request latency in clock ticks.
     latency: BTreeMap<NodeId, u64>,
     /// Tick at which a node crashes (unreachable from then on).
@@ -96,12 +94,6 @@ impl FaultPlan {
     /// Drops every request with probability `prob` (clamped to `[0, 1]`).
     pub fn with_global_drop(mut self, prob: f64) -> Self {
         self.global_drop_ppm = to_ppm(prob);
-        self
-    }
-
-    /// Drops requests to `node` with probability `prob`.
-    pub fn with_node_drop(mut self, node: NodeId, prob: f64) -> Self {
-        self.node_drop_ppm.insert(node, to_ppm(prob));
         self
     }
 
@@ -164,11 +156,7 @@ impl FaultPlan {
 
     /// Deterministic drop decision for request number `nonce` to `node`.
     pub fn should_drop(&self, node: &NodeId, nonce: u64) -> bool {
-        let ppm = self
-            .node_drop_ppm
-            .get(node)
-            .copied()
-            .unwrap_or(self.global_drop_ppm);
+        let ppm = self.global_drop_ppm;
         if ppm == 0 {
             return false;
         }

@@ -123,13 +123,6 @@ pub struct RepairReport {
     pub unrecoverable: Vec<Cid>,
 }
 
-impl RepairReport {
-    /// True when the pass neither repaired nor failed anything.
-    pub fn is_noop(&self) -> bool {
-        self.contents_repaired == 0 && self.shares_restored == 0 && self.unrecoverable.is_empty()
-    }
-}
-
 /// Point-in-time durability of one blob, from
 /// [`crate::StorageNetwork::durability_report`].
 #[derive(Clone, Debug, PartialEq, Eq)]

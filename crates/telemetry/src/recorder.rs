@@ -3,7 +3,7 @@
 //! A [`Recorder`] collects finished [`SpanRecord`]s into a mutex-guarded
 //! buffer. Open spans live on a thread-local stack, so nesting is tracked
 //! per thread with zero cross-thread contention: a span opened on a worker
-//! thread (e.g. inside a crossbeam scope) becomes a root span on that
+//! thread (e.g. inside a `std::thread::scope`) becomes a root span on that
 //! thread rather than racing for its parent's children.
 //!
 //! Two clock modes exist:

@@ -5,15 +5,15 @@
 use zkdet_telemetry::{Recorder, Registry};
 
 #[test]
-fn spans_nest_per_thread_under_crossbeam_scope() {
+fn spans_nest_per_thread_under_a_thread_scope() {
     let recorder = Recorder::new();
     {
         let mut outer = recorder.span("orchestrate");
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|worker| {
                     let recorder = &recorder;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let mut s = recorder.span("worker");
                         s.record("index", worker);
                         {
@@ -25,8 +25,7 @@ fn spans_nest_per_thread_under_crossbeam_scope() {
             for h in handles {
                 h.join().expect("worker");
             }
-        })
-        .expect("scope");
+        });
         outer.record("workers", 4);
         drop(outer);
     };
@@ -68,16 +67,16 @@ fn spans_nest_per_thread_under_crossbeam_scope() {
 
 #[test]
 fn trace_context_is_thread_local_without_cross_talk() {
-    // Four workers each enter a distinct trace (the crossbeam-partitioned
+    // Four workers each enter a distinct trace (the partitioned
     // parallel-verify shape): every span a worker opens must carry its own
     // trace id, and a thread with no context must stamp nothing — even
     // while other threads have contexts active.
     let recorder = Recorder::new();
     let _outer = zkdet_telemetry::enter_trace(zkdet_telemetry::TraceId::for_exchange(999));
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for worker in 0..4u64 {
             let recorder = &recorder;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 // Worker threads do NOT inherit the spawner's context.
                 assert_eq!(zkdet_telemetry::current_trace(), None);
                 let trace = zkdet_telemetry::TraceId::for_exchange(worker);
@@ -88,13 +87,12 @@ fn trace_context_is_thread_local_without_cross_talk() {
                 }
             });
         }
-        scope.spawn(|_| {
+        scope.spawn(|| {
             // A context-free worker alongside the traced ones.
             assert_eq!(zkdet_telemetry::current_trace(), None);
             let _s = recorder.span("verify.untraced");
         });
-    })
-    .expect("scope");
+    });
 
     let spans = recorder.finished_spans();
     assert_eq!(spans.len(), 4 * 64 + 1);
@@ -116,10 +114,10 @@ fn counters_are_consistent_under_contention() {
     let registry = Registry::new();
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 10_000;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..THREADS {
             let registry = &registry;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 // Resolve the handle once, then hammer it — the hot-path
                 // usage pattern.
                 let c = registry.counter("zkdet.test.contended");
@@ -131,8 +129,7 @@ fn counters_are_consistent_under_contention() {
                 }
             });
         }
-    })
-    .expect("scope");
+    });
     assert_eq!(
         registry.counter_value("zkdet.test.contended"),
         THREADS * PER_THREAD

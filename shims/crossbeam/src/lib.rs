@@ -1,246 +1,8 @@
-//! Offline stand-in for the `crossbeam` crate.
-//!
-//! The workspace uses two slices of crossbeam's API: `thread::scope` (a
-//! thin adapter over std's scoped threads, available since Rust 1.63) and
-//! `channel` (MPMC-shaped senders/receivers used by the zkdet-exec worker
-//! pool, backed here by `std::sync::mpsc` behind a mutex on the receive
-//! side).
+//! Empty stand-in for the `crossbeam` crate; nothing in the workspace uses
+//! it. The compute kernels fan out through `zkdet_field::par` and the
+//! executor's pool runs on `std::sync::mpsc`. The package stays only because
+//! `benchmark/Cargo.lock` records its edges from `zkdet-curve`,
+//! `zkdet-plonk`, `zkdet-exec` and `zkdet-provenance`; the benchmark-only
+//! change that refreshes that lock deletes those edges and this package.
 
 #![forbid(unsafe_code)]
-
-pub mod channel {
-    use std::sync::{mpsc, Arc, Mutex};
-
-    /// Error returned by [`Sender::send`] when every receiver is gone.
-    /// Carries the unsent message, like crossbeam's.
-    #[derive(Debug)]
-    pub struct SendError<T>(pub T);
-
-    impl<T> std::fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "sending on a disconnected channel")
-        }
-    }
-
-    /// Error returned by [`Receiver::recv`] when every sender is gone and
-    /// the channel is drained.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl std::fmt::Display for RecvError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "receiving on an empty and disconnected channel")
-        }
-    }
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// The channel is currently empty but senders remain.
-        Empty,
-        /// Every sender is gone and the channel is drained.
-        Disconnected,
-    }
-
-    /// The sending half of an unbounded channel. Cloneable; the channel
-    /// disconnects when every clone is dropped.
-    pub struct Sender<T> {
-        inner: mpsc::Sender<T>,
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender {
-                inner: self.inner.clone(),
-            }
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Sends a message, failing only if every receiver is gone.
-        pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            self.inner.send(msg).map_err(|mpsc::SendError(m)| SendError(m))
-        }
-    }
-
-    /// The receiving half of an unbounded channel. Cloneable (crossbeam's
-    /// channels are MPMC): clones share one queue, each message is
-    /// delivered to exactly one receiver.
-    pub struct Receiver<T> {
-        inner: Arc<Mutex<mpsc::Receiver<T>>>,
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            Receiver {
-                inner: Arc::clone(&self.inner),
-            }
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocks until a message arrives or the channel disconnects.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let guard = self.inner.lock().map_err(|_| RecvError)?;
-            guard.recv().map_err(|_| RecvError)
-        }
-
-        /// Returns immediately with a message, `Empty`, or `Disconnected`.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let guard = self.inner.lock().map_err(|_| TryRecvError::Disconnected)?;
-            guard.try_recv().map_err(|e| match e {
-                mpsc::TryRecvError::Empty => TryRecvError::Empty,
-                mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
-            })
-        }
-
-        /// Blocking iterator over messages until disconnection.
-        pub fn iter(&self) -> Iter<'_, T> {
-            Iter { rx: self }
-        }
-    }
-
-    /// Iterator returned by [`Receiver::iter`].
-    pub struct Iter<'a, T> {
-        rx: &'a Receiver<T>,
-    }
-
-    impl<T> Iterator for Iter<'_, T> {
-        type Item = T;
-        fn next(&mut self) -> Option<T> {
-            self.rx.recv().ok()
-        }
-    }
-
-    /// Creates an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (
-            Sender { inner: tx },
-            Receiver {
-                inner: Arc::new(Mutex::new(rx)),
-            },
-        )
-    }
-}
-
-pub mod thread {
-    /// Result of a scope or a joined thread (the error is the panic payload).
-    pub type Result<T> = std::result::Result<T, Box<dyn std::any::Any + Send + 'static>>;
-
-    /// Scope handle passed to the `scope` closure.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    /// Handle to a spawned scoped thread.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Waits for the thread and returns its result.
-        pub fn join(self) -> Result<T> {
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a thread inside the scope. The closure's argument exists
-        /// only for crossbeam signature compatibility (`|_| ...`).
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(()) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            ScopedJoinHandle {
-                inner: self.inner.spawn(move || f(())),
-            }
-        }
-    }
-
-    /// Runs `f` with a scope; all threads spawned in it are joined before
-    /// `scope` returns. Unlike crossbeam, a panicking un-joined child aborts
-    /// via std's scope rather than surfacing in the `Result` — call sites
-    /// here join explicitly or treat `Err` as fatal anyway.
-    pub fn scope<'env, F, R>(f: F) -> Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn channel_roundtrip_mpmc() {
-        let (tx, rx) = crate::channel::unbounded::<u64>();
-        let tx2 = tx.clone();
-        let rx2 = rx.clone();
-        tx.send(1).expect("send");
-        tx2.send(2).expect("send");
-        drop((tx, tx2));
-        let mut got = vec![rx.recv().expect("recv"), rx2.recv().expect("recv")];
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 2]);
-        assert_eq!(rx.recv(), Err(crate::channel::RecvError));
-        assert_eq!(
-            rx.try_recv(),
-            Err(crate::channel::TryRecvError::Disconnected)
-        );
-    }
-
-    #[test]
-    fn channel_feeds_worker_threads() {
-        let (tx, rx) = crate::channel::unbounded::<u64>();
-        let (out_tx, out_rx) = crate::channel::unbounded::<u64>();
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                let rx = rx.clone();
-                let out = out_tx.clone();
-                s.spawn(move || {
-                    while let Ok(v) = rx.recv() {
-                        out.send(v * 2).expect("send result");
-                    }
-                });
-            }
-            for v in 0..10u64 {
-                tx.send(v).expect("send job");
-            }
-            drop(tx);
-        });
-        drop(out_tx);
-        let mut results: Vec<u64> = out_rx.iter().collect();
-        results.sort_unstable();
-        assert_eq!(results, (0..10u64).map(|v| v * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn scope_spawns_and_joins() {
-        let data = vec![1u64, 2, 3, 4];
-        let total = crate::thread::scope(|scope| {
-            let mid = data.len() / 2;
-            let (lo, hi) = data.split_at(mid);
-            let h = scope.spawn(move |_| lo.iter().sum::<u64>());
-            let hi_sum = hi.iter().sum::<u64>();
-            h.join().expect("join") + hi_sum
-        })
-        .expect("scope");
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn unjoined_spawns_complete_before_scope_returns() {
-        let counter = std::sync::atomic::AtomicUsize::new(0);
-        crate::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|_| {
-                    counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                });
-            }
-        })
-        .expect("scope");
-        assert_eq!(counter.load(std::sync::atomic::Ordering::SeqCst), 4);
-    }
-}

@@ -258,12 +258,16 @@ fn durability_reports_are_seed_deterministic() {
 // Workspace lint pin
 // ---------------------------------------------------------------------------
 
-#[test]
-fn workspace_scan_has_no_gating_findings() {
+fn scan_this_workspace() -> zkdet_analyzer::ScanReport {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .expect("workspace root");
-    let report = zkdet_analyzer::scan_workspace(root).expect("scan workspace");
+    zkdet_analyzer::scan_workspace(root).expect("scan workspace")
+}
+
+#[test]
+fn workspace_scan_has_no_gating_findings() {
+    let report = scan_this_workspace();
     assert!(report.files_scanned > 100, "scanned {}", report.files_scanned);
     let gating: Vec<_> = report
         .findings
@@ -279,4 +283,20 @@ fn workspace_scan_has_no_gating_findings() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// Real threads start in two places only: the executor's pool and the
+/// compute kernels' one scoped fan-out. A third site, allowlisted or not,
+/// fails here rather than slipping in beside them.
+#[test]
+fn raw_threads_start_only_in_the_two_sanctioned_files() {
+    let mut files: Vec<String> = scan_this_workspace()
+        .findings
+        .into_iter()
+        .filter(|f| f.rule == zkdet_analyzer::Rule::RawThreadSpawn)
+        .map(|f| f.file)
+        .collect();
+    files.sort_unstable();
+    files.dedup();
+    assert_eq!(files, ["crates/exec/src/pool.rs", "crates/field/src/par.rs"]);
 }
