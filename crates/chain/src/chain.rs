@@ -1143,5 +1143,17 @@ mod tests {
         assert_eq!(listing.price_at(13), 700);
         assert_eq!(listing.price_at(16), 400);
         assert_eq!(listing.price_at(50), 400); // floor
+        // A seller-chosen decay too large to multiply reads the floor at
+        // every height after creation instead of wrapping back up.
+        for decay_per_block in [u128::MAX, 1 << 127] {
+            let steep = crate::contracts::Listing {
+                decay_per_block,
+                ..listing.clone()
+            };
+            assert_eq!(steep.price_at(10), 1_000);
+            for height in (11..=20).chain([u64::MAX]) {
+                assert_eq!(steep.price_at(height), 400, "at height {height}");
+            }
+        }
     }
 }

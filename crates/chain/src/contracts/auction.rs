@@ -78,11 +78,13 @@ pub struct Listing {
 }
 
 impl Listing {
-    /// Clock price at the given block height.
+    /// Clock price at the given block height. The seller picks the decay,
+    /// so the total decay saturates: a huge rate pins the price at the
+    /// floor instead of wrapping back up.
     pub fn price_at(&self, block_height: u64) -> Wei {
         let elapsed = block_height.saturating_sub(self.created_at) as Wei;
         self.start_price
-            .saturating_sub(elapsed * self.decay_per_block)
+            .saturating_sub(elapsed.saturating_mul(self.decay_per_block))
             .max(self.floor_price)
     }
 }

@@ -8,7 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use zkdet_field::Fr;
 use zkdet_provenance::{NodeId, ProvenanceIndex};
 use zkdet_storage::Cid;
@@ -18,7 +17,7 @@ use crate::gas::GasMeter;
 use crate::types::{Address, TokenId};
 
 /// How a token's dataset was produced (§III-B operations 4–7).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TransformKind {
     /// A freshly published dataset (no parents).
     Original,
@@ -47,7 +46,7 @@ impl TransformKind {
 }
 
 /// Per-token metadata stored on-chain.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TokenMeta {
     /// URI (content hash) of the encrypted dataset in public storage.
     pub cid: Cid,

@@ -1,13 +1,12 @@
 //! Primitive chain types.
 
-use serde::{Deserialize, Serialize};
 use zkdet_crypto::sha256;
 
 /// Wei — the smallest currency unit.
 pub type Wei = u128;
 
 /// A 20-byte account address (Ethereum style).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Address(pub [u8; 20]);
 
 impl Address {
@@ -54,9 +53,7 @@ impl core::fmt::Display for Address {
 }
 
 /// An ERC-721 token identifier, unique within its contract.
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
 pub struct TokenId(pub u64);
 
 impl core::fmt::Display for TokenId {

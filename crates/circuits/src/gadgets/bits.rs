@@ -6,12 +6,15 @@ use zkdet_plonk::{CircuitBuilder, Variable};
 /// Decomposes `x` into `k` little-endian boolean variables and constrains
 /// `x = Σ bitᵢ·2ⁱ` (which is itself the range proof `x < 2ᵏ`).
 ///
+/// A `k` wider than the 256-bit canonical form witnesses the extra bits as
+/// zero, so every field element satisfies it.
+///
 /// # Panics
 ///
 /// Debug-panics if the witness value does not fit `k` bits.
 pub fn decompose(b: &mut CircuitBuilder, x: Variable, k: usize) -> Vec<Variable> {
     let limbs = b.value(x).to_canonical();
-    let bit_val = |i: usize| (limbs[i / 64] >> (i % 64)) & 1 == 1;
+    let bit_val = |i: usize| limbs.get(i / 64).is_some_and(|l| (l >> (i % 64)) & 1 == 1);
     debug_assert!(
         (k..256).all(|i| !bit_val(i)),
         "decompose: witness exceeds {k} bits"
@@ -93,6 +96,14 @@ mod tests {
         assert_range(&mut b, x, 8);
         let c = b.build();
         assert!(prove_roundtrip(c, &[Fr::from(200u64)]));
+
+        // Wider than the canonical form: bits past 256 read as zero and
+        // even the largest field element is in range.
+        let mut b = CircuitBuilder::new();
+        let x = b.public_input(-Fr::ONE);
+        assert_range(&mut b, x, 300);
+        let c = b.build();
+        assert!(prove_roundtrip(c, &[-Fr::ONE]));
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //! what ran before it.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use rand::{rngs::StdRng, SeedableRng};
 use zkdet_circuits::{
     AggregationCircuit, DuplicationCircuit, EncryptionCircuit, KeyNegotiationCircuit,
@@ -113,9 +112,16 @@ impl KeyRegistry {
         &self.srs
     }
 
+    /// The `shape → keys` map. Entries are only ever inserted whole, so a
+    /// panic while it was held leaves it consistent: a poisoned lock is
+    /// recovered rather than propagated.
+    fn entries(&self) -> MutexGuard<'_, BTreeMap<Shape, KeyPair>> {
+        self.keys.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of shapes preprocessed so far.
     pub fn len(&self) -> usize {
-        self.keys.lock().len()
+        self.entries().len()
     }
 
     /// True until the first shape is stored.
@@ -126,7 +132,7 @@ impl KeyRegistry {
     /// The shape's keys if they are ready — uncounted, for a caller polling
     /// on a derivation it already counted as a miss.
     pub(crate) fn get(&self, shape: &Shape) -> Option<KeyPair> {
-        self.keys.lock().get(shape).cloned()
+        self.entries().get(shape).cloned()
     }
 
     /// [`Self::get`], counted as a hit or a miss for the shape's relation
@@ -154,7 +160,7 @@ impl KeyRegistry {
     /// Stores `keys` for `shape` unless an entry exists, and returns the
     /// entry now in force — so every holder of a shape sees one allocation.
     pub(crate) fn insert(&self, shape: Shape, keys: KeyPair) -> KeyPair {
-        self.keys.lock().entry(shape).or_insert(keys).clone()
+        self.entries().entry(shape).or_insert(keys).clone()
     }
 
     /// `KeyGen` itself — the one place this crate preprocesses a circuit.
@@ -291,6 +297,25 @@ mod tests {
             );
         }
         assert!(Shape::Validation([0; 32]).sample().is_err());
+    }
+
+    #[test]
+    fn poisoned_registry_is_recovered() {
+        let mut rng = StdRng::seed_from_u64(0x9015);
+        let m = Marketplace::bootstrap(1 << 11, 4, &mut rng).unwrap();
+        let registry = m.key_registry();
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = registry.entries();
+            panic!("poison the key registry");
+        }));
+        assert!(poisoned.is_err());
+        assert!(registry.keys.is_poisoned());
+        // π_k, derived at bootstrap, is still served from the entry in force.
+        assert_eq!(registry.len(), 1);
+        let keyneg = registry.keys(Shape::KeyNeg, m.metrics()).unwrap();
+        assert!(Arc::ptr_eq(&keyneg.pk, &m.keyneg.pk));
+        let hit = format!("{}.pi_k", metric::KEYS_HIT);
+        assert_eq!(m.metrics().counter_value(&hit), 1);
     }
 
     #[test]

@@ -459,12 +459,19 @@ impl Marketplace {
     }
 
     /// Shared §IV-B step-1/3 logic: fresh key + nonce, MiMC-CTR encryption,
-    /// Poseidon commitment, and `π_e`.
+    /// Poseidon commitment, and `π_e`. An empty dataset is refused here,
+    /// before any key, proof, upload or mint, for every protocol that
+    /// publishes one.
     fn encrypt_and_prove<R: Rng + ?Sized>(
         &mut self,
         data: &Dataset,
         rng: &mut R,
     ) -> Result<(DatasetSecret, Ciphertext, Proof), ZkdetError> {
+        if data.is_empty() {
+            return Err(ZkdetError::Protocol(
+                "cannot publish an empty dataset".into(),
+            ));
+        }
         let _span = zkdet_telemetry::span("market.encrypt_and_prove");
         let key = Fr::random(rng);
         let nonce = Fr::random(rng);
@@ -710,10 +717,7 @@ impl Marketplace {
     }
 
     /// One policy-governed retrieval with metrics accumulation.
-    fn retrieve_tracked(
-        &mut self,
-        cid: &zkdet_storage::Cid,
-    ) -> Result<bytes::Bytes, ZkdetError> {
+    fn retrieve_tracked(&mut self, cid: &zkdet_storage::Cid) -> Result<Arc<[u8]>, ZkdetError> {
         // zkdet-analyzer: allow(wall-clock) retrieval latency metric only; never feeds protocol or schedule state
         let t0 = std::time::Instant::now();
         let (bytes, stats) = self

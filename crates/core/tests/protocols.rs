@@ -30,6 +30,22 @@ fn publish_then_audit_original() {
 }
 
 #[test]
+fn empty_dataset_publish_is_a_typed_error() {
+    let mut rng = StdRng::seed_from_u64(611);
+    let mut m = market(&mut rng);
+    let mut alice = m.register();
+    let keys_before = m.key_registry().len();
+    let err = m
+        .publish_original(&mut alice, Dataset::from_entries(vec![]), &mut rng)
+        .unwrap_err();
+    assert!(matches!(err, ZkdetError::Protocol(_)), "{err:?}");
+    // Nothing was derived, uploaded or minted on the way to the error.
+    assert_eq!(m.key_registry().len(), keys_before);
+    assert!(m.storage.acknowledged_publishes().is_empty());
+    assert_eq!(m.chain.nft(&m.nft_addr).unwrap().total_supply(), 0);
+}
+
+#[test]
 fn transformation_chain_with_audit() {
     let mut rng = StdRng::seed_from_u64(601);
     let mut m = market(&mut rng);

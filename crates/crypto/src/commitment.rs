@@ -8,17 +8,16 @@
 //! shares the dataset through its commitment.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use zkdet_field::{Field, Fr};
 
 use crate::poseidon::Poseidon;
 
 /// A commitment value `c ∈ F_r`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Commitment(pub Fr);
 
 /// An opening (blinder) `o ∈ F_r`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Opening(pub Fr);
 
 /// The Poseidon-based vector commitment scheme.

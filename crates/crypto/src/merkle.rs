@@ -4,7 +4,6 @@
 //! cryptographic primitives) and by provenance digests in the core
 //! protocols.
 
-use serde::{Deserialize, Serialize};
 use zkdet_field::{Field, Fr};
 
 use crate::poseidon::Poseidon;
@@ -13,14 +12,16 @@ use crate::poseidon::Poseidon;
 ///
 /// Leaves are padded with `Fr::ZERO` up to the next power of two; the empty
 /// tree has root `Poseidon::hash(&[])`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MerkleTree {
-    /// Level 0 = leaves (padded), last level = root.
+    /// Level 0 = leaves (padded), up to the root's two children; empty for
+    /// a one-leaf tree.
     levels: Vec<Vec<Fr>>,
+    root: Fr,
 }
 
 /// An authentication path from a leaf to the root.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MerklePath {
     /// The leaf index this path authenticates.
     pub leaf_index: usize,
@@ -33,37 +34,41 @@ impl MerkleTree {
     pub fn new(leaves: &[Fr]) -> Self {
         if leaves.is_empty() {
             return MerkleTree {
-                levels: vec![vec![Poseidon::hash(&[])]],
+                levels: vec![],
+                root: Poseidon::hash(&[]),
             };
         }
-        let n = leaves.len().next_power_of_two();
         let mut level: Vec<Fr> = leaves.to_vec();
-        level.resize(n, Fr::ZERO);
-        let mut levels = vec![level];
-        while levels.last().expect("non-empty").len() > 1 {
-            let prev = levels.last().expect("non-empty");
-            let next: Vec<Fr> = prev
-                .chunks(2)
-                .map(|pair| Poseidon::hash_two(pair[0], pair[1]))
+        level.resize(leaves.len().next_power_of_two(), Fr::ZERO);
+        let mut levels = Vec::new();
+        // Each pass halves a power-of-two level, so it ends at one node.
+        loop {
+            if let [root] = level[..] {
+                return MerkleTree { levels, root };
+            }
+            let next: Vec<Fr> = level
+                .as_chunks::<2>()
+                .0
+                .iter()
+                .map(|&[left, right]| Poseidon::hash_two(left, right))
                 .collect();
-            levels.push(next);
+            levels.push(std::mem::replace(&mut level, next));
         }
-        MerkleTree { levels }
     }
 
     /// The Merkle root.
     pub fn root(&self) -> Fr {
-        self.levels.last().expect("non-empty")[0]
+        self.root
     }
 
     /// Number of (padded) leaves.
     pub fn leaf_count(&self) -> usize {
-        self.levels[0].len()
+        self.levels.first().map_or(1, Vec::len)
     }
 
     /// Tree depth (0 for a single-leaf tree).
     pub fn depth(&self) -> usize {
-        self.levels.len() - 1
+        self.levels.len()
     }
 
     /// Authentication path for the given leaf.
@@ -75,7 +80,7 @@ impl MerkleTree {
         assert!(index < self.leaf_count(), "leaf index out of range");
         let mut siblings = Vec::with_capacity(self.depth());
         let mut idx = index;
-        for level in &self.levels[..self.levels.len() - 1] {
+        for level in &self.levels {
             siblings.push(level[idx ^ 1]);
             idx >>= 1;
         }

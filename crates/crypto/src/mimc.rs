@@ -10,7 +10,6 @@
 //! security for degree-7 MiMC at this size, per the MiMC paper's
 //! `r = ⌈log₇(p)⌉` rule rounded up with margin).
 
-use serde::{Deserialize, Serialize};
 use zkdet_field::{Field, Fr, PrimeField};
 
 use crate::sha256::sha256;
@@ -98,7 +97,7 @@ pub struct MimcCtr {
 }
 
 /// A MiMC-CTR ciphertext: the nonce plus one field element per block.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Ciphertext {
     /// The public CTR nonce.
     pub nonce: Fr,

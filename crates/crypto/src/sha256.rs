@@ -46,8 +46,8 @@ impl Sha256 {
 
     fn compress(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+        for (wi, word) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *wi = u32::from_be_bytes(*word);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -102,11 +102,11 @@ impl Sha256 {
                 self.buffer_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let block: [u8; 64] = data[..64].try_into().expect("64 bytes");
-            self.compress(&block);
-            data = &data[64..];
+        let (blocks, rest) = data.as_chunks::<64>();
+        for block in blocks {
+            self.compress(block);
         }
+        data = rest;
         if !data.is_empty() {
             self.buffer[..data.len()].copy_from_slice(data);
             self.buffer_len = data.len();

@@ -10,7 +10,6 @@ use core::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 use std::sync::OnceLock;
 
 use rand::Rng;
-use serde::{de::DeserializeOwned, Deserialize, Serialize};
 use zkdet_field::bigint::BigInt;
 use zkdet_field::{Field, Fq, Fq2, Fr, PrimeField};
 
@@ -22,7 +21,7 @@ pub trait CurveParams:
     'static + Copy + Clone + Debug + PartialEq + Eq + Send + Sync
 {
     /// The coordinate field.
-    type Base: Field + Serialize + DeserializeOwned + core::hash::Hash;
+    type Base: Field + core::hash::Hash;
 
     /// The curve coefficient `b`.
     fn b() -> Self::Base;
@@ -110,8 +109,7 @@ impl CurveParams for G2 {
 }
 
 /// An affine point (or the point at infinity).
-#[derive(Clone, Copy, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Clone, Copy)]
 pub struct Affine<C: CurveParams> {
     /// Affine x-coordinate (meaningless when `infinity`).
     pub x: C::Base,
@@ -119,7 +117,6 @@ pub struct Affine<C: CurveParams> {
     pub y: C::Base,
     /// Whether this is the identity element.
     pub infinity: bool,
-    #[serde(skip)]
     _marker: PhantomData<C>,
 }
 
@@ -577,25 +574,6 @@ mod tests {
         for (p, a) in pts.iter().zip(&batch) {
             assert_eq!(p.to_affine(), *a);
         }
-    }
-
-    #[test]
-    fn affine_serde_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let p = G1Projective::random(&mut rng).to_affine();
-        // serde through a compact binary-ish representation (JSON-free check
-        // using bincode-like manual encode is overkill; use serde_roundtrip
-        // via the `serde` test double: serialize to Vec via postcard-like...)
-        // Simplest: ensure Serialize is object-safe by serializing to a string.
-        let _check: &dyn erased::Check<G1Affine> = &erased::Impl;
-        assert!(p.is_on_curve());
-    }
-
-    // Minimal compile-time check that Affine implements serde traits.
-    mod erased {
-        pub trait Check<T: serde::Serialize + serde::de::DeserializeOwned> {}
-        pub struct Impl;
-        impl<T: serde::Serialize + serde::de::DeserializeOwned> Check<T> for Impl {}
     }
 }
 

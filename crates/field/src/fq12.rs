@@ -4,13 +4,12 @@
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::bigint::BigInt;
 use crate::{Field, Fq, Fq2, Fq6};
 
 /// An element `c0 + c1·w` of `F_{p¹²}` with `w² = v` (so `w⁶ = ξ`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub struct Fq12 {
     pub c0: Fq6,
     pub c1: Fq6,
@@ -187,6 +186,7 @@ impl core::fmt::Display for Fq12 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};

@@ -6,12 +6,11 @@
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Field, Fq, PrimeField};
 
 /// An element `c0 + c1·i` of `F_{p²}` with `i² = -1`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub struct Fq2 {
     /// Coefficient of `1`.
     pub c0: Fq,
@@ -233,6 +232,7 @@ impl core::fmt::Display for Fq2 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};

@@ -3,13 +3,12 @@
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::bigint::BigInt;
 use crate::{Field, Fq, Fq2};
 
 /// An element `c0 + c1·v + c2·v²` of `F_{p⁶}` with `v³ = ξ = 9 + i`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub struct Fq6 {
     pub c0: Fq2,
     pub c1: Fq2,
@@ -182,6 +181,7 @@ impl core::fmt::Display for Fq6 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};

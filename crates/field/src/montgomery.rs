@@ -386,30 +386,11 @@ macro_rules! montgomery_field {
                 iter.fold(Self::ONE, |a, b| a * b)
             }
         }
-
-        impl serde::Serialize for $name {
-            fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-                use $crate::traits::PrimeField;
-                serde::Serialize::serialize(&self.to_bytes().to_vec(), s)
-            }
-        }
-
-        impl<'de> serde::Deserialize<'de> for $name {
-            fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                use $crate::traits::PrimeField;
-                let bytes: Vec<u8> = serde::Deserialize::deserialize(d)?;
-                let arr: [u8; 32] = bytes
-                    .as_slice()
-                    .try_into()
-                    .map_err(|_| serde::de::Error::custom("expected 32 bytes"))?;
-                Self::from_bytes(&arr)
-                    .ok_or_else(|| serde::de::Error::custom("non-canonical field element"))
-            }
-        }
     };
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use crate::{Field, Fq, Fr, PrimeField};
     use proptest::prelude::*;
@@ -544,7 +525,7 @@ mod tests {
         }
 
         #[test]
-        fn prop_serde_roundtrip(a in arb_fr()) {
+        fn prop_fr_bytes_roundtrip(a in arb_fr()) {
             let bytes = a.to_bytes();
             prop_assert_eq!(Fr::from_bytes(&bytes), Some(a));
         }

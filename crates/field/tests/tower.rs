@@ -1,4 +1,5 @@
 //! Property-based tests for the extension tower and field encodings.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};

@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use zkdet_curve::{
     fixed_base_batch_mul, msm, multi_pairing, G1Affine, G1Projective, G2Affine, G2Projective,
     WireError, G1_UNCOMPRESSED_BYTES, G2_UNCOMPRESSED_BYTES,
@@ -78,15 +77,15 @@ impl From<WireError> for KzgError {
 }
 
 /// A KZG commitment — a single G1 point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct KzgCommitment(pub G1Affine);
 
 /// A KZG opening proof — the committed witness quotient `(p(X)-p(z))/(X-z)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KzgProof(pub G1Affine);
 
 /// The universal structured reference string (monomial basis powers of τ).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Srs {
     /// `τⁱ·G₁` for `i = 0..=max_degree`.
     pub powers_g1: Vec<G1Affine>,

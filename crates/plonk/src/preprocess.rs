@@ -6,7 +6,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use zkdet_curve::{G1Affine, G2Affine, WireError, G1_UNCOMPRESSED_BYTES, G2_UNCOMPRESSED_BYTES};
 use zkdet_field::{Field, Fr};
 use zkdet_kzg::{KzgCommitment, Srs};
@@ -68,7 +67,7 @@ impl From<WireError> for PlonkError {
 
 /// The verifying key: commitments to the circuit polynomials plus domain
 /// metadata. Constant-size (independent of the circuit, except `ℓ`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VerifyingKey {
     /// Domain size `n`.
     pub n: usize,
@@ -117,8 +116,9 @@ impl VerifyingKey {
     }
 
     /// Structural validation for keys received over a trust boundary
-    /// (including serde-deserialized ones, whose points are *not* checked
-    /// on construction): `n` must be a domain-compatible power of two,
+    /// (including ones assembled from public fields, whose points are *not*
+    /// checked on construction; [`VerifyingKey::from_bytes`] runs this
+    /// itself): `n` must be a domain-compatible power of two,
     /// `ℓ ≤ n`, every commitment on-curve, and `g2`/`τ·G₂` on-curve and in
     /// the order-`r` subgroup with `τ·G₂ ≠ O`.
     pub fn validate(&self) -> Result<(), PlonkError> {

@@ -1,13 +1,12 @@
 //! The PLONK proof object and its canonical wire encoding.
 
-use serde::{Deserialize, Serialize};
 use zkdet_curve::{G1Affine, WireError, G1_UNCOMPRESSED_BYTES};
 use zkdet_field::{Field, Fr, PrimeField};
 use zkdet_kzg::KzgCommitment;
 
 /// A PLONK proof: exactly 9 G₁ points and 6 scalar-field elements
 /// (the constant size reported in §VI-B3 of the paper).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Proof {
     /// Wire commitments `[a], [b], [c]`.
     pub a: KzgCommitment,

@@ -2,14 +2,13 @@
 
 use core::ops::{Add, AddAssign, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
 use zkdet_field::{Field, Fr};
 
 use crate::EvaluationDomain;
 
 /// A dense univariate polynomial `Σ cᵢ xⁱ` over `F_r` (coefficients stored
 /// low-degree first, normalized to drop trailing zeros).
-#[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct DensePolynomial {
     coeffs: Vec<Fr>,
 }

@@ -15,7 +15,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use zkdet_crypto::sha256;
 use zkdet_field::{Fr, PrimeField};
 use zkdet_plonk::{Proof, VerifyingKey};
@@ -23,7 +22,7 @@ use zkdet_plonk::{Proof, VerifyingKey};
 use crate::index::NodeId;
 
 /// A 32-byte SHA-256 digest of an audit artefact.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ArtefactDigest(pub [u8; 32]);
 
 impl core::fmt::Debug for ArtefactDigest {

@@ -9,17 +9,13 @@
 //! one lookup.
 
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use zkdet_field::Fr;
 
 /// A node identifier — the numeric token id of the registry the index
 /// shadows (chain-side `TokenId(u64)` converts losslessly).
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
 pub struct NodeId(pub u64);
 
 impl core::fmt::Display for NodeId {
@@ -220,9 +216,18 @@ impl ProvenanceIndex {
     pub fn mark_burned(&mut self, id: NodeId) -> Result<(), DagError> {
         let rec = self.nodes.get_mut(&id).ok_or(DagError::UnknownNode(id))?;
         rec.burned = true;
-        self.ancestors_memo.lock().clear();
+        self.memo().clear();
         zkdet_telemetry::counter_add(metric::BURNS, 1);
         Ok(())
+    }
+
+    /// The ancestor memo. It is a cache whose entries are whole BFS
+    /// results, so a panic while it was held leaves nothing half-written:
+    /// a poisoned lock is recovered rather than propagated.
+    fn memo(&self) -> MutexGuard<'_, BTreeMap<NodeId, Arc<Vec<NodeId>>>> {
+        self.ancestors_memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The node's direct parents, in `prevIds[]` order.
@@ -285,7 +290,7 @@ impl ProvenanceIndex {
         if !self.nodes.contains_key(&id) {
             return Err(DagError::UnknownNode(id));
         }
-        if let Some(hit) = self.ancestors_memo.lock().get(&id) {
+        if let Some(hit) = self.memo().get(&id) {
             zkdet_telemetry::counter_add(metric::MEMO_HITS, 1);
             return Ok(hit.clone());
         }
@@ -304,7 +309,7 @@ impl ProvenanceIndex {
             }
         }
         let out = Arc::new(out);
-        self.ancestors_memo.lock().insert(id, out.clone());
+        self.memo().insert(id, out.clone());
         Ok(out)
     }
 
@@ -476,5 +481,22 @@ mod tests {
         // A double reverse link would drive the child's in-degree below
         // zero in Kahn's walk.
         assert_eq!(idx.canonical_lineage(n(1)).unwrap(), vec![n(0), n(1)]);
+    }
+
+    #[test]
+    fn poisoned_memo_is_recovered() {
+        let mut idx = ProvenanceIndex::new();
+        idx.insert(n(0), fr(1), &[], "original").unwrap();
+        idx.insert(n(1), fr(2), &[n(0)], "duplication").unwrap();
+        let memoized = idx.ancestors(n(1)).unwrap();
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = idx.memo();
+            panic!("poison the ancestor memo");
+        }));
+        assert!(poisoned.is_err());
+        assert!(idx.ancestors_memo.is_poisoned());
+        assert!(Arc::ptr_eq(&idx.ancestors(n(1)).unwrap(), &memoized));
+        idx.insert(n(2), fr(3), &[n(1)], "duplication").unwrap();
+        assert_eq!(*idx.ancestors(n(2)).unwrap(), vec![n(1), n(0)]);
     }
 }

@@ -1,6 +1,5 @@
 //! Content identifiers.
 
-use serde::{Deserialize, Serialize};
 use zkdet_crypto::sha256;
 
 /// A content identifier: the SHA-256 digest of the stored bytes.
@@ -8,7 +7,7 @@ use zkdet_crypto::sha256;
 /// In the paper's notation this is the dataset URI `c ← H(Ĉ)` — since IPFS
 /// addresses content by hash, the URI doubles as a hash commitment to the
 /// ciphertext (§III-A).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Cid(pub [u8; 32]);
 
 impl Cid {

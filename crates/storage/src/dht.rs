@@ -5,15 +5,14 @@
 //! with deterministic node identities.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use zkdet_crypto::sha256;
 
 use crate::Cid;
 
 /// A node identifier in the same 256-bit key space as [`Cid`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub [u8; 32]);
 
 impl NodeId {
@@ -48,7 +47,7 @@ pub fn xor_distance(node: &NodeId, key: &Cid) -> [u8; 32] {
 #[derive(Clone, Debug, Default)]
 pub struct DhtNode {
     /// Blocks (erasure shares, keyed by share key) pinned on this node.
-    pub(crate) blocks: BTreeMap<Cid, Bytes>,
+    pub(crate) blocks: BTreeMap<Cid, Arc<[u8]>>,
 }
 
 #[cfg(test)]

@@ -33,8 +33,6 @@
 //! clocks, no randomness: replaying a seeded fault schedule reproduces
 //! the scores bit-for-bit.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dht::NodeId;
 
 /// Mutable per-node counters, owned by the network's interior state.
@@ -50,7 +48,7 @@ pub(crate) struct NodeHealthStats {
 }
 
 /// Point-in-time health of one storage node, with its suspicion score.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeHealthSnapshot {
     /// The node being scored.
     pub node: NodeId,

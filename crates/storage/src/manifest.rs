@@ -12,7 +12,6 @@
 //! keep reconstructing from honest shares — without trusting any replica's
 //! self-report.
 
-use serde::{Deserialize, Serialize};
 use zkdet_crypto::sha256;
 
 use crate::cid::Cid;
@@ -67,7 +66,7 @@ impl core::fmt::Display for ManifestError {
 impl std::error::Error for ManifestError {}
 
 /// Per-content record binding every erasure share's digest to the CID.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShareManifest {
     content: Cid,
     data_shares: u32,

@@ -9,9 +9,7 @@
 //! scheduler restores redundancy after churn.
 
 use std::collections::{BTreeMap, BTreeSet};
-
-use bytes::Bytes;
-use parking_lot::RwLock;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::dht::{xor_distance, DhtNode, NodeId};
 use crate::erasure::ErasureCodec;
@@ -215,26 +213,38 @@ impl StorageNetwork {
         }
     }
 
+    /// Shared access to the network state. A poisoned lock is recovered
+    /// rather than propagated, so one caller that panicked under the guard
+    /// does not fail every later storage call.
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access to the network state; see [`Self::read`].
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Installs (replaces) the fault schedule.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        self.inner.write().faults = plan;
+        self.write().faults = plan;
     }
 
     /// Current simulated time in ticks.
     pub fn now(&self) -> u64 {
-        self.inner.read().clock
+        self.read().clock
     }
 
     /// Advances the simulated clock (e.g. to trigger scheduled crashes).
     pub fn advance_clock(&self, ticks: u64) {
-        self.inner.write().clock += ticks;
+        self.write().clock += ticks;
     }
 
     /// Re-admits every quarantined node — the operator repaired or
     /// replaced the corrupt replicas (chaos harnesses call this between
     /// schedules so one schedule's quarantine doesn't starve the next).
     pub fn clear_quarantine(&self) {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         inner.quarantined.clear();
         // Re-admission lifts the quarantine component of the suspicion
         // score; accumulated tamper evidence still counts against the node.
@@ -245,7 +255,7 @@ impl StorageNetwork {
 
     /// Nodes currently quarantined for serving corrupt bytes.
     pub fn quarantined_nodes(&self) -> Vec<NodeId> {
-        let inner = self.inner.read();
+        let inner = self.read();
         let mut out: Vec<NodeId> = inner.quarantined.iter().copied().collect();
         out.sort();
         out
@@ -253,12 +263,12 @@ impl StorageNetwork {
 
     /// Number of live nodes.
     pub fn node_count(&self) -> usize {
-        self.inner.read().nodes.len()
+        self.read().nodes.len()
     }
 
     /// All node identities, sorted (chaos tests target these).
     pub fn node_ids(&self) -> Vec<NodeId> {
-        let inner = self.inner.read();
+        let inner = self.read();
         let mut out: Vec<NodeId> = inner.nodes.keys().copied().collect();
         out.sort();
         out
@@ -281,7 +291,11 @@ impl StorageNetwork {
     ///
     /// [`StorageError::InsufficientAcks`] when too few live nodes
     /// acknowledged; the write was rolled back.
-    pub fn publish(&self, owner: PinOwner, data: impl Into<Bytes>) -> Result<Cid, StorageError> {
+    pub fn publish(
+        &self,
+        owner: PinOwner,
+        data: impl Into<Arc<[u8]>>,
+    ) -> Result<Cid, StorageError> {
         let data = data.into();
         let mut span = zkdet_telemetry::span("storage.publish");
         if span.is_recording() {
@@ -290,7 +304,7 @@ impl StorageNetwork {
             zkdet_telemetry::counter_add("zkdet.storage.publish.bytes", data.len() as u64);
         }
         let cid = Cid::from_bytes(&data);
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let result = publish_quorum(&mut inner, owner, cid, &data);
         if span.is_recording() {
             span.record("ok", u64::from(result.is_ok()));
@@ -310,12 +324,15 @@ impl StorageNetwork {
     /// # Errors
     ///
     /// As [`Self::retrieve_resilient`].
-    pub fn retrieve(&self, cid: &Cid) -> Result<Bytes, StorageError> {
+    pub fn retrieve(&self, cid: &Cid) -> Result<Arc<[u8]>, StorageError> {
         self.retrieve_with_stats(cid).map(|(b, _)| b)
     }
 
     /// [`Self::retrieve`] with lookup statistics.
-    pub fn retrieve_with_stats(&self, cid: &Cid) -> Result<(Bytes, RetrievalStats), StorageError> {
+    pub fn retrieve_with_stats(
+        &self,
+        cid: &Cid,
+    ) -> Result<(Arc<[u8]>, RetrievalStats), StorageError> {
         self.retrieve_resilient(cid, &RetrievalPolicy::single_shot())
     }
 
@@ -337,31 +354,29 @@ impl StorageNetwork {
         &self,
         cid: &Cid,
         policy: &RetrievalPolicy,
-    ) -> Result<(Bytes, RetrievalStats), StorageError> {
+    ) -> Result<(Arc<[u8]>, RetrievalStats), StorageError> {
         let mut span = zkdet_telemetry::span("storage.retrieve");
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if zkdet_telemetry::is_enabled() {
             zkdet_telemetry::counter_add("zkdet.storage.quorum.read.calls", 1);
         }
-        let mut hedges = 0u32;
-        let mut quarantined = 0u32;
-        let mut backoff_total = 0u64;
-        let mut last_err = StorageError::NotFound(*cid);
         let budget = policy.max_attempts.max(1);
+        let mut stats = RetrievalStats {
+            hops: 0,
+            served_by: NodeId([0u8; 32]),
+            attempts: budget,
+            hedges: 0,
+            quarantined: 0,
+            backoff_ticks: 0,
+            degraded: false,
+        };
+        let mut last_err = StorageError::NotFound(*cid);
         for attempt in 0..budget {
-            match quorum_lookup_once(&mut inner, cid, policy, &mut hedges, &mut quarantined) {
-                Ok((bytes, served_by, hops, degraded)) => {
-                    let stats = RetrievalStats {
-                        hops,
-                        served_by,
-                        attempts: attempt + 1,
-                        hedges,
-                        quarantined,
-                        backoff_ticks: backoff_total,
-                        degraded,
-                    };
+            match quorum_lookup_once(&mut inner, cid, policy, &mut stats) {
+                Ok(data) => {
+                    stats.attempts = attempt + 1;
                     note_retrieval(&mut span, &stats, true);
-                    return Ok((bytes, stats));
+                    return Ok((data, stats));
                 }
                 Err(err) => {
                     let transient = err.is_transient();
@@ -377,20 +392,11 @@ impl StorageNetwork {
                         let salt = inner.faults.seed() ^ inner.nonce;
                         let wait = policy.backoff_with_jitter(attempt, salt);
                         inner.clock += wait;
-                        backoff_total += wait;
+                        stats.backoff_ticks += wait;
                     }
                 }
             }
         }
-        let stats = RetrievalStats {
-            hops: 0,
-            served_by: NodeId([0u8; 32]),
-            attempts: budget,
-            hedges,
-            quarantined,
-            backoff_ticks: backoff_total,
-            degraded: false,
-        };
         note_retrieval(&mut span, &stats, false);
         Err(last_err)
     }
@@ -402,7 +408,7 @@ impl StorageNetwork {
     /// [`StorageError::NotOwner`] for anyone else;
     /// [`StorageError::NotFound`] if nothing is pinned under the CID.
     pub fn unpin(&self, owner: PinOwner, cid: &Cid) -> Result<(), StorageError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         match inner.owners.get(cid) {
             None => return Err(StorageError::NotFound(*cid)),
             Some(o) if *o != owner => return Err(StorageError::NotOwner(*cid)),
@@ -428,7 +434,7 @@ impl StorageNetwork {
     /// shares live elsewhere, and every blob that lost a share is queued
     /// for repair.
     pub fn kill_node(&self, id: NodeId) {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let Some(dead) = inner.nodes.remove(&id) else {
             return;
         };
@@ -444,7 +450,7 @@ impl StorageNetwork {
 
     /// Nodes currently holding an erasure share of a CID (diagnostics).
     pub fn replica_nodes(&self, cid: &Cid) -> Vec<NodeId> {
-        let inner = self.inner.read();
+        let inner = self.read();
         let share_keys: Vec<Cid> = inner
             .manifests
             .get(cid)
@@ -463,13 +469,13 @@ impl StorageNetwork {
     /// Every CID whose publish was acknowledged — the durability promise
     /// the invariant suites hold the network to.
     pub fn acknowledged_publishes(&self) -> Vec<Cid> {
-        self.inner.read().acked.clone()
+        self.read().acked.clone()
     }
 
     /// Share-level tamper evidence gathered by reads: which node
     /// served bad bytes for which share of which content.
     pub fn tamper_evidence(&self) -> Vec<TamperEvidence> {
-        self.inner.read().tamper_log.clone()
+        self.read().tamper_log.clone()
     }
 
     /// Point-in-time durability of a published blob: how many share slots
@@ -478,7 +484,7 @@ impl StorageNetwork {
     /// (suspicion-ranked) at report time. `None` if nothing is pinned
     /// under `cid`.
     pub fn durability_report(&self, cid: &Cid) -> Option<DurabilityReport> {
-        let inner = self.inner.read();
+        let inner = self.read();
         let manifest = inner.manifests.get(cid)?;
         let total = manifest.total_shares();
         let intact = (0..total)
@@ -498,19 +504,19 @@ impl StorageNetwork {
     /// deterministic). Nodes killed by churn keep their entry: evidence
     /// outlives the node.
     pub fn node_health(&self) -> Vec<NodeHealthSnapshot> {
-        health_census(&self.inner.read())
+        health_census(&self.read())
     }
 
     /// Blobs currently queued for repair.
     pub fn pending_repairs(&self) -> usize {
-        self.inner.read().repair_queue.len()
+        self.read().repair_queue.len()
     }
 
     /// Queues **every** pinned blob for a repair survey — an operator's
     /// full-sweep anti-entropy pass (blobs found healthy are dequeued for
     /// free on the next run).
     pub fn schedule_repair_scan(&self) {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let all: Vec<Cid> = inner.manifests.keys().copied().collect();
         inner.repair_queue.extend(all);
     }
@@ -520,7 +526,7 @@ impl StorageNetwork {
     /// `k` intact shares with the missing/corrupt shares re-placed on
     /// live, unquarantined, non-Byzantine nodes.
     pub fn run_pending_repairs(&self) -> RepairReport {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let now = inner.clock;
         inner.next_repair_due = now + REPAIR_INTERVAL_TICKS;
         repair_locked(&mut inner)
@@ -531,7 +537,7 @@ impl StorageNetwork {
     /// simulated time passed since the last pass. Drive loops call this
     /// every iteration; it is a cheap no-op otherwise.
     pub fn tick_repairs(&self) -> Option<RepairReport> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if inner.repair_queue.is_empty() || inner.clock < inner.next_repair_due {
             return None;
         }
@@ -544,7 +550,7 @@ impl StorageNetwork {
     /// holder so retrieval exercises the unrecoverable tamper-evidence path.
     #[doc(hidden)]
     pub fn corrupt_block(&self, cid: &Cid) {
-        self.inner.write().corrupted.push(*cid);
+        self.write().corrupted.push(*cid);
     }
 }
 
@@ -602,7 +608,7 @@ fn publish_quorum(
     inner: &mut Inner,
     owner: PinOwner,
     cid: Cid,
-    data: &Bytes,
+    data: &[u8],
 ) -> Result<Cid, StorageError> {
     if inner.manifests.contains_key(&cid) {
         // Content-addressed dedup: the identical blob is already durable.
@@ -633,7 +639,7 @@ fn publish_quorum(
         if inner.nodes.contains_key(&target) {
             let withheld = inner.faults.withholds_ack(&target);
             if let Some(node) = inner.nodes.get_mut(&target) {
-                if node.blocks.insert(key, Bytes::from(share.clone())).is_none() {
+                if node.blocks.insert(key, Arc::from(share.as_slice())).is_none() {
                     placed.push((target, key));
                 }
             }
@@ -679,21 +685,22 @@ fn publish_quorum(
 /// attributing Byzantine servers per share), and reconstruct from any `k`
 /// intact shares. Slow shares count as hedged and are used only if the
 /// fast ones don't reach `k`. Any slot found missing, stale, or corrupt
-/// queues the blob for background repair.
+/// queues the blob for background repair. Every sweep adds its hedges and
+/// quarantines to `stats`; a successful one also sets its server, hops and
+/// degraded flag.
 fn quorum_lookup_once(
     inner: &mut Inner,
     cid: &Cid,
     policy: &RetrievalPolicy,
-    hedges: &mut u32,
-    quarantined: &mut u32,
-) -> Result<(Bytes, NodeId, usize, bool), StorageError> {
+    stats: &mut RetrievalStats,
+) -> Result<Arc<[u8]>, StorageError> {
     let Some(manifest) = inner.manifests.get(cid).cloned() else {
         return Err(StorageError::NotFound(*cid));
     };
     let cfg = inner.quorum;
     let k = cfg.data_shares() as usize;
-    let mut fast: Vec<(usize, Bytes, NodeId)> = Vec::new();
-    let mut slow: Vec<(usize, Bytes, NodeId)> = Vec::new();
+    let mut fast: Vec<(usize, Arc<[u8]>, NodeId)> = Vec::new();
+    let mut slow: Vec<(usize, Arc<[u8]>, NodeId)> = Vec::new();
     let mut served_by: Option<NodeId> = None;
     let mut contacted = 0usize;
     let mut dropped_slots = 0usize;
@@ -723,12 +730,12 @@ fn quorum_lookup_once(
             }
             if inner.faults.should_drop(&node_id, nonce) {
                 dropped_here = true;
-                *hedges += 1;
+                stats.hedges += 1;
                 continue;
             }
             if inner.faults.is_stale(&node_id, cid) || inner.faults.is_stale(&node_id, &key) {
                 // Advertised but garbage-collected: probe the next holder.
-                *hedges += 1;
+                stats.hedges += 1;
                 damaged = true;
                 continue;
             }
@@ -742,16 +749,16 @@ fn quorum_lookup_once(
             if corrupt {
                 saw_corrupt = true;
                 damaged = true;
-                *quarantined += 1;
+                stats.quarantined += 1;
                 inner.quarantined.insert(node_id);
                 inner.tamper_log.push(TamperEvidence {
                     node: node_id,
                     content: *cid,
                     share_index: index,
                 });
-                let stats = inner.health_of(node_id);
-                stats.tamper_shares += 1;
-                stats.quarantined = true;
+                let health = inner.health_of(node_id);
+                health.tamper_shares += 1;
+                health.quarantined = true;
                 if zkdet_telemetry::is_enabled() {
                     zkdet_telemetry::counter_add("zkdet.storage.quorum.byzantine_shares", 1);
                 }
@@ -761,7 +768,7 @@ fn quorum_lookup_once(
             if latency > policy.hedge_latency_ticks {
                 // Answered, but slower than the hedge threshold: keep the
                 // share in reserve and count the extra probe as a hedge.
-                *hedges += 1;
+                stats.hedges += 1;
                 slow.push((index as usize, bytes, node_id));
             } else {
                 fast.push((index as usize, bytes, node_id));
@@ -799,7 +806,7 @@ fn quorum_lookup_once(
     if degraded && !policy.allow_degraded {
         return Err(StorageError::Unavailable(*cid));
     }
-    let mut picked: Vec<(usize, Bytes)> = Vec::new();
+    let mut picked: Vec<(usize, Arc<[u8]>)> = Vec::new();
     let mut servers: Vec<NodeId> = Vec::new();
     for (index, bytes, node_id) in fast.into_iter().chain(slow) {
         if picked.len() >= k {
@@ -831,8 +838,10 @@ fn quorum_lookup_once(
         // itself would have to be wrong for this to fire.
         return Err(StorageError::DigestMismatch(*cid));
     }
-    let server = served_by.unwrap_or(NodeId([0u8; 32]));
-    Ok((Bytes::from(data), server, contacted, degraded))
+    stats.served_by = served_by.unwrap_or(NodeId([0u8; 32]));
+    stats.hops = contacted;
+    stats.degraded = degraded;
+    Ok(data.into())
 }
 
 /// Snapshot every node's health counters, most suspicious first (ties
@@ -858,7 +867,7 @@ fn find_intact_share(
     inner: &Inner,
     manifest: &ShareManifest,
     index: u32,
-) -> Option<(NodeId, Bytes)> {
+) -> Option<(NodeId, Arc<[u8]>)> {
     let content = manifest.content();
     if inner.corrupted.contains(&content) {
         return None;
@@ -937,7 +946,7 @@ fn repair_locked(inner: &mut Inner) -> RepairReport {
 fn repair_quorum(inner: &mut Inner, cid: &Cid, manifest: &ShareManifest) -> RepairOutcome {
     let total = manifest.total_shares();
     let k = manifest.data_shares() as usize;
-    let mut intact: Vec<(usize, Bytes)> = Vec::new();
+    let mut intact: Vec<(usize, Arc<[u8]>)> = Vec::new();
     let mut damaged: Vec<u32> = Vec::new();
     for index in 0..total {
         match find_intact_share(inner, manifest, index) {
@@ -986,7 +995,7 @@ fn repair_quorum(inner: &mut Inner, cid: &Cid, manifest: &ShareManifest) -> Repa
             continue; // no eligible node; leave the slot for a later pass
         };
         if let Some(node) = inner.nodes.get_mut(&target) {
-            node.blocks.insert(key, Bytes::from(share.clone()));
+            node.blocks.insert(key, Arc::from(share.as_slice()));
             holding.insert(target);
             restored += 1;
         } else {
@@ -1017,7 +1026,7 @@ mod tests {
     /// the one a healthy read reports as `served_by`.
     fn holder_of(net: &StorageNetwork, cid: &Cid, index: u32) -> NodeId {
         let key = crate::manifest::share_key(cid, index);
-        let inner = net.inner.read();
+        let inner = net.read();
         let holder = inner
             .nodes
             .iter()
@@ -1057,6 +1066,22 @@ mod tests {
         let cid = net.publish(PinOwner(1), &b"data"[..]).unwrap();
         net.corrupt_block(&cid);
         assert_eq!(net.retrieve(&cid), Err(StorageError::DigestMismatch(cid)));
+    }
+
+    #[test]
+    fn poisoned_lock_is_recovered() {
+        let net = net(5, FaultPlan::none());
+        let before = net.publish(PinOwner(1), &b"before"[..]).unwrap();
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = net.write();
+            panic!("poison the network lock");
+        }));
+        assert!(poisoned.is_err());
+        assert!(net.inner.is_poisoned());
+        assert_eq!(&net.retrieve(&before).unwrap()[..], b"before");
+        let after = net.publish(PinOwner(1), &b"after"[..]).unwrap();
+        assert_eq!(&net.retrieve(&after).unwrap()[..], b"after");
+        assert_eq!(net.acknowledged_publishes().len(), 2);
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! chaos suites: `n = 8, k = 4, w = 6` rides out any 2 Byzantine plus 2
 //! crashed nodes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cid::Cid;
 use crate::dht::NodeId;
 use crate::erasure::{ErasureCodec, ErasureError};
@@ -20,7 +18,7 @@ use crate::erasure::{ErasureCodec, ErasureError};
 /// Fields are private so a constructed value is always internally valid
 /// (`1 ≤ k ≤ w ≤ n ≤ 255`); use [`QuorumConfig::new`] or
 /// [`QuorumConfig::for_cluster`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QuorumConfig {
     data_shares: u32,
     total_shares: u32,
@@ -101,7 +99,7 @@ impl QuorumConfig {
 /// This is the attribution artefact the manifest exists for — it names the
 /// *share*, not just the node, so an auditor can distinguish a node that
 /// corrupted one blob from one rewriting everything it stores.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TamperEvidence {
     /// The node that served the bad bytes.
     pub node: NodeId,

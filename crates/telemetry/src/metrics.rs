@@ -8,9 +8,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Default histogram buckets: powers of two from 1 to 2^32. Wide enough
 /// for ns timings, byte sizes, gas, and constraint counts alike.
@@ -113,6 +111,18 @@ impl HistogramSnapshot {
     }
 }
 
+/// Shared access to one of the registry's maps. The maps only gain entries,
+/// each in a single insert, so a panic while a guard was held cannot leave
+/// one half-updated: a poisoned lock is recovered, not propagated.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Exclusive access to one of the registry's maps; see [`read`].
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A registry of named counters and histograms.
 #[derive(Default)]
 pub struct Registry {
@@ -128,10 +138,10 @@ impl Registry {
 
     /// Resolves (creating on first use) the counter handle for `name`.
     pub fn counter(&self, name: &str) -> Arc<AtomicU64> {
-        if let Some(c) = self.counters.read().get(name) {
+        if let Some(c) = read(&self.counters).get(name) {
             return Arc::clone(c);
         }
-        let mut map = self.counters.write();
+        let mut map = write(&self.counters);
         Arc::clone(
             map.entry(name.to_string())
                 .or_insert_with(|| Arc::new(AtomicU64::new(0))),
@@ -145,8 +155,7 @@ impl Registry {
 
     /// Current value of the named counter (0 if it was never touched).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters
-            .read()
+        read(&self.counters)
             .get(name)
             .map_or(0, |c| c.load(Ordering::Relaxed))
     }
@@ -164,10 +173,10 @@ impl Registry {
         name: &str,
         bounds: impl FnOnce() -> Vec<u64>,
     ) -> Arc<Histogram> {
-        if let Some(h) = self.histograms.read().get(name) {
+        if let Some(h) = read(&self.histograms).get(name) {
             return Arc::clone(h);
         }
-        let mut map = self.histograms.write();
+        let mut map = write(&self.histograms);
         Arc::clone(
             map.entry(name.to_string())
                 .or_insert_with(|| Arc::new(Histogram::new(bounds()))),
@@ -181,9 +190,7 @@ impl Registry {
 
     /// Name-sorted snapshot of all counters.
     pub fn counters_snapshot(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = self
-            .counters
-            .read()
+        let mut out: Vec<(String, u64)> = read(&self.counters)
             .iter()
             .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
             .collect();
@@ -193,9 +200,7 @@ impl Registry {
 
     /// Name-sorted snapshot of all histograms.
     pub fn histograms_snapshot(&self) -> Vec<(String, HistogramSnapshot)> {
-        let mut out: Vec<(String, HistogramSnapshot)> = self
-            .histograms
-            .read()
+        let mut out: Vec<(String, HistogramSnapshot)> = read(&self.histograms)
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect();
@@ -206,10 +211,12 @@ impl Registry {
     /// Zeroes every counter and histogram in place, keeping registrations
     /// (and any `Arc` handles hot paths already resolved).
     pub fn reset(&self) {
-        for c in self.counters.read().values() {
+        // zkdet-analyzer: allow(unordered-iteration) every entry is zeroed; the order cannot show
+        for c in read(&self.counters).values() {
             c.store(0, Ordering::Relaxed);
         }
-        for h in self.histograms.read().values() {
+        // zkdet-analyzer: allow(unordered-iteration) every entry is zeroed; the order cannot show
+        for h in read(&self.histograms).values() {
             for slot in &h.counts {
                 slot.store(0, Ordering::Relaxed);
             }
@@ -301,5 +308,23 @@ mod tests {
         let hists = r.histograms_snapshot();
         assert_eq!(hists.len(), 1);
         assert_eq!(hists[0].1.count, 0);
+    }
+
+    #[test]
+    fn poisoned_maps_are_recovered() {
+        let r = Registry::new();
+        r.counter_add("c", 2);
+        r.observe("h", 9);
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _counters = write(&r.counters);
+            let _histograms = write(&r.histograms);
+            panic!("poison both maps");
+        }));
+        assert!(poisoned.is_err());
+        assert!(r.counters.is_poisoned() && r.histograms.is_poisoned());
+        r.counter_add("c", 3);
+        r.observe("h", 9);
+        assert_eq!(r.counter_value("c"), 5);
+        assert_eq!(r.histograms_snapshot()[0].1.count, 2);
     }
 }

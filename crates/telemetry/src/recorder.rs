@@ -16,9 +16,8 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 /// Clock selector values for [`Recorder`].
 const CLOCK_WALL: u8 = 0;
@@ -149,6 +148,13 @@ impl Recorder {
         }
     }
 
+    /// The finished-span buffer. A panic while it was held leaves it
+    /// consistent (every critical section is one `Vec` call), so a
+    /// poisoned lock is recovered rather than propagated.
+    fn spans(&self) -> MutexGuard<'_, Vec<SpanRecord>> {
+        self.finished.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn finish(&self, mut record: SpanRecord) {
         let end = self.now();
         record.duration = end.saturating_sub(record.start);
@@ -162,20 +168,20 @@ impl Recorder {
                 stack.remove(pos);
             }
         });
-        self.finished.lock().push(record);
+        self.spans().push(record);
     }
 
     /// Snapshot of all finished spans, sorted by id (open order) so the
     /// export is stable regardless of which thread finished first.
     pub fn finished_spans(&self) -> Vec<SpanRecord> {
-        let mut spans = self.finished.lock().clone();
+        let mut spans = self.spans().clone();
         spans.sort_by_key(|s| s.id);
         spans
     }
 
     /// Drops all finished spans and restarts id assignment.
     pub fn reset(&self) {
-        self.finished.lock().clear();
+        self.spans().clear();
         self.next_id.store(1, Ordering::Relaxed);
         self.manual_now.store(0, Ordering::Relaxed);
     }
@@ -297,5 +303,20 @@ mod tests {
         let mut g = SpanGuard::disabled();
         g.record("x", 1);
         assert!(!g.is_recording());
+    }
+
+    #[test]
+    fn poisoned_span_buffer_is_recovered() {
+        let r = Recorder::with_manual_clock();
+        drop(r.span("before"));
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = r.spans();
+            panic!("poison the span buffer");
+        }));
+        assert!(poisoned.is_err());
+        assert!(r.finished.is_poisoned());
+        drop(r.span("after"));
+        let names: Vec<_> = r.finished_spans().iter().map(|s| s.name).collect();
+        assert_eq!(names, ["before", "after"]);
     }
 }

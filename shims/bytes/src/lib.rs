@@ -1,149 +1,7 @@
-//! Offline stand-in for the `bytes` crate.
-//!
-//! Provides the one type this workspace uses: [`Bytes`], a cheaply-cloneable
-//! immutable byte buffer (`Arc<[u8]>` under the hood — clones are reference
-//! bumps, exactly the property the simulated DHT relies on when replicating
-//! a block to several nodes).
+//! Empty stand-in for the `bytes` crate; nothing in the workspace uses it.
+//! Stored blocks are `std::sync::Arc<[u8]>`, whose clones are reference
+//! bumps. The package stays only because `benchmark/Cargo.lock` records its
+//! edges from `zkdet-core`, `zkdet-crypto` and `zkdet-storage`; the
+//! benchmark-only change that refreshes that lock deletes them.
 
 #![forbid(unsafe_code)]
-
-use std::sync::Arc;
-
-/// Cheaply-cloneable immutable byte buffer.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct Bytes {
-    data: Arc<[u8]>,
-}
-
-impl Bytes {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Bytes::default()
-    }
-
-    /// Copies a slice into a fresh buffer.
-    pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes { data: data.into() }
-    }
-
-    /// Wraps static data (no 'static optimisation here; it is copied once).
-    pub fn from_static(data: &'static [u8]) -> Self {
-        Bytes::copy_from_slice(data)
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// `true` if the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Borrows the contents (inherent method mirroring the real crate's
-    /// API surface).
-    #[allow(clippy::should_implement_trait)]
-    pub fn as_ref(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// Copies the contents out.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.data.to_vec()
-    }
-}
-
-impl std::ops::Deref for Bytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl std::borrow::Borrow<[u8]> for Bytes {
-    fn borrow(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Self {
-        Bytes { data: v.into() }
-    }
-}
-
-impl From<&[u8]> for Bytes {
-    fn from(v: &[u8]) -> Self {
-        Bytes::copy_from_slice(v)
-    }
-}
-
-impl<const N: usize> From<[u8; N]> for Bytes {
-    fn from(v: [u8; N]) -> Self {
-        Bytes::copy_from_slice(&v)
-    }
-}
-
-impl From<String> for Bytes {
-    fn from(v: String) -> Self {
-        Bytes::from(v.into_bytes())
-    }
-}
-
-impl From<&str> for Bytes {
-    fn from(v: &str) -> Self {
-        Bytes::copy_from_slice(v.as_bytes())
-    }
-}
-
-impl FromIterator<u8> for Bytes {
-    fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
-        Bytes::from(iter.into_iter().collect::<Vec<u8>>())
-    }
-}
-
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        &*self.data == other
-    }
-}
-
-impl PartialEq<Vec<u8>> for Bytes {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        &*self.data == other.as_slice()
-    }
-}
-
-impl std::fmt::Debug for Bytes {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Bytes({} bytes)", self.data.len())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn clone_shares_storage() {
-        let a = Bytes::from(vec![1u8, 2, 3]);
-        let b = a.clone();
-        assert_eq!(a, b);
-        assert_eq!(Arc::strong_count(&a.data), 2);
-    }
-
-    #[test]
-    fn deref_and_eq() {
-        let a = Bytes::from(&b"hello"[..]);
-        assert_eq!(a.len(), 5);
-        assert_eq!(&a[1..3], b"el");
-        assert_eq!(a, b"hello".to_vec());
-    }
-}

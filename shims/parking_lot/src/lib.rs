@@ -1,106 +1,8 @@
-//! Offline stand-in for the `parking_lot` crate.
-//!
-//! Wraps `std::sync` primitives behind parking_lot's non-poisoning API:
-//! `lock()`/`read()`/`write()` return guards directly instead of `Result`s.
-//! A poisoned std lock is recovered transparently, matching parking_lot's
-//! "no poisoning" semantics.
+//! Empty stand-in for the `parking_lot` crate; nothing in the workspace uses
+//! it. Locks are `std::sync::{Mutex, RwLock}`, and each lock owner recovers
+//! a poisoned guard in one private accessor. The package stays only because
+//! `benchmark/Cargo.lock` records its edges from `zkdet-chain`,
+//! `zkdet-core`, `zkdet-provenance`, `zkdet-storage` and `zkdet-telemetry`;
+//! the benchmark-only change that refreshes that lock deletes them.
 
 #![forbid(unsafe_code)]
-
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
-pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
-
-/// Reader-writer lock with parking_lot's panic-free API.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a lock holding `value`.
-    pub fn new(value: T) -> Self {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.inner.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.inner.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Mutual-exclusion lock with parking_lot's panic-free API.
-#[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized> {
-    inner: std::sync::Mutex<T>,
-}
-
-impl<T> Mutex<T> {
-    /// Creates a mutex holding `value`.
-    pub fn new(value: T) -> Self {
-        Mutex {
-            inner: std::sync::Mutex::new(value),
-        }
-    }
-
-    /// Consumes the mutex, returning the value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquires the lock.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rwlock_read_write() {
-        let lock = RwLock::new(1u32);
-        assert_eq!(*lock.read(), 1);
-        *lock.write() += 1;
-        assert_eq!(*lock.read(), 2);
-        assert_eq!(lock.into_inner(), 2);
-    }
-
-    #[test]
-    fn mutex_lock() {
-        let m = Mutex::new(vec![1]);
-        m.lock().push(2);
-        assert_eq!(m.into_inner(), vec![1, 2]);
-    }
-}

@@ -1,116 +1,8 @@
-//! Offline stand-in for the `serde` crate.
-//!
-//! This workspace uses serde purely as a *trait bound* — types declare
-//! themselves serializable, but no data format (serde_json, bincode, …) is
-//! ever linked, so nothing serializes at runtime. The shim therefore
-//! provides the trait surface (`Serialize`, `Deserialize`, `Serializer`,
-//! `Deserializer`, `de::Error`, `de::DeserializeOwned`) with just enough
-//! structure for the workspace's manual impls and derives to compile.
+//! Empty stand-in for the `serde` crate; nothing in the workspace uses it.
+//! Every artefact that crosses a trust boundary (proofs, keys, the SRS,
+//! journal frames) goes through its own validated byte codec. The package
+//! stays only because `benchmark/Cargo.lock` records its edges from eleven
+//! workspace crates; the benchmark-only change that refreshes that lock
+//! deletes those edges, this package and `serde_derive`.
 
 #![forbid(unsafe_code)]
-
-#[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
-
-/// A type that can be serialized.
-pub trait Serialize {
-    /// Feeds `self` into `serializer`.
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error>;
-}
-
-/// A data-format backend for [`Serialize`]. No implementation exists in
-/// this workspace; the trait only anchors the generic signatures.
-pub trait Serializer: Sized {
-    /// Value returned on success.
-    type Ok;
-    /// Error type.
-    type Error: ser::Error;
-
-    /// Serializes a byte string.
-    fn serialize_bytes(self, v: &[u8]) -> Result<Self::Ok, Self::Error>;
-
-    /// Serializes a unit value (what the shim's derive emits for every
-    /// struct and enum — sufficient because no format ever consumes it).
-    fn serialize_unit(self) -> Result<Self::Ok, Self::Error>;
-}
-
-/// A type that can be deserialized.
-pub trait Deserialize<'de>: Sized {
-    /// Builds `Self` from `deserializer`.
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error>;
-}
-
-/// A data-format backend for [`Deserialize`]. Like [`Serializer`], never
-/// implemented here.
-pub trait Deserializer<'de>: Sized {
-    /// Error type.
-    type Error: de::Error;
-
-    /// Produces an owned byte buffer.
-    fn deserialize_byte_buf(self) -> Result<Vec<u8>, Self::Error>;
-}
-
-pub mod ser {
-    //! Serialization-side error trait.
-
-    /// Errors a [`crate::Serializer`] can produce.
-    pub trait Error: Sized {
-        /// Builds an error from a message.
-        fn custom<T: core::fmt::Display>(msg: T) -> Self;
-    }
-}
-
-pub mod de {
-    //! Deserialization-side traits.
-
-    /// Errors a [`crate::Deserializer`] can produce.
-    pub trait Error: Sized {
-        /// Builds an error from a message.
-        fn custom<T: core::fmt::Display>(msg: T) -> Self;
-    }
-
-    /// A type deserializable from any lifetime — blanket-implemented, as in
-    /// real serde.
-    pub trait DeserializeOwned: for<'de> crate::Deserialize<'de> {}
-    impl<T: for<'de> crate::Deserialize<'de>> DeserializeOwned for T {}
-}
-
-impl Serialize for Vec<u8> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_bytes(self)
-    }
-}
-
-impl Serialize for [u8] {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_bytes(self)
-    }
-}
-
-impl<const N: usize> Serialize for [u8; N] {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_bytes(self)
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        (**self).serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for Vec<u8> {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.deserialize_byte_buf()
-    }
-}
-
-impl<'de, const N: usize> Deserialize<'de> for [u8; N] {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let bytes = deserializer.deserialize_byte_buf()?;
-        bytes
-            .as_slice()
-            .try_into()
-            .map_err(|_| de::Error::custom("byte array length mismatch"))
-    }
-}

@@ -1,181 +1,6 @@
-//! Offline stand-in for `serde_derive`.
-//!
-//! Since no data format is linked in this workspace, the derives only need
-//! to make `#[derive(Serialize, Deserialize)]` *compile*: they emit stub
-//! impls whose bodies never inspect the fields (serialization is
-//! `serialize_unit`, deserialization errors out). That also means no bounds
-//! are added to generic parameters, which makes `#[serde(bound = "")]`
-//! trivially honoured.
-//!
-//! The item header is parsed by hand (no syn/quote in the offline image):
-//! just the type name and its generic parameter list.
+//! Empty stand-in for the `serde_derive` crate; nothing in the workspace
+//! uses it. The package stays only because `benchmark/Cargo.lock` records
+//! its edge from the `serde` stand-in; the benchmark-only change that
+//! refreshes that lock deletes this package together with `serde`.
 
 #![forbid(unsafe_code)]
-
-use proc_macro::{Delimiter, TokenStream, TokenTree};
-
-/// Parsed shape of the deriving item: name, full generics declaration
-/// (with bounds, e.g. `<C: CurveParams>`), and bare parameter list for the
-/// type position (e.g. `<C>`).
-struct Item {
-    name: String,
-    generics_decl: String,
-    generics_use: String,
-    /// Parameters with bounds stripped, for splicing into a merged impl
-    /// parameter list (e.g. `'de, C: CurveParams`).
-    params_decl: String,
-}
-
-fn parse_item(input: TokenStream) -> Item {
-    let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let mut i = 0;
-
-    // Skip attributes (`#[...]`) and visibility (`pub`, `pub(crate)`).
-    loop {
-        match &tokens[i] {
-            TokenTree::Punct(p) if p.as_char() == '#' => i += 2,
-            TokenTree::Ident(id) if id.to_string() == "pub" => {
-                i += 1;
-                if let TokenTree::Group(g) = &tokens[i] {
-                    if g.delimiter() == Delimiter::Parenthesis {
-                        i += 1;
-                    }
-                }
-            }
-            _ => break,
-        }
-    }
-
-    // `struct` / `enum` / `union`, then the name.
-    match &tokens[i] {
-        TokenTree::Ident(id)
-            if matches!(id.to_string().as_str(), "struct" | "enum" | "union") =>
-        {
-            i += 1
-        }
-        other => panic!("serde_derive shim: expected struct/enum, found {other}"),
-    }
-    let name = tokens[i].to_string();
-    i += 1;
-
-    // Optional generics: collect `<...>` tracking angle-bracket depth.
-    let mut generic_tokens: Vec<TokenTree> = Vec::new();
-    if let Some(TokenTree::Punct(p)) = tokens.get(i) {
-        if p.as_char() == '<' {
-            let mut depth = 0usize;
-            loop {
-                let tok = tokens[i].clone();
-                if let TokenTree::Punct(p) = &tok {
-                    match p.as_char() {
-                        '<' => depth += 1,
-                        '>' => depth -= 1,
-                        _ => {}
-                    }
-                }
-                generic_tokens.push(tok);
-                i += 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-        }
-    }
-
-    if generic_tokens.is_empty() {
-        return Item {
-            name,
-            generics_decl: String::new(),
-            generics_use: String::new(),
-            params_decl: String::new(),
-        };
-    }
-
-    // Bare parameter names: split the inside of `<...>` at depth-0 commas
-    // and take each segment's leading lifetime / `const N` name / ident.
-    let inner = &generic_tokens[1..generic_tokens.len() - 1];
-    let mut segments: Vec<Vec<&TokenTree>> = vec![Vec::new()];
-    let mut depth = 0usize;
-    for tok in inner {
-        if let TokenTree::Punct(p) = tok {
-            match p.as_char() {
-                '<' => depth += 1,
-                '>' => depth -= 1,
-                ',' if depth == 0 => {
-                    segments.push(Vec::new());
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        segments.last_mut().unwrap().push(tok);
-    }
-
-    let mut names: Vec<String> = Vec::new();
-    for seg in segments.iter().filter(|s| !s.is_empty()) {
-        match seg[0] {
-            TokenTree::Punct(p) if p.as_char() == '\'' => {
-                names.push(format!("'{}", seg[1]));
-            }
-            TokenTree::Ident(id) if id.to_string() == "const" => {
-                names.push(seg[1].to_string());
-            }
-            first => names.push(first.to_string()),
-        }
-    }
-
-    let decl: TokenStream = generic_tokens.into_iter().collect();
-    let decl = decl.to_string();
-    let params_decl = decl
-        .trim_start_matches('<')
-        .trim_end_matches('>')
-        .trim()
-        .to_string();
-    Item {
-        name,
-        generics_decl: decl,
-        generics_use: format!("<{}>", names.join(", ")),
-        params_decl,
-    }
-}
-
-#[proc_macro_derive(Serialize, attributes(serde))]
-pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    format!(
-        "impl {decl} ::serde::Serialize for {name} {useg} {{\n\
-             fn serialize<__S: ::serde::Serializer>(&self, serializer: __S)\n\
-                 -> ::core::result::Result<__S::Ok, __S::Error> {{\n\
-                 serializer.serialize_unit()\n\
-             }}\n\
-         }}",
-        decl = item.generics_decl,
-        name = item.name,
-        useg = item.generics_use,
-    )
-    .parse()
-    .expect("serde_derive shim: generated Serialize impl must parse")
-}
-
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    let impl_params = if item.params_decl.is_empty() {
-        "<'de>".to_string()
-    } else {
-        format!("<'de, {}>", item.params_decl)
-    };
-    format!(
-        "impl {params} ::serde::Deserialize<'de> for {name} {useg} {{\n\
-             fn deserialize<__D: ::serde::Deserializer<'de>>(_deserializer: __D)\n\
-                 -> ::core::result::Result<Self, __D::Error> {{\n\
-                 ::core::result::Result::Err(<__D::Error as ::serde::de::Error>::custom(\n\
-                     \"offline serde shim: derived Deserialize is a compile-time stub\"))\n\
-             }}\n\
-         }}",
-        params = impl_params,
-        name = item.name,
-        useg = item.generics_use,
-    )
-    .parse()
-    .expect("serde_derive shim: generated Deserialize impl must parse")
-}
