@@ -129,7 +129,7 @@ fn main() {
         // Restart: only the durable bytes survive.
         let mut wal = ExchangeWal::open(wal.durable_bytes().to_vec()).expect("reopen");
         let (rec, elapsed) = time(|| {
-            m.recover(&mut wal, Some(&cast.seller), &mut cast.buyer, None, &mut rng)
+            m.recover(&mut wal, Some(&cast.seller), &mut cast.buyer, &mut rng)
                 .expect("recover")
         });
         let (outcome, resumed_from) = match rec.exchanges.as_slice() {
@@ -167,7 +167,7 @@ fn main() {
         let mut cast = last_cast.expect("at least one exchange");
         let mut wal = ExchangeWal::open(wal.durable_bytes().to_vec()).expect("reopen");
         let (rec, elapsed) = time(|| {
-            m.recover(&mut wal, Some(&cast.seller), &mut cast.buyer, None, &mut rng)
+            m.recover(&mut wal, Some(&cast.seller), &mut cast.buyer, &mut rng)
                 .expect("recover")
         });
         assert_eq!(rec.exchanges.len(), n, "one recovered entry per exchange");

@@ -109,9 +109,8 @@ impl FairSwapContract {
         self.swaps.get(&id).ok_or(ChainError::NoSuchSwap(id))
     }
 
-    /// Iterates over every swap in id order. Crash recovery uses
-    /// this to re-find a swap whose id was lost with process memory,
-    /// matching on the offer's roots and key hash.
+    /// Iterates over every swap in id order. The chain's state export
+    /// ([`crate::Blockchain::export_bytes`]) walks this.
     pub fn swaps(&self) -> impl Iterator<Item = (SwapId, &Swap)> {
         self.swaps.iter().map(|(id, s)| (*id, s))
     }

@@ -8,9 +8,9 @@
 //! decryption here; `Θ(|block|)` in general). The `fairswap_dispute`
 //! benchmark measures exactly that growth.
 //!
-//! Each step is written once, as a `journaled_fairswap_*` function that
-//! appends an intent record to its [`Journal`] before the side effect and
-//! a completion record after; the plain functions pass [`NoJournal`].
+//! FairSwap is the comparison baseline only: its steps keep no journal and
+//! have no crash recovery, unlike the key-secure exchange in
+//! [`crate::exchange`].
 
 use rand::Rng;
 use zkdet_chain::contracts::{SwapId, SwapState};
@@ -22,10 +22,6 @@ use zkdet_field::{Field, Fr};
 
 use crate::dataset::Dataset;
 use crate::error::ZkdetError;
-use crate::journal::{
-    ExchangeRecord, Journal, NoJournal, SwapAcceptDone, SwapAcceptIntent, SwapFinishDone,
-    SwapOfferIntent,
-};
 use crate::market::{DataOwner, Marketplace};
 
 /// Seller-side state for a FairSwap offer.
@@ -63,63 +59,6 @@ pub struct FairSwapBuyer {
     pub payment: Wei,
 }
 
-/// A journaled offer encrypted under its journaled key and nonce, before
-/// the contract has assigned it a swap id.
-pub(crate) struct SealedOffer {
-    ciphertext_blocks: Vec<Fr>,
-    /// Merkle root of the ciphertext blocks, as the contract holds it.
-    pub(crate) root_c: Fr,
-    /// Merkle root of the plaintext blocks.
-    pub(crate) root_d: Fr,
-    /// `H(k)`.
-    pub(crate) key_hash: Fr,
-}
-
-impl SwapOfferIntent {
-    /// Encrypts the offer — the one place that happens, so the live step
-    /// and recovery post, look up and serve the same blocks.
-    pub(crate) fn seal(&self) -> SealedOffer {
-        let ciphertext_blocks = MimcCtr::new(self.key, self.nonce)
-            .encrypt(&self.data)
-            .blocks;
-        SealedOffer {
-            root_c: MerkleTree::new(&ciphertext_blocks).root(),
-            root_d: MerkleTree::new(&self.data).root(),
-            key_hash: Poseidon::hash(&[self.key]),
-            ciphertext_blocks,
-        }
-    }
-}
-
-impl SealedOffer {
-    /// The seller's state once `intent`'s offer is on-chain as `swap`.
-    pub(crate) fn posted_as(self, swap: SwapId, intent: &SwapOfferIntent) -> FairSwapSeller {
-        FairSwapSeller {
-            swap,
-            key: intent.key,
-            nonce: intent.nonce,
-            data: Dataset::from_entries(intent.data.clone()),
-            ciphertext_blocks: self.ciphertext_blocks,
-        }
-    }
-}
-
-impl FairSwapBuyer {
-    /// The buyer's state for the journaled `intent` with `payment` in
-    /// escrow — built here for the live accept step and for recovery.
-    pub(crate) fn from_intent(intent: &SwapAcceptIntent, payment: Wei) -> Self {
-        FairSwapBuyer {
-            swap: intent.swap,
-            buyer: intent.buyer,
-            expected: MerkleTree::new(&intent.expected),
-            expected_blocks: intent.expected.clone(),
-            ciphertext: MerkleTree::new(&intent.ciphertext),
-            ciphertext_blocks: intent.ciphertext.clone(),
-            payment,
-        }
-    }
-}
-
 impl Marketplace {
     /// Deploys the FairSwap contract (once per deployment) and returns its
     /// address. Idempotent via the caller storing the address.
@@ -129,9 +68,10 @@ impl Marketplace {
         addr
     }
 
-    /// Seller makes a FairSwap offer for a dataset: encrypts it, Merkle-izes
-    /// ciphertext and plaintext, posts roots + `H(k)` on-chain, and serves
-    /// the ciphertext off-chain (returned for the buyer).
+    /// Seller makes a FairSwap offer for a dataset: draws a key, then a
+    /// nonce, from `rng`, encrypts, Merkle-izes ciphertext and plaintext,
+    /// posts roots + `H(k)` on-chain, and serves the ciphertext off-chain
+    /// (returned for the buyer).
     pub fn fairswap_offer<R: Rng + ?Sized>(
         &mut self,
         contract: Address,
@@ -140,61 +80,34 @@ impl Marketplace {
         price: Wei,
         rng: &mut R,
     ) -> Result<(FairSwapSeller, Vec<Fr>), ZkdetError> {
-        self.journaled_fairswap_offer(&mut NoJournal, contract, seller, data, price, rng)
-    }
-
-    /// [`Marketplace::fairswap_offer`] over `journal`: key and nonce are
-    /// durable before the offer lands, so a crash-restart replay
-    /// reproduces identical roots.
-    pub fn journaled_fairswap_offer<R: Rng + ?Sized>(
-        &mut self,
-        journal: &mut impl Journal,
-        contract: Address,
-        seller: &DataOwner,
-        data: Dataset,
-        price: Wei,
-        rng: &mut R,
-    ) -> Result<(FairSwapSeller, Vec<Fr>), ZkdetError> {
-        let intent = SwapOfferIntent {
-            key: Fr::random(rng),
-            nonce: Fr::random(rng),
-            data: data.entries().to_vec(),
-            price,
-        };
-        journal.append(&ExchangeRecord::SwapOfferIntent(intent.clone()))?;
-        let state = self.post_swap_offer(journal, contract, seller, &intent)?;
-        let served = state.ciphertext_blocks.clone();
-        Ok((state, served))
-    }
-
-    /// The effect half of the offer step: posts the already-journaled
-    /// `intent` and journals `SwapOfferDone`. Recovery re-posts a lost
-    /// offer through this with the *journaled* key and nonce.
-    pub(crate) fn post_swap_offer(
-        &mut self,
-        journal: &mut impl Journal,
-        contract: Address,
-        seller: &DataOwner,
-        intent: &SwapOfferIntent,
-    ) -> Result<FairSwapSeller, ZkdetError> {
-        let sealed = intent.seal();
+        let key = Fr::random(rng);
+        let nonce = Fr::random(rng);
+        let ciphertext_blocks = MimcCtr::new(key, nonce).encrypt(data.entries()).blocks;
         let (swap, _receipt) = self.chain.fairswap_offer(
             contract,
             seller.address,
-            intent.price,
-            sealed.root_c,
-            sealed.root_d,
-            sealed.key_hash,
-            intent.data.len(),
-            intent.nonce,
+            price,
+            MerkleTree::new(&ciphertext_blocks).root(),
+            MerkleTree::new(data.entries()).root(),
+            Poseidon::hash(&[key]),
+            data.len(),
+            nonce,
         )?;
-        journal.append(&ExchangeRecord::SwapOfferDone(swap))?;
-        Ok(sealed.posted_as(swap, intent))
+        let served = ciphertext_blocks.clone();
+        let state = FairSwapSeller {
+            swap,
+            key,
+            nonce,
+            data,
+            ciphertext_blocks,
+        };
+        Ok((state, served))
     }
 
-    /// Buyer accepts: checks the served ciphertext against the on-chain
-    /// root, checks the plaintext root matches the file they expect, and
-    /// escrows the payment.
+    /// Buyer accepts: checks the served ciphertext and the file they
+    /// expect against the offer's on-chain roots and block count, then
+    /// escrows the payment. A failed check is
+    /// [`ZkdetError::Inconsistent`] with nothing escrowed.
     pub fn fairswap_accept(
         &mut self,
         contract: Address,
@@ -203,67 +116,29 @@ impl Marketplace {
         served_ciphertext: Vec<Fr>,
         expected_plaintext: &Dataset,
     ) -> Result<FairSwapBuyer, ZkdetError> {
-        self.journaled_fairswap_accept(
-            &mut NoJournal,
-            contract,
-            buyer,
-            swap,
-            served_ciphertext,
-            expected_plaintext,
-        )
-    }
-
-    /// [`Marketplace::fairswap_accept`] over `journal`.
-    pub fn journaled_fairswap_accept(
-        &mut self,
-        journal: &mut impl Journal,
-        contract: Address,
-        buyer: &DataOwner,
-        swap: SwapId,
-        served_ciphertext: Vec<Fr>,
-        expected_plaintext: &Dataset,
-    ) -> Result<FairSwapBuyer, ZkdetError> {
-        let intent = SwapAcceptIntent {
-            swap,
-            buyer: buyer.address,
-            expected: expected_plaintext.entries().to_vec(),
-            ciphertext: served_ciphertext,
-        };
-        journal.append(&ExchangeRecord::SwapAcceptIntent(intent.clone()))?;
-        self.escrow_swap_accept(journal, contract, &intent)
-    }
-
-    /// The effect half of the accept step: checks the already-journaled
-    /// `intent`'s ciphertext and plaintext against the offer's on-chain
-    /// roots and block count, then escrows the price and journals
-    /// `SwapAcceptDone`. The checks live here, not before the intent, so a
-    /// recovery that re-executes the intent cannot escrow for blocks the
-    /// live step would have rejected ([`ZkdetError::Inconsistent`], nothing
-    /// moved).
-    pub(crate) fn escrow_swap_accept(
-        &mut self,
-        journal: &mut impl Journal,
-        contract: Address,
-        intent: &SwapAcceptIntent,
-    ) -> Result<FairSwapBuyer, ZkdetError> {
-        let swap = intent.swap;
-        let on_chain = self.chain.fairswap(&contract)?.swap(swap)?.clone();
-        let payment = on_chain.price;
+        let on_chain = self.chain.fairswap(&contract)?.swap(swap)?;
+        let expected = expected_plaintext.entries();
         // A root does not pin its list's length: leaves are zero-padded to a
         // power of two, and a seller may post a root over fewer ciphertext
         // blocks than the file has. Decryption stops at the shorter list,
         // so a short ciphertext would leave no block to complain about.
-        if intent.ciphertext.len() != on_chain.num_blocks
-            || intent.expected.len() != on_chain.num_blocks
-        {
+        if served_ciphertext.len() != on_chain.num_blocks || expected.len() != on_chain.num_blocks {
             return Err(ZkdetError::Inconsistent(format!(
                 "{} ciphertext blocks served and {} plaintext blocks expected for a {}-block offer",
-                intent.ciphertext.len(),
-                intent.expected.len(),
+                served_ciphertext.len(),
+                expected.len(),
                 on_chain.num_blocks
             )));
         }
-        let state = FairSwapBuyer::from_intent(intent, payment);
+        let state = FairSwapBuyer {
+            swap,
+            buyer: buyer.address,
+            expected: MerkleTree::new(expected),
+            expected_blocks: expected.to_vec(),
+            ciphertext: MerkleTree::new(&served_ciphertext),
+            ciphertext_blocks: served_ciphertext,
+            payment: on_chain.price,
+        };
         if state.ciphertext.root() != on_chain.root_c {
             return Err(ZkdetError::Inconsistent(
                 "served ciphertext does not match the on-chain root".into(),
@@ -275,11 +150,7 @@ impl Marketplace {
             ));
         }
         self.chain
-            .fairswap_accept(contract, intent.buyer, swap, payment)?;
-        journal.append(&ExchangeRecord::SwapAcceptDone(SwapAcceptDone {
-            swap,
-            payment,
-        }))?;
+            .fairswap_accept(contract, buyer.address, swap, state.payment)?;
         Ok(state)
     }
 
@@ -290,23 +161,10 @@ impl Marketplace {
         seller: &DataOwner,
         state: &FairSwapSeller,
     ) -> Result<Receipt, ZkdetError> {
-        self.journaled_fairswap_reveal(&mut NoJournal, contract, seller, state)
-    }
-
-    /// [`Marketplace::fairswap_reveal`] over `journal`.
-    pub fn journaled_fairswap_reveal(
-        &mut self,
-        journal: &mut impl Journal,
-        contract: Address,
-        seller: &DataOwner,
-        state: &FairSwapSeller,
-    ) -> Result<Receipt, ZkdetError> {
-        journal.append(&ExchangeRecord::SwapRevealIntent(state.swap))?;
         let r = self
             .chain
             .fairswap_reveal(contract, seller.address, state.swap, state.key)?;
         self.chain.mine_block();
-        journal.append(&ExchangeRecord::SwapRevealDone(state.swap))?;
         Ok(r)
     }
 
@@ -318,29 +176,15 @@ impl Marketplace {
         contract: Address,
         state: &FairSwapBuyer,
     ) -> Result<Result<Dataset, Receipt>, ZkdetError> {
-        self.journaled_fairswap_finish(&mut NoJournal, contract, state)
-    }
-
-    /// [`Marketplace::fairswap_finish_or_dispute`] over `journal`.
-    pub fn journaled_fairswap_finish(
-        &mut self,
-        journal: &mut impl Journal,
-        contract: Address,
-        state: &FairSwapBuyer,
-    ) -> Result<Result<Dataset, Receipt>, ZkdetError> {
-        journal.append(&ExchangeRecord::SwapFinishIntent(state.swap))?;
-        let on_chain = self.chain.fairswap(&contract)?.swap(state.swap)?.clone();
-        let key = match on_chain.state {
-            SwapState::Revealed { key, .. } => key,
-            _ => {
-                return Err(ZkdetError::Protocol(
-                    "swap key has not been revealed".into(),
-                ))
-            }
+        let on_chain = self.chain.fairswap(&contract)?.swap(state.swap)?;
+        let SwapState::Revealed { key, .. } = on_chain.state else {
+            return Err(ZkdetError::Protocol(
+                "swap key has not been revealed".into(),
+            ));
         };
-        let ctr = MimcCtr::new(key, on_chain.nonce);
-        let decrypted = ctr.decrypt(&zkdet_crypto::mimc::Ciphertext {
-            nonce: on_chain.nonce,
+        let nonce = on_chain.nonce;
+        let decrypted = MimcCtr::new(key, nonce).decrypt(&zkdet_crypto::mimc::Ciphertext {
+            nonce,
             blocks: state.ciphertext_blocks.clone(),
         });
         // Find the first bad block, if any.
@@ -348,7 +192,7 @@ impl Marketplace {
             .iter()
             .zip(&state.expected_blocks)
             .position(|(got, want)| got != want);
-        let outcome = match bad {
+        Ok(match bad {
             Some(i) => Err(self.chain.fairswap_complain(
                 contract,
                 state.buyer,
@@ -360,12 +204,7 @@ impl Marketplace {
                 &state.expected.path(i),
             )?),
             None => Ok(Dataset::from_entries(decrypted)),
-        };
-        journal.append(&ExchangeRecord::SwapFinishDone(SwapFinishDone {
-            swap: state.swap,
-            disputed: outcome.is_err(),
-        }))?;
-        Ok(outcome)
+        })
     }
 
     /// The key a FairSwap reveal disclosed on-chain, if any — same leak
@@ -383,7 +222,7 @@ impl Marketplace {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, RngCore, SeedableRng};
     use zkdet_chain::contracts::COMPLAINT_WINDOW_BLOCKS;
 
     fn setup() -> (Marketplace, DataOwner, DataOwner, Address, StdRng) {
@@ -425,48 +264,26 @@ mod tests {
         assert!(m.fairswap_leaked_key(fs, s_state.swap).is_none()); // state moved to Completed
     }
 
-    #[test]
-    fn recovery_of_a_rejected_accept_escrows_nothing() {
-        // The live accept journals its intent, then rejects: once because
-        // the served ciphertext is not the one under the on-chain root_c,
-        // once because the offer is not for the file the buyer expects, and
-        // once because the buyer expects a shorter file under the same
-        // (zero-padded) plaintext root.
-        for case in ["tampered ciphertext", "wrong file", "short file"] {
-            let (mut m, seller, mut buyer, fs, mut rng) = setup();
-            let d = data(&[1, 2, 3, 0]);
-            let mut wal = crate::journal::ExchangeWal::new();
-            let (s_state, mut ct) = m
-                .journaled_fairswap_offer(&mut wal, fs, &seller, d.clone(), 500, &mut rng)
-                .unwrap();
-            let expected = match case {
-                "tampered ciphertext" => {
-                    ct[0] += Fr::ONE;
-                    d
-                }
-                "wrong file" => data(&[1, 2, 3, 5]),
-                _ => data(&[1, 2, 3]),
-            };
-            let swap = s_state.swap;
-            let err = m
-                .journaled_fairswap_accept(&mut wal, fs, &buyer, swap, ct, &expected)
-                .unwrap_err();
-            assert!(matches!(err, ZkdetError::Inconsistent(_)), "{case}: {err}");
-            let (b, s) = (buyer.address, seller.address);
-            let balances = |m: &Marketplace| (m.chain.state.balance(&b), m.chain.state.balance(&s));
-            let before = balances(&m);
-
-            // Recovery re-executes that intent through the same checks:
-            // the buyer is not made to escrow for blocks it rejected.
-            let report = m
-                .recover(&mut wal, Some(&seller), &mut buyer, Some(fs), &mut rng)
-                .unwrap();
-            assert_eq!(report.swaps.len(), 1);
-            assert_eq!(report.swaps[0].state, "offered", "{case}");
-            assert_eq!(balances(&m), before, "{case}");
-            let on_chain = m.chain.fairswap(&fs).unwrap().swap(swap).unwrap();
-            assert_eq!(on_chain.state, SwapState::Offered);
-        }
+    /// `fairswap_accept` must refuse `ciphertext` / `expected` for `swap`
+    /// before the escrow: the buyer keeps its balance and the swap stays
+    /// offered.
+    fn assert_refused(
+        m: &mut Marketplace,
+        fs: Address,
+        buyer: &DataOwner,
+        swap: SwapId,
+        ciphertext: Vec<Fr>,
+        expected: &Dataset,
+        case: &str,
+    ) {
+        let before = m.chain.state.balance(&buyer.address);
+        let err = m
+            .fairswap_accept(fs, buyer, swap, ciphertext, expected)
+            .unwrap_err();
+        assert!(matches!(err, ZkdetError::Inconsistent(_)), "{case}: {err}");
+        assert_eq!(m.chain.state.balance(&buyer.address), before, "{case}");
+        let on_chain = m.chain.fairswap(&fs).unwrap().swap(swap).unwrap();
+        assert_eq!(on_chain.state, SwapState::Offered, "{case}");
     }
 
     /// A seller posts a root over a 1-block ciphertext beside the real
@@ -474,10 +291,12 @@ mod tests {
     /// the buyer is served and expects, but decryption would stop after
     /// one block with nothing to complain about, and the seller would
     /// collect the full price once the window closed. The accept refuses
-    /// the offer and escrows nothing.
+    /// the offer and escrows nothing — as it does for an honest offer
+    /// served with a tampered ciphertext, for another file, or for a
+    /// shorter file under the same zero-padded plaintext root.
     #[test]
     fn a_truncated_ciphertext_is_refused_before_escrow() {
-        let (mut m, seller, buyer, fs, _) = setup();
+        let (mut m, seller, buyer, fs, mut rng) = setup();
         let real = data(&[10, 20]);
         let key = Fr::from(777u64);
         let nonce = Fr::from(1u64);
@@ -495,14 +314,75 @@ mod tests {
                 nonce,
             )
             .unwrap();
-        let before = m.chain.state.balance(&buyer.address);
-        let err = m
-            .fairswap_accept(fs, &buyer, swap, ct.blocks, &real)
-            .unwrap_err();
-        assert!(matches!(err, ZkdetError::Inconsistent(_)), "{err}");
-        assert_eq!(m.chain.state.balance(&buyer.address), before);
-        let on_chain = m.chain.fairswap(&fs).unwrap().swap(swap).unwrap();
-        assert_eq!(on_chain.state, SwapState::Offered);
+        let case = "truncated ciphertext";
+        assert_refused(&mut m, fs, &buyer, swap, ct.blocks, &real, case);
+
+        let d = data(&[1, 2, 3, 0]);
+        let (s_state, ct) = m
+            .fairswap_offer(fs, &seller, d.clone(), 500, &mut rng)
+            .unwrap();
+        let mut tampered = ct.clone();
+        tampered[0] += Fr::ONE;
+        for (case, served, expected) in [
+            ("ciphertext off root_c", tampered, d),
+            ("offer for another file", ct.clone(), data(&[1, 2, 3, 5])),
+            ("short file", ct, data(&[1, 2, 3])),
+        ] {
+            assert_refused(&mut m, fs, &buyer, s_state.swap, served, &expected, case);
+        }
+    }
+
+    /// The offer draws its key, then its nonce, from the caller's rng and
+    /// nothing more: the executor's seeded swaps, and with them chain state
+    /// and gas, rest on that order.
+    #[test]
+    fn the_offer_draws_key_then_nonce() {
+        let (mut m, seller, _buyer, fs, _rng) = setup();
+        let d = data(&[1, 2, 3, 4]);
+        let mut rng = StdRng::seed_from_u64(42);
+        let (s_state, ct) = m
+            .fairswap_offer(fs, &seller, d.clone(), 500, &mut rng)
+            .unwrap();
+        let mut expect = StdRng::seed_from_u64(42);
+        let key = Fr::random(&mut expect);
+        let nonce = Fr::random(&mut expect);
+        assert_eq!((s_state.key, s_state.nonce), (key, nonce));
+        assert_eq!(rng.next_u64(), expect.next_u64(), "no further draws");
+        assert_eq!(ct, MimcCtr::new(key, nonce).encrypt(d.entries()).blocks);
+        let on_chain = m.chain.fairswap(&fs).unwrap().swap(s_state.swap).unwrap();
+        assert_eq!(on_chain.nonce, nonce);
+        assert_eq!(on_chain.key_hash, Poseidon::hash(&[key]));
+        assert_eq!(on_chain.root_c, MerkleTree::new(&ct).root());
+    }
+
+    /// Before the seller reveals, the buyer has no key: finishing is a
+    /// protocol error that neither completes nor disputes the swap, and
+    /// the escrow stays where it is until the reveal.
+    #[test]
+    fn finishing_before_the_reveal_is_refused() {
+        let (mut m, seller, buyer, fs, mut rng) = setup();
+        let d = data(&[1, 2, 3, 4]);
+        let (s_state, ct) = m
+            .fairswap_offer(fs, &seller, d.clone(), 500, &mut rng)
+            .unwrap();
+        let b_state = m
+            .fairswap_accept(fs, &buyer, s_state.swap, ct, &d)
+            .unwrap();
+        let escrow = m.chain.state.balance(&fs);
+        let err = m.fairswap_finish_or_dispute(fs, &b_state).unwrap_err();
+        assert!(matches!(err, ZkdetError::Protocol(_)), "{err}");
+        let on_chain = m.chain.fairswap(&fs).unwrap().swap(s_state.swap).unwrap();
+        assert_eq!(
+            on_chain.state,
+            SwapState::Paid {
+                buyer: buyer.address,
+                payment: 500
+            }
+        );
+        assert_eq!(m.chain.state.balance(&fs), escrow);
+        m.fairswap_reveal(fs, &seller, &s_state).unwrap();
+        let out = m.fairswap_finish_or_dispute(fs, &b_state).unwrap();
+        assert_eq!(out.unwrap(), d);
     }
 
     #[test]

@@ -1,22 +1,22 @@
 //! Typed write-ahead journal of exchange state transitions (DESIGN.md §13).
 //!
-//! Every step of the key-secure exchange and the FairSwap baseline is
-//! recorded as an **intent** record *before* its side effect and a
-//! **completion** record after, so a crash between the two leaves a
-//! journal from which [`crate::market::Marketplace::recover`] can decide
-//! whether the side effect landed by consulting durable chain state.
+//! Every step of the key-secure exchange is recorded as an **intent**
+//! record *before* its side effect and a **completion** record after, so
+//! a crash between the two leaves a journal from which
+//! [`crate::market::Marketplace::recover`] can decide whether the side
+//! effect landed by consulting durable chain state.
 //!
 //! Intent records carry every piece of volatile randomness the step draws
-//! (`k_v`, the key-commitment opening, FairSwap keys/nonces): replaying an
-//! intent must not re-roll dice, or the restarted exchange would diverge
-//! from the on-chain commitments the crashed process already published.
+//! (`k_v`, the key-commitment opening): replaying an intent must not
+//! re-roll dice, or the restarted exchange would diverge from the
+//! on-chain commitments the crashed process already published.
 //!
 //! The byte layout is the crate's canonical codec ([`crate::codec`]):
 //! little-endian, length-prefixed, canonical field elements rejected on
 //! decode. Framing, checksums and torn-tail handling live one layer down
 //! in [`zkdet_wal`].
 
-use zkdet_chain::contracts::{ListingId, SwapId};
+use zkdet_chain::contracts::ListingId;
 use zkdet_chain::{Address, TokenId, Wei};
 use zkdet_field::Fr;
 use zkdet_wal::{CrashMode, Wal};
@@ -50,18 +50,11 @@ macro_rules! wire {
 wire! {
     TokenId: |x, w| w.u64(x.0), |r| r.u64().map(TokenId);
     ListingId: |x, w| w.u64(x.0), |r| r.u64().map(ListingId);
-    SwapId: |x, w| w.u64(x.0), |r| r.u64().map(SwapId);
     Wei: |x, w| w.u128(*x), |r| r.u128();
     // `RetrieveIntent::attempt`: a u64 on the wire.
     u32: |x, w| w.u64(u64::from(*x)), |r| u32::try_from(r.u64()?)
         .map_err(|_| ZkdetError::Codec("attempt overflows u32".into()));
-    bool: |x, w| w.u8(u8::from(*x)), |r| match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(ZkdetError::Codec(format!("bad bool encoding {other}"))),
-    };
     Fr: |x, w| w.fr(x), |r| r.fr();
-    Vec<Fr>: |x, w| w.fr_vec(x), |r| r.fr_vec();
     String: |x, w| w.string(x), |r| r.string();
     Address: |x, w| w.raw(&x.0), |r| r.raw_bytes(20)?.try_into().map(Address)
         .map_err(|_| ZkdetError::Codec("address slice length".into()));
@@ -177,48 +170,6 @@ wire_struct! {
         /// Failure description for non-settled outcomes.
         pub reason: String,
     }
-
-    /// FairSwap: seller is about to post an offer; carries the drawn
-    /// key/nonce and the plaintext so a replay reproduces identical roots.
-    pub struct SwapOfferIntent {
-        /// Encryption key.
-        pub key: Fr,
-        /// CTR nonce.
-        pub nonce: Fr,
-        /// Plaintext blocks.
-        pub data: Vec<Fr>,
-        /// Asking price.
-        pub price: Wei,
-    }
-
-    /// FairSwap: buyer is about to check the served ciphertext against
-    /// the offer's roots and escrow payment.
-    pub struct SwapAcceptIntent {
-        /// The swap.
-        pub swap: SwapId,
-        /// The buyer's address.
-        pub buyer: Address,
-        /// The expected plaintext blocks.
-        pub expected: Vec<Fr>,
-        /// The served ciphertext blocks.
-        pub ciphertext: Vec<Fr>,
-    }
-
-    /// FairSwap: the escrow landed on-chain.
-    pub struct SwapAcceptDone {
-        /// The swap.
-        pub swap: SwapId,
-        /// Escrowed amount.
-        pub payment: Wei,
-    }
-
-    /// FairSwap: finish/dispute resolved.
-    pub struct SwapFinishDone {
-        /// The swap.
-        pub swap: SwapId,
-        /// `true` if a misbehaviour complaint refunded the buyer.
-        pub disputed: bool,
-    }
 }
 
 /// The record table: wire tag, step name, variant and payload of every
@@ -310,22 +261,6 @@ records! {
         11 "refund_done" RefundDone(ListingId),
         /// The exchange reached a terminal state.
         12 "terminal" Terminal(Terminal),
-        /// FairSwap: seller is about to post an offer.
-        13 "swap_offer_intent" SwapOfferIntent(SwapOfferIntent),
-        /// FairSwap: the offer landed on-chain.
-        14 "swap_offer_done" SwapOfferDone(SwapId),
-        /// FairSwap: buyer is about to check the roots and escrow payment.
-        15 "swap_accept_intent" SwapAcceptIntent(SwapAcceptIntent),
-        /// FairSwap: the escrow landed on-chain.
-        16 "swap_accept_done" SwapAcceptDone(SwapAcceptDone),
-        /// FairSwap: seller is about to reveal the key on-chain.
-        17 "swap_reveal_intent" SwapRevealIntent(SwapId),
-        /// FairSwap: the reveal landed on-chain.
-        18 "swap_reveal_done" SwapRevealDone(SwapId),
-        /// FairSwap: buyer is about to decrypt and finish or dispute.
-        19 "swap_finish_intent" SwapFinishIntent(SwapId),
-        /// FairSwap: finish/dispute resolved.
-        20 "swap_finish_done" SwapFinishDone(SwapFinishDone),
     }
 }
 
@@ -493,10 +428,9 @@ impl Journal for NoJournal {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-    use zkdet_field::Field;
 
     fn sample_records() -> Vec<ExchangeRecord> {
-        let (listing, swap) = (ListingId(3), SwapId(1));
+        let listing = ListingId(3);
         vec![
             ExchangeRecord::ListIntent(ListIntent {
                 token: TokenId(7),
@@ -539,27 +473,6 @@ mod tests {
                 outcome: ExchangeOutcome::Refunded,
                 reason: "seller missed the settlement deadline".into(),
             }),
-            ExchangeRecord::SwapOfferIntent(SwapOfferIntent {
-                key: Fr::from(23u64),
-                nonce: Fr::from(29u64),
-                data: vec![Fr::ZERO, Fr::from(31u64)],
-                price: 500,
-            }),
-            ExchangeRecord::SwapOfferDone(swap),
-            ExchangeRecord::SwapAcceptIntent(SwapAcceptIntent {
-                swap,
-                buyer: Address::from_seed(4),
-                expected: vec![Fr::from(1u64)],
-                ciphertext: vec![Fr::from(2u64), Fr::from(3u64)],
-            }),
-            ExchangeRecord::SwapAcceptDone(SwapAcceptDone { swap, payment: 500 }),
-            ExchangeRecord::SwapRevealIntent(swap),
-            ExchangeRecord::SwapRevealDone(swap),
-            ExchangeRecord::SwapFinishIntent(swap),
-            ExchangeRecord::SwapFinishDone(SwapFinishDone {
-                swap,
-                disputed: true,
-            }),
         ]
     }
 
@@ -569,7 +482,7 @@ mod tests {
     /// change here is a format break, not a refactor.
     #[test]
     fn journal_bytes_are_pinned() {
-        const GOLDEN: [(&str, &str); 22] = [
+        const GOLDEN: [(&str, &str); 14] = [
             ("list_intent", "0007000000000000000400000000000000010000000000000032000000000000000000000000000000010000000000000000000000000000000b000000000000000000000000000000000000000000000000000000000000000d0000000000000000000000000000000000000000000000000000000000000002000000000000007538"),
             ("list_done", "0103000000000000000700000000000000"),
             ("pay_intent", "0203000000000000000700000000000000588d22852c18d3b3988640b229271f78cf59719c11000000000000000000000000000000000000000000000000000000000000001300000000000000000000000000000000000000000000000000000000000000"),
@@ -583,14 +496,6 @@ mod tests {
             ("refund_intent", "0a0300000000000000"),
             ("refund_done", "0b0300000000000000"),
             ("terminal", "0c030000000000000001250000000000000073656c6c6572206d69737365642074686520736574746c656d656e7420646561646c696e65"),
-            ("swap_offer_intent", "0d17000000000000000000000000000000000000000000000000000000000000001d00000000000000000000000000000000000000000000000000000000000000020000000000000000000000000000000000000000000000000000000000000000000000000000001f00000000000000000000000000000000000000000000000000000000000000f4010000000000000000000000000000"),
-            ("swap_offer_done", "0e0100000000000000"),
-            ("swap_accept_intent", "0f0100000000000000913acdd0ceb73a2b3b97c725e8146cec4e7b802701000000000000000100000000000000000000000000000000000000000000000000000000000000020000000000000002000000000000000000000000000000000000000000000000000000000000000300000000000000000000000000000000000000000000000000000000000000"),
-            ("swap_accept_done", "100100000000000000f4010000000000000000000000000000"),
-            ("swap_reveal_intent", "110100000000000000"),
-            ("swap_reveal_done", "120100000000000000"),
-            ("swap_finish_intent", "130100000000000000"),
-            ("swap_finish_done", "14010000000000000001"),
             ("traced", "ffad0befbeadde00000703000000000000000200000000000000"),
         ];
         let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
@@ -637,10 +542,45 @@ mod tests {
         }
     }
 
+    /// The FairSwap records that tags 13–20 once carried, as
+    /// `journal_bytes_are_pinned` pinned them. The tags are retired, not
+    /// reused: a journal holding one of these frames is refused whole.
+    const RETIRED_SWAP_FRAMES: [&str; 8] = [
+        "0d17000000000000000000000000000000000000000000000000000000000000001d00000000000000000000000000000000000000000000000000000000000000020000000000000000000000000000000000000000000000000000000000000000000000000000001f00000000000000000000000000000000000000000000000000000000000000f4010000000000000000000000000000",
+        "0e0100000000000000",
+        "0f0100000000000000913acdd0ceb73a2b3b97c725e8146cec4e7b802701000000000000000100000000000000000000000000000000000000000000000000000000000000020000000000000002000000000000000000000000000000000000000000000000000000000000000300000000000000000000000000000000000000000000000000000000000000",
+        "100100000000000000f4010000000000000000000000000000",
+        "110100000000000000",
+        "120100000000000000",
+        "130100000000000000",
+        "14010000000000000001",
+    ];
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
     #[test]
     fn unknown_tag_rejected() {
         assert!(ExchangeRecord::from_bytes(&[200, 0, 0]).is_err());
         assert!(ExchangeRecord::from_bytes(&[]).is_err());
+        for hex in RETIRED_SWAP_FRAMES {
+            let bare = unhex(hex);
+            let mut traced = vec![TAG_TRACED];
+            traced.extend_from_slice(&0xdead_beef_0badu64.to_le_bytes());
+            traced.extend_from_slice(&bare);
+            let err = ExchangeRecord::from_bytes(&bare).unwrap_err();
+            assert!(matches!(err, ZkdetError::Codec(_)), "{hex}: {err}");
+            for frame in [bare, traced] {
+                let mut wal = Wal::new();
+                wal.append(&frame).unwrap();
+                let err = ExchangeWal::open(wal.durable_bytes().to_vec()).unwrap_err();
+                assert!(matches!(err, ZkdetError::Codec(_)), "{hex}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use machine::{
     BatcherDaemon, ExchangeMachine, ExchangeResult, ExchangeSpec, MaintenanceDaemon, MarketWorld,
     SwapMachine, SwapSpec, VerifyBatcher,
 };
-pub use recovery::{RecoveredExchange, RecoveredSwap, RecoveryOutcome, RecoveryReport};
+pub use recovery::{RecoveredExchange, RecoveryOutcome, RecoveryReport};
 pub use shard::{
     MarketShard, ShardParties, ShardPlanConfig, ShardedMarketplace, SHARD_TOKEN_STRIDE,
 };

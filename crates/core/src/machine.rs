@@ -673,7 +673,8 @@ enum SwapPhase {
 
 /// One FairSwap session as a resumable executor task. No proving, so
 /// hundreds of these interleave cheaply — the determinism proptest's
-/// workhorse.
+/// workhorse. It drives the plain [`crate::fairswap`] steps and writes no
+/// journal.
 pub struct SwapMachine {
     spec: SwapSpec,
     phase: SwapPhase,
@@ -728,8 +729,7 @@ impl Task<MarketWorld> for SwapMachine {
                 let shard = world.sharded.shard_mut(self.spec.shard);
                 let seller = &world.owners[self.spec.shard][self.spec.seller];
                 let mut rng = StdRng::seed_from_u64(cx.seed_for(10));
-                let (seller_state, ciphertext) = shard.market.journaled_fairswap_offer(
-                    &mut shard.wal,
+                let (seller_state, ciphertext) = shard.market.fairswap_offer(
                     self.spec.contract,
                     seller,
                     Dataset::from_entries(self.spec.data.clone()),
@@ -749,8 +749,7 @@ impl Task<MarketWorld> for SwapMachine {
                 let shard = world.sharded.shard_mut(self.spec.shard);
                 let buyer = &world.owners[self.spec.shard][self.spec.buyer];
                 let expected = Dataset::from_entries(self.spec.data.clone());
-                let buyer_state = shard.market.journaled_fairswap_accept(
-                    &mut shard.wal,
+                let buyer_state = shard.market.fairswap_accept(
                     self.spec.contract,
                     buyer,
                     seller_state.swap,
@@ -769,23 +768,18 @@ impl Task<MarketWorld> for SwapMachine {
             } => {
                 let shard = world.sharded.shard_mut(self.spec.shard);
                 let seller = &world.owners[self.spec.shard][self.spec.seller];
-                shard.market.journaled_fairswap_reveal(
-                    &mut shard.wal,
-                    self.spec.contract,
-                    seller,
-                    &seller_state,
-                )?;
+                shard
+                    .market
+                    .fairswap_reveal(self.spec.contract, seller, &seller_state)?;
                 self.phase = SwapPhase::Finish { buyer_state };
                 Ok(Step::Yield(1 + cx.seed_for(13) % 3))
             }
             SwapPhase::Finish { buyer_state } => {
                 let shard = world.sharded.shard_mut(self.spec.shard);
                 // A disputed swap is Refunded and fails Finalize below.
-                let _ = shard.market.journaled_fairswap_finish(
-                    &mut shard.wal,
-                    self.spec.contract,
-                    &buyer_state,
-                )?;
+                let _ = shard
+                    .market
+                    .fairswap_finish_or_dispute(self.spec.contract, &buyer_state)?;
                 self.phase = SwapPhase::Finalize {
                     swap: buyer_state.swap,
                     ready_after: shard.market.chain.height()

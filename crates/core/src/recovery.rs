@@ -1,9 +1,8 @@
 //! Crash recovery (DESIGN.md §13).
 //!
-//! Every exchange step writes an intent record (carrying any freshly
-//! drawn randomness) to its journal *before* the side effect and a
-//! completion record after — the key-secure steps in [`crate::exchange`],
-//! the FairSwap ones in [`crate::fairswap`].
+//! Every key-secure exchange step in [`crate::exchange`] writes an intent
+//! record (carrying any freshly drawn randomness) to its journal *before*
+//! the side effect and a completion record after.
 //! [`crate::market::Marketplace::recover`] replays an [`ExchangeWal`]
 //! against durable chain state and resumes every in-flight exchange from
 //! its last completed step — or drives it to a refund — by calling those
@@ -19,16 +18,14 @@
 use std::collections::BTreeMap;
 
 use rand::Rng;
-use zkdet_chain::contracts::{ListingId, ListingState, SwapId, SwapState};
-use zkdet_chain::{Address, Event, TokenId, Wei};
+use zkdet_chain::contracts::{ListingId, ListingState};
+use zkdet_chain::{Event, TokenId, Wei};
 use zkdet_crypto::poseidon::Poseidon;
 
 use crate::error::ZkdetError;
 use crate::exchange::{BuyerSession, ExchangeOutcome, ExchangeReport, SellerListing};
-use crate::fairswap::FairSwapBuyer;
 use crate::journal::{
     ExchangeRecord, ExchangeWal, ListDone, ListIntent, PayDone, PayIntent, SettleIntent,
-    SwapAcceptDone, SwapAcceptIntent, SwapOfferIntent,
 };
 use crate::market::{DataOwner, Marketplace};
 
@@ -58,24 +55,11 @@ pub struct RecoveredExchange {
     pub outcome: RecoveryOutcome,
 }
 
-/// One FairSwap session's recovery result.
-#[derive(Clone, Debug)]
-pub struct RecoveredSwap {
-    /// The swap, if it had been posted before the crash (or was re-posted
-    /// during recovery).
-    pub swap: Option<SwapId>,
-    /// The swap's on-chain state after recovery ("offered", "paid",
-    /// "revealed", "completed", "refunded", or "unposted").
-    pub state: &'static str,
-}
-
 /// Summary of a [`Marketplace::recover`] run.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryReport {
     /// Key-secure exchanges found in the journal, in first-record order.
     pub exchanges: Vec<RecoveredExchange>,
-    /// FairSwap sessions found in the journal, in first-record order.
-    pub swaps: Vec<RecoveredSwap>,
     /// Intact records replayed from the journal.
     pub records_replayed: u64,
 }
@@ -95,17 +79,6 @@ struct Progress {
     refund_intent: bool,
     refund_done: bool,
     terminal: Option<ExchangeOutcome>,
-}
-
-/// Replayed per-swap progress.
-#[derive(Debug, Default)]
-struct SwapProgress {
-    offer_intent: Option<SwapOfferIntent>,
-    swap: Option<SwapId>,
-    accept_intent: Option<SwapAcceptIntent>,
-    accepted: Option<Wei>,
-    revealed: bool,
-    finished: bool,
 }
 
 impl Progress {
@@ -137,7 +110,7 @@ impl Marketplace {
     /// - Intent records without a completion are reconciled against the
     ///   chain: if the side effect landed (found by idempotency key — the
     ///   listing's `(seller, token, key_commitment)`, the lock's
-    ///   `(buyer, h_v)`, the settlement journal, a swap's offer roots),
+    ///   `(buyer, h_v)`, the settlement journal),
     ///   the completion is back-filled; otherwise the step re-executes
     ///   with the *journaled* randomness, never fresh dice.
     /// - Exchanges with a buyer engaged are then driven to a terminal
@@ -145,8 +118,6 @@ impl Marketplace {
     ///   if the seller can still settle, refunded past the timeout.
     /// - `seller` supplies the settle capability; pass `None` to model a
     ///   withholding or dead seller (the buyer is refunded).
-    /// - `fairswap` names the FairSwap contract if swap records may be
-    ///   present.
     ///
     /// Recovery appends to the same journal it replays, so a crash
     /// *during* recovery is itself recoverable, and a second recovery of
@@ -156,7 +127,6 @@ impl Marketplace {
         wal: &mut ExchangeWal,
         seller: Option<&DataOwner>,
         buyer: &mut DataOwner,
-        fairswap: Option<Address>,
         rng: &mut R,
     ) -> Result<RecoveryReport, ZkdetError> {
         let mut replay_span = zkdet_telemetry::span("recovery.replay");
@@ -166,7 +136,7 @@ impl Marketplace {
         zkdet_telemetry::counter_add("zkdet.recovery.records_replayed", records_replayed);
         replay_span.record("records", records_replayed);
 
-        let (progress, swaps) = fold_records(records);
+        let progress = fold_records(records);
         let mut report = RecoveryReport {
             records_replayed,
             ..RecoveryReport::default()
@@ -181,11 +151,6 @@ impl Marketplace {
                 _ => zkdet_telemetry::counter_add("zkdet.recovery.exchanges_resumed", 1),
             }
             report.exchanges.push(recovered);
-        }
-        for sp in swaps {
-            let recovered = self.recover_swap(wal, sp, seller, fairswap)?;
-            zkdet_telemetry::counter_add("zkdet.recovery.swaps_resumed", 1);
-            report.swaps.push(recovered);
         }
         Ok(report)
     }
@@ -340,127 +305,17 @@ impl Marketplace {
             outcome: RecoveryOutcome::Completed(report),
         })
     }
-
-    fn recover_swap(
-        &mut self,
-        wal: &mut ExchangeWal,
-        sp: SwapProgress,
-        seller: Option<&DataOwner>,
-        fairswap: Option<Address>,
-    ) -> Result<RecoveredSwap, ZkdetError> {
-        let contract = fairswap.ok_or_else(|| {
-            ZkdetError::Protocol(
-                "journal has FairSwap records but no contract address was supplied".into(),
-            )
-        })?;
-
-        // 1. Offer intent without completion: find the swap by its offer
-        //    roots, else re-post it from the journaled intent.
-        let swap = match (sp.swap, &sp.offer_intent) {
-            (Some(swap), _) => swap,
-            (None, None) => {
-                return Ok(RecoveredSwap {
-                    swap: None,
-                    state: "unposted",
-                })
-            }
-            (None, Some(intent)) => {
-                let sealed = intent.seal();
-                let found = self
-                    .chain
-                    .fairswap(&contract)?
-                    .swaps()
-                    .find(|(_, s)| {
-                        s.root_c == sealed.root_c
-                            && s.root_d == sealed.root_d
-                            && s.key_hash == sealed.key_hash
-                    })
-                    .map(|(id, _)| id);
-                match (found, seller) {
-                    (Some(swap), _) => {
-                        wal.append(&ExchangeRecord::SwapOfferDone(swap))?;
-                        swap
-                    }
-                    (None, Some(owner)) => self.post_swap_offer(wal, contract, owner, intent)?.swap,
-                    (None, None) => {
-                        return Err(ZkdetError::Protocol(
-                            "journal has an unposted swap offer but no seller was supplied".into(),
-                        ))
-                    }
-                }
-            }
-        };
-        let state_of = |market: &Marketplace| -> Result<SwapState, ZkdetError> {
-            Ok(market.chain.fairswap(&contract)?.swap(swap)?.state.clone())
-        };
-
-        // 2. Accept intent without completion: did the escrow land?
-        if let (Some(intent), None) = (&sp.accept_intent, sp.accepted) {
-            match state_of(self)? {
-                // It did not: re-execute the intent through the checks the
-                // live step ran. Blocks that step rejected are rejected
-                // again — nothing is escrowed and the swap stays offered.
-                SwapState::Offered => match self.escrow_swap_accept(wal, contract, intent) {
-                    Ok(_) | Err(ZkdetError::Inconsistent(_)) => {}
-                    Err(e) => return Err(e),
-                },
-                SwapState::Paid { buyer, payment } | SwapState::Revealed { buyer, payment, .. } => {
-                    if buyer != intent.buyer {
-                        return Err(ZkdetError::Protocol(
-                            "swap is escrowed by a different buyer".into(),
-                        ));
-                    }
-                    wal.append(&ExchangeRecord::SwapAcceptDone(SwapAcceptDone {
-                        swap,
-                        payment,
-                    }))?;
-                }
-                SwapState::Completed | SwapState::Refunded => {}
-            }
-        }
-
-        // 3. Reveal: if the escrow stands and the key is not on-chain yet,
-        //    the seller (if present, with the journaled key) reveals.
-        if matches!(state_of(self)?, SwapState::Paid { .. }) && !sp.revealed {
-            if let (Some(owner), Some(intent)) = (seller, &sp.offer_intent) {
-                let seller_state = intent.seal().posted_as(swap, intent);
-                self.journaled_fairswap_reveal(wal, contract, owner, &seller_state)?;
-            }
-        }
-
-        // 4. Finish: with a revealed key and journaled buyer blocks, the
-        //    buyer decrypts and finishes or disputes.
-        if let (SwapState::Revealed { payment, .. }, false, Some(intent)) =
-            (state_of(self)?, sp.finished, &sp.accept_intent)
-        {
-            let buyer_state = FairSwapBuyer::from_intent(intent, payment);
-            // Finished or disputed: the state read below reports which.
-            let _ = self.journaled_fairswap_finish(wal, contract, &buyer_state)?;
-        }
-
-        Ok(RecoveredSwap {
-            swap: Some(swap),
-            state: match state_of(self)? {
-                SwapState::Offered => "offered",
-                SwapState::Paid { .. } => "paid",
-                SwapState::Revealed { .. } => "revealed",
-                SwapState::Completed => "completed",
-                SwapState::Refunded => "refunded",
-            },
-        })
-    }
 }
 
 /// The fold's working state: exchanges keyed by token (the journal-level
 /// idempotency key: one active exchange per token per journal) in
-/// first-record order, the listing → token map that attaches id-only
-/// records, and the swaps in first-record order.
+/// first-record order, and the listing → token map that attaches id-only
+/// records.
 #[derive(Default)]
 struct Fold {
     order: Vec<TokenId>,
     by_token: BTreeMap<TokenId, Progress>,
     listing_token: BTreeMap<ListingId, TokenId>,
-    swaps: Vec<SwapProgress>,
 }
 
 impl Fold {
@@ -492,27 +347,11 @@ impl Fold {
         }
     }
 
-    /// The swap with id `swap`, opened by id on first sight.
-    fn swap(&mut self, swap: SwapId) -> &mut SwapProgress {
-        let i = self
-            .swaps
-            .iter()
-            .position(|s| s.swap == Some(swap))
-            .unwrap_or_else(|| {
-                self.swaps.push(SwapProgress {
-                    swap: Some(swap),
-                    ..SwapProgress::default()
-                });
-                self.swaps.len() - 1
-            });
-        &mut self.swaps[i]
-    }
 }
 
-/// Folds the record stream into per-exchange and per-swap progress, both
-/// in first-record order. A `SwapOfferDone` binds to the most recent offer
-/// without an id; every other swap record attaches by swap id.
-fn fold_records(records: Vec<ExchangeRecord>) -> (Vec<(TokenId, Progress)>, Vec<SwapProgress>) {
+/// Folds the record stream into per-exchange progress, in first-record
+/// order.
+fn fold_records(records: Vec<ExchangeRecord>) -> Vec<(TokenId, Progress)> {
     use ExchangeRecord as R;
     let mut f = Fold::default();
     for rec in records {
@@ -543,49 +382,29 @@ fn fold_records(records: Vec<ExchangeRecord>) -> (Vec<(TokenId, Progress)>, Vec<
             R::RefundIntent(listing) => f.on_listing(listing, |p| p.refund_intent = true),
             R::RefundDone(listing) => f.on_listing(listing, |p| p.refund_done = true),
             R::Terminal(t) => f.on_listing(t.listing, |p| p.terminal = Some(t.outcome)),
-            R::SwapOfferIntent(intent) => f.swaps.push(SwapProgress {
-                offer_intent: Some(intent),
-                ..SwapProgress::default()
-            }),
-            R::SwapOfferDone(swap) => match f.swaps.iter_mut().rev().find(|s| s.swap.is_none()) {
-                Some(unposted) => unposted.swap = Some(swap),
-                None => {
-                    f.swap(swap);
-                }
-            },
-            R::SwapAcceptIntent(intent) => {
-                let sp = f.swap(intent.swap);
-                sp.accept_intent = Some(intent);
-            }
-            R::SwapAcceptDone(done) => f.swap(done.swap).accepted = Some(done.payment),
-            R::SwapRevealDone(swap) => f.swap(swap).revealed = true,
-            R::SwapFinishDone(done) => f.swap(done.swap).finished = true,
             // No progress to note: proving has no side effect (a replay
-            // re-proves), and a reveal or finish intent is reconciled from
-            // the swap's on-chain state alone.
-            R::ProveDone(_) | R::SwapRevealIntent(_) | R::SwapFinishIntent(_) => {}
+            // re-proves).
+            R::ProveDone(_) => {}
         }
     }
     let Fold {
         order,
         mut by_token,
-        swaps,
         ..
     } = f;
-    let progress = order
+    order
         .into_iter()
         .filter_map(|t| by_token.remove(&t).map(|p| (t, p)))
-        .collect();
-    (progress, swaps)
+        .collect()
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-    use crate::dataset::Dataset;
-    use crate::journal::{SwapFinishDone, Terminal};
+    use crate::journal::Terminal;
     use rand::{rngs::StdRng, SeedableRng};
+    use zkdet_chain::Address;
     use zkdet_field::Fr;
 
     fn list_intent(token: u64) -> ExchangeRecord {
@@ -632,18 +451,9 @@ mod tests {
         })
     }
 
-    fn swap_offer(key: u64) -> ExchangeRecord {
-        ExchangeRecord::SwapOfferIntent(SwapOfferIntent {
-            key: Fr::from(key),
-            nonce: Fr::from(1u64),
-            data: vec![Fr::from(2u64)],
-            price: 50,
-        })
-    }
-
     #[test]
     fn interleaved_tokens_fold_in_first_record_order() {
-        let (exchanges, swaps) = fold_records(vec![
+        let exchanges = fold_records(vec![
             list_intent(9),
             list_intent(4),
             list_done(0, 4),
@@ -654,7 +464,6 @@ mod tests {
             ExchangeRecord::SettleDone(ListingId(0)),
             terminal(1),
         ]);
-        assert!(swaps.is_empty());
         let tokens: Vec<u64> = exchanges.iter().map(|(t, _)| t.0).collect();
         assert_eq!(tokens, [9, 4]);
         let (nine, four) = (&exchanges[0].1, &exchanges[1].1);
@@ -675,7 +484,7 @@ mod tests {
         // Listing 7 is tied to a token only by the last record: everything
         // before it names a listing the fold cannot place, and must not
         // land on the one exchange that is open.
-        let (exchanges, _) = fold_records(vec![
+        let exchanges = fold_records(vec![
             list_intent(3),
             pay_done(7, 99),
             ExchangeRecord::SettleDone(ListingId(7)),
@@ -691,84 +500,25 @@ mod tests {
     }
 
     #[test]
-    fn swap_offer_done_binds_to_the_latest_offer_without_an_id() {
-        let accept = |swap| {
-            ExchangeRecord::SwapAcceptDone(SwapAcceptDone {
-                swap: SwapId(swap),
-                payment: 50,
-            })
-        };
-        let (_, swaps) = fold_records(vec![
-            swap_offer(11),
-            ExchangeRecord::SwapOfferDone(SwapId(0)),
-            swap_offer(12),
-            swap_offer(13),
-            // Binds to offer 13, the latest without an id; 12 still waits.
-            ExchangeRecord::SwapOfferDone(SwapId(1)),
-            accept(1),
-            ExchangeRecord::SwapOfferDone(SwapId(2)),
-            // No offer is waiting for an id: opens an entry by id.
-            ExchangeRecord::SwapOfferDone(SwapId(5)),
-            ExchangeRecord::SwapRevealDone(SwapId(5)),
-            // So does any other record naming an unseen swap.
-            ExchangeRecord::SwapFinishDone(SwapFinishDone {
-                swap: SwapId(6),
-                disputed: false,
-            }),
-        ]);
-        let view: Vec<_> = swaps
-            .iter()
-            .map(|s| (s.offer_intent.as_ref().map(|i| i.key), s.swap.map(|id| id.0)))
-            .collect();
-        assert_eq!(
-            view,
-            [
-                (Some(Fr::from(11u64)), Some(0)),
-                (Some(Fr::from(12u64)), Some(2)),
-                (Some(Fr::from(13u64)), Some(1)),
-                (None, Some(5)),
-                (None, Some(6)),
-            ]
-        );
-        assert_eq!(swaps[2].accepted, Some(50));
-        assert!(swaps[3].revealed && !swaps[3].finished);
-        assert!(swaps[4].finished && !swaps[4].revealed);
-    }
-
-    #[test]
     fn recovering_a_completed_journal_appends_nothing() {
         let mut rng = StdRng::seed_from_u64(23);
         let mut m = Marketplace::bootstrap(1 << 12, 4, &mut rng).unwrap();
         let (seller, mut buyer) = (m.register(), m.register());
-        let fs = m.deploy_fairswap_contract();
         let mut wal = ExchangeWal::new();
-        // A key-secure exchange the journal already closed…
+        // A key-secure exchange the journal already closed.
         for rec in [list_intent(3), list_done(0, 3), pay_intent(0, 3), terminal(0)] {
             wal.append(&rec).unwrap();
         }
-        // …and a swap driven through every step.
-        let d = Dataset::from_entries((1..=4u64).map(Fr::from).collect());
-        let (s_state, ct) = m
-            .journaled_fairswap_offer(&mut wal, fs, &seller, d.clone(), 500, &mut rng)
-            .unwrap();
-        let b_state = m
-            .journaled_fairswap_accept(&mut wal, fs, &buyer, s_state.swap, ct, &d)
-            .unwrap();
-        m.journaled_fairswap_reveal(&mut wal, fs, &seller, &s_state)
-            .unwrap();
-        let got = m.journaled_fairswap_finish(&mut wal, fs, &b_state).unwrap();
-        assert_eq!(got.unwrap(), d);
 
         let (count, digest) = (wal.record_count(), m.chain.export_digest());
         for _ in 0..2 {
             let report = m
-                .recover(&mut wal, Some(&seller), &mut buyer, Some(fs), &mut rng)
+                .recover(&mut wal, Some(&seller), &mut buyer, &mut rng)
                 .unwrap();
             assert!(matches!(
                 report.exchanges[0].outcome,
                 RecoveryOutcome::AlreadyTerminal(ExchangeOutcome::Settled)
             ));
-            assert_eq!(report.swaps[0].state, "revealed");
             assert_eq!(report.records_replayed, count);
             assert_eq!(wal.record_count(), count);
             assert_eq!(m.chain.export_digest(), digest);

@@ -17,7 +17,7 @@
 
 use rand::Rng;
 use std::sync::Arc;
-use zkdet_chain::{Address, TokenId};
+use zkdet_chain::TokenId;
 use zkdet_kzg::Srs;
 use zkdet_storage::FaultPlan;
 
@@ -77,8 +77,6 @@ pub struct ShardParties {
     pub seller: Option<DataOwner>,
     /// The shard's buyer (recovery re-drives retrieval on their behalf).
     pub buyer: DataOwner,
-    /// The shard's FairSwap contract, if swap records may be in-flight.
-    pub fairswap: Option<Address>,
 }
 
 /// N marketplaces behind a token-range router, sharing one SRS and one
@@ -198,13 +196,9 @@ impl ShardedMarketplace {
         }
         let mut reports = Vec::with_capacity(self.shards.len());
         for (shard, p) in self.shards.iter_mut().zip(parties.iter_mut()) {
-            let report = shard.market.recover(
-                &mut shard.wal,
-                p.seller.as_ref(),
-                &mut p.buyer,
-                p.fairswap,
-                rng,
-            )?;
+            let report = shard
+                .market
+                .recover(&mut shard.wal, p.seller.as_ref(), &mut p.buyer, rng)?;
             reports.push(report);
         }
         Ok(reports)

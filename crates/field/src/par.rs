@@ -15,7 +15,7 @@ use std::sync::OnceLock;
 const MAX_WORKERS: usize = 8;
 
 /// Threads one kernel call may use: `available_parallelism`, read once per
-/// process, capped at [`MAX_WORKERS`].
+/// process, capped at `MAX_WORKERS` (8).
 pub fn cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| {

@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // each unfinished intent against on-chain state, and drives the
     // exchange to a terminal outcome — settling at most once.
     let mut wal = ExchangeWal::open(wal.durable_bytes().to_vec())?;
-    let report = market.recover(&mut wal, Some(&alice), &mut bob, None, &mut rng)?;
+    let report = market.recover(&mut wal, Some(&alice), &mut bob, &mut rng)?;
     println!("replayed {} records", report.records_replayed);
     let [ex] = report.exchanges.as_slice() else {
         panic!("expected one recovered exchange");
@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A second recovery over the healed journal finds the Terminal record
     // and touches nothing — the settlement journal would reject a replay
     // anyway.
-    let again = market.recover(&mut wal, Some(&alice), &mut bob, None, &mut rng)?;
+    let again = market.recover(&mut wal, Some(&alice), &mut bob, &mut rng)?;
     assert!(matches!(
         again.exchanges[0].outcome,
         RecoveryOutcome::AlreadyTerminal(ExchangeOutcome::Settled)

@@ -10,7 +10,7 @@ pub fn vec<S: Strategy>(element: S, len: core::ops::Range<usize>) -> VecStrategy
     VecStrategy { element, len }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Clone, Debug)]
 pub struct VecStrategy<S> {
     element: S,

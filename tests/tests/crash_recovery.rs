@@ -197,7 +197,7 @@ fn run_crash_point(
             let mut wal = ExchangeWal::open(wal.durable_bytes().to_vec()).expect("reopen journal");
             let seller = if withhold { None } else { Some(&life.seller) };
             let report = m
-                .recover(&mut wal, seller, &mut life.buyer, None, r)
+                .recover(&mut wal, seller, &mut life.buyer, r)
                 .expect("recovery");
             assert_no_wedged_escrow(m);
 
@@ -249,7 +249,7 @@ fn run_crash_point(
             let before_seller = m.chain.state.balance(&life.seller.address);
             let before_buyer = m.chain.state.balance(&life.buyer.address);
             let again = m
-                .recover(&mut wal, seller, &mut life.buyer, None, r)
+                .recover(&mut wal, seller, &mut life.buyer, r)
                 .expect("second recovery");
             for ex in &again.exchanges {
                 assert!(
@@ -339,7 +339,7 @@ fn recovery_resumes_after_crash_between_settle_and_retrieve() {
 
     let mut wal = ExchangeWal::open(wal.durable_bytes().to_vec()).expect("reopen");
     let report = m
-        .recover(&mut wal, Some(&life.seller), &mut life.buyer, None, &mut r)
+        .recover(&mut wal, Some(&life.seller), &mut life.buyer, &mut r)
         .expect("recover");
     let [ex] = report.exchanges.as_slice() else {
         panic!("expected exactly one recovered exchange");

@@ -123,5 +123,5 @@ fn small_preset_reproduces_the_committed_schedule_and_journal() {
     assert_eq!(out.schedule_digest, 0x674e_fe1c_e0c6_ae8f);
     assert_eq!(out.summary.ticks, 1922);
     let journal_bytes: usize = out.replay.journals.iter().map(Vec::len).sum();
-    assert_eq!(journal_bytes, 7734);
+    assert_eq!(journal_bytes, 5506);
 }

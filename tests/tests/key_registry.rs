@@ -143,11 +143,10 @@ const PARENT_STEPS: u64 = 3597;
 const PARENT_JOBS_RUN: u64 = 17;
 const PARENT_BUSY_TICKS: u64 = 10_196;
 /// SHA-256 over schedule log ‖ journals ‖ timelines of the same run, since
-/// key lookups stopped drawing dummy witnesses from the caller's rng. The
-/// schedule above is unchanged; the journals record values drawn after the
-/// dropped draws, so their bytes moved.
+/// FairSwap sessions stopped writing journal records. The schedule above
+/// is unchanged; only the journals lost the swap frames.
 const PARENT_REPLAY_SHA256: &str =
-    "5956bf7e3facb602435c67f764b337b106f470204d0939e2ed85404230a7ef8d";
+    "de374c20b3889eacb05af698fea42d1d57bafcd289088c4ee1a9bc03fb5658fb";
 
 #[test]
 fn repeated_load_runs_replay_the_parent_schedule() {

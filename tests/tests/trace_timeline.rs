@@ -93,7 +93,7 @@ fn crash_recover_timeline(m: &mut Marketplace, k: u64, seed: u64) -> (Vec<u8>, S
     ));
 
     let mut wal = ExchangeWal::open(wal.durable_bytes().to_vec()).expect("reopen journal");
-    m.recover(&mut wal, Some(&life.seller), &mut life.buyer, None, &mut r)
+    m.recover(&mut wal, Some(&life.seller), &mut life.buyer, &mut r)
         .expect("recovery");
 
     let tl = trace_timeline(&wal, life.token, &[]).expect("timeline");
@@ -124,7 +124,7 @@ fn crash_interrupted_exchange_folds_into_one_causal_story() {
 
     // Restart: sessions die, durable bytes survive.
     let mut wal = ExchangeWal::open(wal.durable_bytes().to_vec()).expect("reopen journal");
-    m.recover(&mut wal, Some(&life.seller), &mut life.buyer, None, &mut r)
+    m.recover(&mut wal, Some(&life.seller), &mut life.buyer, &mut r)
         .expect("recovery");
 
     // A follow-up repair pass run on the exchange's behalf: the operator
