@@ -12,6 +12,12 @@
 //! payment. The buyer unblinds `k = k_c − k_v` and decrypts. **The key `k`
 //! never appears on-chain** — any third party sees only `k_c`, which is a
 //! one-time-pad blinding of `k` under `k_v`.
+//!
+//! Each step is written once, over a [`Journal`]: the `journaled_*` form
+//! appends the step's intent before its side effect, the plain form runs
+//! it over [`NoJournal`]. The journal records nothing the chain knows; a
+//! crash-restart reads the landed effects back from the chain
+//! ([`crate::recovery`]).
 
 use std::sync::Arc;
 
@@ -28,8 +34,8 @@ use zkdet_plonk::{Plonk, Proof, VerifyingKey};
 use crate::dataset::Dataset;
 use crate::error::{Recovery, ZkdetError};
 use crate::journal::{
-    ExchangeRecord, Journal, ListDone, ListIntent, NoJournal, PayDone, PayIntent, RetrieveIntent,
-    SettleIntent, Terminal,
+    ExchangeRecord, Journal, ListIntent, NoJournal, PayIntent, RetrieveIntent, SettleIntent,
+    Terminal,
 };
 use crate::market::{DataOwner, DatasetSecret, Marketplace};
 
@@ -141,8 +147,8 @@ pub struct ExchangeReport {
 pub const MAX_RECOVER_ATTEMPTS: u32 = 8;
 
 /// A proved-but-unsubmitted settlement: the output of the prove step,
-/// the input of the submit step. Journaled flows crash-test the boundary
-/// between the two.
+/// the input of the submit step. Nothing is journaled between the two: a
+/// crash in that window re-proves from the journaled [`SettleIntent`].
 #[derive(Clone, Debug)]
 pub struct SettlementSubmission {
     /// The listing being settled.
@@ -222,33 +228,30 @@ impl Marketplace {
             predicate: predicate_description,
         };
         journal.append(&ExchangeRecord::ListIntent(intent.clone()))?;
-        let listing = self.create_listing(journal, owner.address, &intent)?;
+        let listing = self.create_listing(owner.address, &intent)?;
         Ok(SellerListing::from_intent(&intent, listing))
     }
 
     /// The effect half of the list step: lands the listing of an
-    /// already-journaled `intent` and confirms it. Crash recovery
-    /// re-executes an unconfirmed intent through here, with the
-    /// *journaled* commitment.
+    /// already-journaled `intent`. Crash recovery re-executes an intent
+    /// whose listing is not on chain through here, with the *journaled*
+    /// commitment.
     pub(crate) fn create_listing(
         &mut self,
-        journal: &mut impl Journal,
         seller: Address,
         intent: &ListIntent,
     ) -> Result<ListingId, ZkdetError> {
-        let token = intent.token;
         let (listing, _) = self.chain.auction_create(
             self.auction_addr,
             self.nft_addr,
             seller,
-            token,
+            intent.token,
             intent.start_price,
             intent.floor_price,
             intent.decay_per_block,
             intent.key_commitment,
             intent.predicate.clone(),
         )?;
-        journal.append(&ExchangeRecord::ListDone(ListDone { listing, token }))?;
         Ok(listing)
     }
 
@@ -344,24 +347,12 @@ impl Marketplace {
         Ok(token)
     }
 
-    /// The lock half of [`Marketplace::buyer_validate_and_lock`], for
-    /// callers that already verified π_p (e.g. through a batched pairing
-    /// check). Still re-checks the statement binding — the cheap part —
-    /// so a stale package cannot lock against the wrong token.
-    pub fn lock_prevalidated<R: Rng + ?Sized>(
-        &mut self,
-        buyer: &DataOwner,
-        listing_id: ListingId,
-        package: &ValidationPackage,
-        rng: &mut R,
-    ) -> Result<BuyerSession, ZkdetError> {
-        self.journaled_lock_prevalidated(&mut NoJournal, buyer, listing_id, package, rng)
-    }
-
-    /// [`Marketplace::lock_prevalidated`] over a journal — the executor's
-    /// exchange machines lock through here once their folded batch vouched
-    /// for π_p (DESIGN.md §16).
-    pub fn journaled_lock_prevalidated<R: Rng + ?Sized>(
+    /// The lock half of [`Marketplace::journaled_validate_and_lock`], for
+    /// callers that already verified π_p — the executor's exchange
+    /// machines lock through here once their folded batch vouched for it
+    /// (DESIGN.md §16). Still re-checks the statement binding — the cheap
+    /// part — so a stale package cannot lock against the wrong token.
+    pub fn journaled_lock_verified<R: Rng + ?Sized>(
         &mut self,
         journal: &mut impl Journal,
         buyer: &DataOwner,
@@ -398,19 +389,15 @@ impl Marketplace {
             expected_commitment,
         };
         journal.append(&ExchangeRecord::PayIntent(intent.clone()))?;
-        let price = self.lock_payment(journal, &intent)?;
+        let price = self.lock_payment(&intent)?;
         Ok(BuyerSession::from_intent(&intent, price))
     }
 
     /// The effect half of the lock step: escrows the current clock price
-    /// under `h_v = H(k_v)` for an already-journaled `intent` and
-    /// confirms it. Crash recovery re-executes an unconfirmed intent
-    /// through here, with the *journaled* `k_v`.
-    pub(crate) fn lock_payment(
-        &mut self,
-        journal: &mut impl Journal,
-        intent: &PayIntent,
-    ) -> Result<Wei, ZkdetError> {
+    /// under `h_v = H(k_v)` for an already-journaled `intent`. Crash
+    /// recovery re-executes an intent whose lock is not on chain through
+    /// here, with the *journaled* `k_v`.
+    pub(crate) fn lock_payment(&mut self, intent: &PayIntent) -> Result<Wei, ZkdetError> {
         let listing = intent.listing;
         let price = self
             .chain
@@ -420,7 +407,6 @@ impl Marketplace {
         let h_v = Poseidon::hash(&[intent.k_v]);
         self.chain
             .auction_lock(self.auction_addr, intent.buyer, listing, price, h_v)?;
-        journal.append(&ExchangeRecord::PayDone(PayDone { listing, price }))?;
         Ok(price)
     }
 
@@ -436,10 +422,9 @@ impl Marketplace {
         self.journaled_seller_settle(&mut NoJournal, owner, seller_listing, buyer_k_v, rng)
     }
 
-    /// [`Marketplace::seller_settle`] over a journal, with the
-    /// prove/submit boundary exposed as a crash point:
+    /// [`Marketplace::seller_settle`] over a journal:
     /// [`Marketplace::seller_begin_settlement`] and
-    /// [`Marketplace::seller_finish_settlement`] joined by an inline
+    /// [`Marketplace::seller_submit_settlement`] joined by an inline
     /// `Plonk::prove`.
     pub fn journaled_seller_settle<R: Rng + ?Sized>(
         &mut self,
@@ -468,15 +453,14 @@ impl Marketplace {
             k_c: witness.k_c,
             proof,
         };
-        self.seller_finish_settlement(journal, owner.address, &submission)
+        self.seller_submit_settlement(owner.address, &submission)
     }
 
     /// The begin half of the settle step: journals the intent, runs every
     /// protocol check and assembles the π_k witness — the proving itself
     /// is the caller's (inline in [`Marketplace::journaled_seller_settle`],
-    /// a pool job in the executor's exchange machine). Returns `None`,
-    /// with the step already journaled complete, if the listing had
-    /// settled before.
+    /// a pool job in the executor's exchange machine). Returns `None` if
+    /// the listing had settled before.
     pub fn seller_begin_settlement(
         &self,
         journal: &mut impl Journal,
@@ -484,31 +468,12 @@ impl Marketplace {
         seller_listing: &SellerListing,
         buyer_k_v: Fr,
     ) -> Result<Option<SettlementWitness>, ZkdetError> {
-        let listing = seller_listing.listing;
         journal.append(&ExchangeRecord::SettleIntent(SettleIntent {
-            listing,
+            listing: seller_listing.listing,
             token: seller_listing.token,
             k_v: buyer_k_v,
         }))?;
-        let witness = self.settlement_witness(owner, seller_listing, buyer_k_v)?;
-        if witness.is_none() {
-            journal.append(&ExchangeRecord::SettleDone(listing))?;
-        }
-        Ok(witness)
-    }
-
-    /// The finish half of the settle step: journals that `π_k` exists,
-    /// submits `(k_c, π_k)` to the arbiter and confirms the settlement.
-    pub fn seller_finish_settlement(
-        &mut self,
-        journal: &mut impl Journal,
-        seller: Address,
-        submission: &SettlementSubmission,
-    ) -> Result<(), ZkdetError> {
-        let listing = submission.listing;
-        journal.append(&ExchangeRecord::ProveDone(listing))?;
-        self.seller_submit_settlement(seller, submission)?;
-        journal.append(&ExchangeRecord::SettleDone(listing))
+        self.settlement_witness(owner, seller_listing, buyer_k_v)
     }
 
     /// The check-and-synthesize half of π_k proving: checks the lock,
@@ -565,10 +530,10 @@ impl Marketplace {
         }))
     }
 
-    /// The submit half of [`Marketplace::seller_settle`]: sends the proved
-    /// `(k_c, π_k)` to the arbiter contract and mines the block. Safe to
-    /// replay — a resubmission after an earlier settle already landed
-    /// (e.g. retried across a re-org) is an idempotent success.
+    /// The submit half of the settle step: sends the proved `(k_c, π_k)`
+    /// to the arbiter contract and mines the block. Safe to replay — a
+    /// resubmission after an earlier settle already landed (e.g. retried
+    /// across a re-org or after a crash) is an idempotent success.
     pub fn seller_submit_settlement(
         &mut self,
         seller: Address,
@@ -593,23 +558,17 @@ impl Marketplace {
         Ok(())
     }
 
-    /// The first event in the chain log, oldest block first, that `pick`
-    /// maps to a value.
-    pub(crate) fn find_event<T>(&self, pick: impl Fn(&Event) -> Option<T>) -> Option<T> {
+    /// The blinded key `k_c` published for a listing, if settled.
+    pub fn published_k_c(&self, listing: ListingId) -> Option<Fr> {
         self.chain
             .blocks()
             .iter()
             .flat_map(|block| &block.receipts)
             .flat_map(|receipt| &receipt.events)
-            .find_map(pick)
-    }
-
-    /// The blinded key `k_c` published for a listing, if settled.
-    pub fn published_k_c(&self, listing: ListingId) -> Option<Fr> {
-        self.find_event(|event| match event {
-            Event::KeyPublished { listing: l, k_c } if *l == listing => Some(*k_c),
-            _ => None,
-        })
+            .find_map(|event| match event {
+                Event::KeyPublished { listing: l, k_c } if *l == listing => Some(*k_c),
+                _ => None,
+            })
     }
 
     /// Buyer recovery: unblinds `k = k_c − k_v`, fetches and decrypts the
@@ -626,24 +585,20 @@ impl Marketplace {
         let k_c = self
             .published_k_c(session.listing)
             .ok_or_else(|| ZkdetError::Protocol("listing not settled yet".into()))?;
-        self.recover_attempt(&mut NoJournal, buyer, session, k_c)
+        self.recover_attempt(buyer, session, k_c)
     }
 
-    /// One recovery attempt against the published `k_c`. Retrieve and
-    /// decrypt are separate journal steps: the first changes no buyer
-    /// state, so a crash between the two resumes at the decrypt.
+    /// One recovery attempt against the published `k_c`: fetch, decrypt,
+    /// check. It moves no funds, so a crash anywhere in it re-runs it.
     fn recover_attempt(
         &mut self,
-        journal: &mut impl Journal,
         buyer: &mut DataOwner,
         session: &BuyerSession,
         k_c: Fr,
     ) -> Result<Dataset, ZkdetError> {
         let _span = zkdet_telemetry::span("exchange.recover");
-        let listing = session.listing;
         let k = k_c - session.k_v;
         let (ciphertext, _bundle) = self.fetch_artefacts(session.token)?;
-        journal.append(&ExchangeRecord::RetrieveDone(listing))?;
 
         let ctr = MimcCtr::new(k, ciphertext.nonce);
         let plaintext = ctr.decrypt(&ciphertext);
@@ -674,7 +629,6 @@ impl Marketplace {
                 commitment: Commitment(session.expected_commitment),
             },
         );
-        journal.append(&ExchangeRecord::DecryptDone(listing))?;
         Ok(data)
     }
 
@@ -706,7 +660,8 @@ impl Marketplace {
     ///   `locked_at + REFUND_TIMEOUT_BLOCKS` passes, at which point the
     ///   escrow is reclaimed ([`ExchangeOutcome::Refunded`]); a listing
     ///   already back in `Open` means that refund landed earlier (a crash
-    ///   ate its completion record, or the session was driven twice);
+    ///   came before its `Terminal` record, or the session was driven
+    ///   twice);
     /// - [`crate::error::Recovery::Fatal`] errors (proof or protocol
     ///   violations) propagate as `Err` immediately;
     /// - every iteration ticks the storage layer's deterministic repair
@@ -730,7 +685,7 @@ impl Marketplace {
                 listing,
                 attempt: *recover_attempts,
             }))?;
-            match self.recover_attempt(journal, buyer, session, k_c) {
+            match self.recover_attempt(buyer, session, k_c) {
                 Ok(data) => (ExchangeOutcome::Settled, Some(data), String::new()),
                 // Storage was flaky, not wrong — try again later.
                 Err(e)
@@ -755,16 +710,12 @@ impl Marketplace {
                     }
                     journal.append(&ExchangeRecord::RefundIntent(listing))?;
                     match self.buyer_refund(session) {
-                        Ok(outcome) => {
-                            journal.append(&ExchangeRecord::RefundDone(listing))?;
-                            (outcome, None, MISSED_DEADLINE.to_string())
-                        }
+                        Ok(outcome) => (outcome, None, MISSED_DEADLINE.to_string()),
                         Err(e) if e.recovery() == Recovery::Transient => return Ok(None),
                         Err(e) => return Err(e),
                     }
                 }
                 ListingState::Open => {
-                    journal.append(&ExchangeRecord::RefundDone(listing))?;
                     let reason = "refund landed before the crash".to_string();
                     (ExchangeOutcome::Refunded, None, reason)
                 }
@@ -806,8 +757,8 @@ impl Marketplace {
     }
 
     /// [`Marketplace::drive_exchange_to_completion`] over a journal: every
-    /// retrieve attempt, the decrypt, and the refund path are step
-    /// boundaries a crash-restart resumes across.
+    /// retrieve attempt and the refund are step boundaries a crash-restart
+    /// resumes across.
     pub fn journaled_drive_to_completion(
         &mut self,
         journal: &mut impl Journal,

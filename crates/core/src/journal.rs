@@ -1,10 +1,11 @@
 //! Typed write-ahead journal of exchange state transitions (DESIGN.md §13).
 //!
-//! Every step of the key-secure exchange is recorded as an **intent**
-//! record *before* its side effect and a **completion** record after, so
-//! a crash between the two leaves a journal from which
-//! [`crate::market::Marketplace::recover`] can decide whether the side
-//! effect landed by consulting durable chain state.
+//! The journal holds only what the chain cannot know. Every step of the
+//! key-secure exchange appends an **intent** record *before* its side
+//! effect; whether the effect landed is read back from the chain, which
+//! is the exchange's record of every listing, lock, settlement and refund.
+//! After a crash, [`crate::market::Marketplace::recover`] pairs each
+//! intent with that chain state.
 //!
 //! Intent records carry every piece of volatile randomness the step draws
 //! (`k_v`, the key-commitment opening): replaying an intent must not
@@ -113,14 +114,6 @@ wire_struct! {
         pub predicate: String,
     }
 
-    /// The listing landed on-chain.
-    pub struct ListDone {
-        /// The assigned listing id.
-        pub listing: ListingId,
-        /// Token being listed.
-        pub token: TokenId,
-    }
-
     /// Buyer verified `π_p`, drew `k_v`, and is about to lock payment.
     pub struct PayIntent {
         /// The listing being bought.
@@ -133,14 +126,6 @@ wire_struct! {
         pub k_v: Fr,
         /// The on-chain dataset commitment `c_d` the buyer validated.
         pub expected_commitment: Fr,
-    }
-
-    /// The payment lock landed on-chain.
-    pub struct PayDone {
-        /// The listing.
-        pub listing: ListingId,
-        /// Escrowed amount.
-        pub price: Wei,
     }
 
     /// Seller received `k_v` and is about to prove `π_k` and settle.
@@ -232,33 +217,21 @@ macro_rules! records {
 records! {
     /// One journaled exchange state transition.
     ///
-    /// `*Intent` records precede their side effect; `*Done` records confirm
-    /// it. [`ExchangeRecord::Terminal`] closes an exchange.
+    /// `*Intent` records precede their side effect; the chain records
+    /// whether it landed. [`ExchangeRecord::Terminal`] closes an exchange.
+    /// Tags 1, 3, 5, 6, 8, 9, 11 and 13–20 are retired: a frame carrying
+    /// one is a [`ZkdetError::Codec`] error.
     pub enum ExchangeRecord {
         /// Seller is about to create a listing.
         0 "list_intent" ListIntent(ListIntent),
-        /// The listing landed on-chain.
-        1 "list_done" ListDone(ListDone),
         /// Buyer verified `π_p`, drew `k_v`, and is about to lock payment.
         2 "pay_intent" PayIntent(PayIntent),
-        /// The payment lock landed on-chain.
-        3 "pay_done" PayDone(PayDone),
         /// Seller received `k_v` and is about to prove `π_k` and settle.
         4 "settle_intent" SettleIntent(SettleIntent),
-        /// `π_k` was produced (no side effect yet — proving is re-runnable).
-        5 "prove_done" ProveDone(ListingId),
-        /// The settlement landed on-chain; payment released.
-        6 "settle_done" SettleDone(ListingId),
         /// Buyer is about to fetch the ciphertext artefacts.
         7 "retrieve_intent" RetrieveIntent(RetrieveIntent),
-        /// Artefacts fetched and structurally validated.
-        8 "retrieve_done" RetrieveDone(ListingId),
-        /// Plaintext recovered, re-encryption check passed, secrets learned.
-        9 "decrypt_done" DecryptDone(ListingId),
         /// Buyer is about to reclaim the escrow after the seller timeout.
         10 "refund_intent" RefundIntent(ListingId),
-        /// The refund landed on-chain.
-        11 "refund_done" RefundDone(ListingId),
         /// The exchange reached a terminal state.
         12 "terminal" Terminal(Terminal),
     }
@@ -399,8 +372,8 @@ impl ExchangeWal {
     }
 }
 
-/// Where the exchange steps in [`crate::exchange`] write their intent and
-/// completion records: a durable [`ExchangeWal`], or [`NoJournal`] for a
+/// Where the exchange steps in [`crate::exchange`] write their intent
+/// and terminal records: a durable [`ExchangeWal`], or [`NoJournal`] for a
 /// caller that runs the protocol without crash recovery.
 pub trait Journal {
     /// Records one state transition; fails as [`ExchangeWal::append`] does.
@@ -441,10 +414,6 @@ mod tests {
                 key_opening: Fr::from(13u64),
                 predicate: "u8".into(),
             }),
-            ExchangeRecord::ListDone(ListDone {
-                listing,
-                token: TokenId(7),
-            }),
             ExchangeRecord::PayIntent(PayIntent {
                 listing,
                 token: TokenId(7),
@@ -452,22 +421,16 @@ mod tests {
                 k_v: Fr::from(17u64),
                 expected_commitment: Fr::from(19u64),
             }),
-            ExchangeRecord::PayDone(PayDone { listing, price: 77 }),
             ExchangeRecord::SettleIntent(SettleIntent {
                 listing,
                 token: TokenId(7),
                 k_v: Fr::from(17u64),
             }),
-            ExchangeRecord::ProveDone(listing),
-            ExchangeRecord::SettleDone(listing),
             ExchangeRecord::RetrieveIntent(RetrieveIntent {
                 listing,
                 attempt: 2,
             }),
-            ExchangeRecord::RetrieveDone(listing),
-            ExchangeRecord::DecryptDone(listing),
             ExchangeRecord::RefundIntent(listing),
-            ExchangeRecord::RefundDone(listing),
             ExchangeRecord::Terminal(Terminal {
                 listing,
                 outcome: ExchangeOutcome::Refunded,
@@ -482,25 +445,22 @@ mod tests {
     /// change here is a format break, not a refactor.
     #[test]
     fn journal_bytes_are_pinned() {
-        const GOLDEN: [(&str, &str); 14] = [
+        const GOLDEN: [(&str, &str); 7] = [
             ("list_intent", "0007000000000000000400000000000000010000000000000032000000000000000000000000000000010000000000000000000000000000000b000000000000000000000000000000000000000000000000000000000000000d0000000000000000000000000000000000000000000000000000000000000002000000000000007538"),
-            ("list_done", "0103000000000000000700000000000000"),
             ("pay_intent", "0203000000000000000700000000000000588d22852c18d3b3988640b229271f78cf59719c11000000000000000000000000000000000000000000000000000000000000001300000000000000000000000000000000000000000000000000000000000000"),
-            ("pay_done", "0303000000000000004d000000000000000000000000000000"),
             ("settle_intent", "04030000000000000007000000000000001100000000000000000000000000000000000000000000000000000000000000"),
-            ("prove_done", "050300000000000000"),
-            ("settle_done", "060300000000000000"),
             ("retrieve_intent", "0703000000000000000200000000000000"),
-            ("retrieve_done", "080300000000000000"),
-            ("decrypt_done", "090300000000000000"),
             ("refund_intent", "0a0300000000000000"),
-            ("refund_done", "0b0300000000000000"),
             ("terminal", "0c030000000000000001250000000000000073656c6c6572206d69737365642074686520736574746c656d656e7420646561646c696e65"),
             ("traced", "ffad0befbeadde00000703000000000000000200000000000000"),
         ];
         let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
         let records = sample_records();
-        let traced = encode_frame(Some(0xdead_beef_0bad), &records[7]);
+        let retrieve = records
+            .iter()
+            .find(|rec| matches!(rec, ExchangeRecord::RetrieveIntent(_)))
+            .unwrap();
+        let traced = encode_frame(Some(0xdead_beef_0bad), retrieve);
         let got: Vec<(&str, String)> = records
             .iter()
             .map(|rec| (rec.step_name(), hex(&rec.to_bytes())))
@@ -542,10 +502,19 @@ mod tests {
         }
     }
 
-    /// The FairSwap records that tags 13–20 once carried, as
-    /// `journal_bytes_are_pinned` pinned them. The tags are retired, not
-    /// reused: a journal holding one of these frames is refused whole.
-    const RETIRED_SWAP_FRAMES: [&str; 8] = [
+    /// The records retired tags once carried, as `journal_bytes_are_pinned`
+    /// pinned them: the exchange completion records (tags 1, 3, 5, 6, 8, 9
+    /// and 11, whose facts the chain holds) and the FairSwap records (tags
+    /// 13–20). The tags are retired, not reused: a journal holding one of
+    /// these frames is refused whole.
+    const RETIRED_FRAMES: [&str; 15] = [
+        "0103000000000000000700000000000000",
+        "0303000000000000004d000000000000000000000000000000",
+        "050300000000000000",
+        "060300000000000000",
+        "080300000000000000",
+        "090300000000000000",
+        "0b0300000000000000",
         "0d17000000000000000000000000000000000000000000000000000000000000001d00000000000000000000000000000000000000000000000000000000000000020000000000000000000000000000000000000000000000000000000000000000000000000000001f00000000000000000000000000000000000000000000000000000000000000f4010000000000000000000000000000",
         "0e0100000000000000",
         "0f0100000000000000913acdd0ceb73a2b3b97c725e8146cec4e7b802701000000000000000100000000000000000000000000000000000000000000000000000000000000020000000000000002000000000000000000000000000000000000000000000000000000000000000300000000000000000000000000000000000000000000000000000000000000",
@@ -567,7 +536,7 @@ mod tests {
     fn unknown_tag_rejected() {
         assert!(ExchangeRecord::from_bytes(&[200, 0, 0]).is_err());
         assert!(ExchangeRecord::from_bytes(&[]).is_err());
-        for hex in RETIRED_SWAP_FRAMES {
+        for hex in RETIRED_FRAMES {
             let bare = unhex(hex);
             let mut traced = vec![TAG_TRACED];
             traced.extend_from_slice(&0xdead_beef_0badu64.to_le_bytes());
@@ -622,11 +591,11 @@ mod tests {
     fn append_stamps_the_ambient_trace() {
         let trace = zkdet_telemetry::TraceId::for_exchange(42);
         let mut wal = ExchangeWal::new();
-        wal.append(&ExchangeRecord::ProveDone(ListingId(1)))
+        wal.append(&ExchangeRecord::RefundIntent(ListingId(1)))
             .unwrap();
         {
             let _g = zkdet_telemetry::enter_trace(trace);
-            wal.append(&ExchangeRecord::SettleDone(ListingId(1)))
+            wal.append(&ExchangeRecord::RefundIntent(ListingId(1)))
                 .unwrap();
         }
         wal.append(&ExchangeRecord::Terminal(Terminal {
@@ -649,7 +618,7 @@ mod tests {
         let mut wal = ExchangeWal::new();
         wal.set_crash_after(1, CrashMode::Clean);
         let err = wal
-            .append(&ExchangeRecord::ProveDone(ListingId(0)))
+            .append(&ExchangeRecord::RefundIntent(ListingId(0)))
             .unwrap_err();
         assert!(matches!(
             err,

@@ -424,7 +424,7 @@ impl Task<MarketWorld> for ExchangeMachine {
                     Some(false) => Err(TaskError(ZkdetError::ProofInvalid("π_p").to_string())),
                     Some(true) => {
                         // Lock: the batch vouched for π_p, so take the
-                        // pre-validated path (same WAL records).
+                        // verified path (same WAL records).
                         let seller_listing = self
                             .seller_listing
                             .as_ref()
@@ -432,7 +432,7 @@ impl Task<MarketWorld> for ExchangeMachine {
                         let shard = world.sharded.shard_mut(self.spec.shard);
                         let buyer = &world.owners[self.spec.shard][self.spec.buyer];
                         let mut rng = StdRng::seed_from_u64(cx.seed_for(1));
-                        let session = shard.market.journaled_lock_prevalidated(
+                        let session = shard.market.journaled_lock_verified(
                             &mut shard.wal,
                             buyer,
                             seller_listing.listing,
@@ -484,8 +484,7 @@ impl Task<MarketWorld> for ExchangeMachine {
                 let proof = proof.map_err(TaskError)?;
                 let shard = world.sharded.shard_mut(self.spec.shard);
                 let seller_addr = world.owners[self.spec.shard][self.spec.seller].address;
-                shard.market.seller_finish_settlement(
-                    &mut shard.wal,
+                shard.market.seller_submit_settlement(
                     seller_addr,
                     &SettlementSubmission {
                         listing,

@@ -2,12 +2,13 @@
 //!
 //! Every key-secure exchange step in [`crate::exchange`] writes an intent
 //! record (carrying any freshly drawn randomness) to its journal *before*
-//! the side effect and a completion record after.
-//! [`crate::market::Marketplace::recover`] replays an [`ExchangeWal`]
-//! against durable chain state and resumes every in-flight exchange from
-//! its last completed step — or drives it to a refund — by calling those
-//! same steps, with exactly-once settlement guaranteed by the chain's
-//! settlement journal and the idempotent submit paths.
+//! its side effect, and nothing after it: the chain is the record of
+//! every listing, lock, settlement and refund that landed.
+//! [`crate::market::Marketplace::recover`] folds an [`ExchangeWal`], asks
+//! the chain which intents took effect, and resumes every in-flight
+//! exchange from the first one that did not — or drives it to a refund —
+//! by calling those same steps, with exactly-once settlement guaranteed
+//! by the chain's settlement journal and the idempotent submit paths.
 //!
 //! The durability model: process memory (sessions, drawn secrets like
 //! `k_v`) is volatile and lost at a crash; the WAL bytes, the chain and
@@ -19,14 +20,12 @@ use std::collections::BTreeMap;
 
 use rand::Rng;
 use zkdet_chain::contracts::{ListingId, ListingState};
-use zkdet_chain::{Event, TokenId, Wei};
+use zkdet_chain::{Address, Event, TokenId, Wei};
 use zkdet_crypto::poseidon::Poseidon;
 
 use crate::error::ZkdetError;
 use crate::exchange::{BuyerSession, ExchangeOutcome, ExchangeReport, SellerListing};
-use crate::journal::{
-    ExchangeRecord, ExchangeWal, ListDone, ListIntent, PayDone, PayIntent, SettleIntent,
-};
+use crate::journal::{ExchangeRecord, ExchangeWal, ListIntent, PayIntent, SettleIntent};
 use crate::market::{DataOwner, Marketplace};
 
 /// Why a recovered exchange is in the state it is.
@@ -72,12 +71,9 @@ struct Progress {
     list_intent: Option<ListIntent>,
     listing: Option<ListingId>,
     pay_intent: Option<PayIntent>,
-    paid: Option<Wei>,
     settle_intent: Option<SettleIntent>,
-    settle_done: bool,
     retrieve_started: bool,
     refund_intent: bool,
-    refund_done: bool,
     terminal: Option<ExchangeOutcome>,
 }
 
@@ -85,11 +81,11 @@ impl Progress {
     fn resumed_from(&self) -> &'static str {
         if self.terminal.is_some() {
             "terminal"
-        } else if self.refund_intent || self.refund_done {
+        } else if self.refund_intent {
             "refund"
         } else if self.retrieve_started {
             "retrieve"
-        } else if self.settle_done || self.settle_intent.is_some() {
+        } else if self.settle_intent.is_some() {
             "settle"
         } else if self.pay_intent.is_some() {
             "pay"
@@ -105,14 +101,16 @@ impl Marketplace {
     // ------------------------------------------------------------------ //
 
     /// Replays the journal against durable chain state and resumes every
-    /// in-flight exchange from its last completed step.
+    /// in-flight exchange from the first step whose effect is not on
+    /// chain.
     ///
-    /// - Intent records without a completion are reconciled against the
-    ///   chain: if the side effect landed (found by idempotency key — the
-    ///   listing's `(seller, token, key_commitment)`, the lock's
-    ///   `(buyer, h_v)`, the settlement journal),
-    ///   the completion is back-filled; otherwise the step re-executes
-    ///   with the *journaled* randomness, never fresh dice.
+    /// - Each intent is paired with the chain's record of its effect,
+    ///   found by idempotency key: the listing by `(seller, token,
+    ///   key_commitment)`, the lock by this buyer's latest
+    ///   `AuctionLocked` event on the listing (with `h_v` checked against
+    ///   the journaled `k_v` while the escrow is held), the settlement by
+    ///   the chain's settlement journal. An effect that is not there
+    ///   re-executes with the *journaled* randomness, never fresh dice.
     /// - Exchanges with a buyer engaged are then driven to a terminal
     ///   state ([`Marketplace::journaled_drive_to_completion`]): settled
     ///   if the seller can still settle, refunded past the timeout.
@@ -165,8 +163,8 @@ impl Marketplace {
         rng: &mut R,
     ) -> Result<RecoveredExchange, ZkdetError> {
         // Re-enter the exchange's deterministic trace: every step the
-        // replay back-fills or re-executes re-links to the causal story
-        // the crashed process started.
+        // replay re-executes re-links to the causal story the crashed
+        // process started.
         let _trace = zkdet_telemetry::enter_trace(zkdet_telemetry::TraceId::for_exchange(token.0));
         let resumed_from = p.resumed_from();
         if let Some(outcome) = &p.terminal {
@@ -178,9 +176,8 @@ impl Marketplace {
             });
         }
 
-        // 1. List intent without completion: find the listing on-chain by
-        //    its idempotency key, else re-create it from the journaled
-        //    intent.
+        // 1. No buyer has named the listing yet: find it on-chain by its
+        //    idempotency key, else re-create it from the journaled intent.
         let unlisted = RecoveredExchange {
             token,
             listing: None,
@@ -204,11 +201,8 @@ impl Marketplace {
                     })
                     .map(|(id, _)| id);
                 match (found, seller) {
-                    (Some(listing), _) => {
-                        wal.append(&ExchangeRecord::ListDone(ListDone { listing, token }))?;
-                        listing
-                    }
-                    (None, Some(owner)) => self.create_listing(wal, owner.address, intent)?,
+                    (Some(listing), _) => listing,
+                    (None, Some(owner)) => self.create_listing(owner.address, intent)?,
                     // The listing never landed and the seller is gone: the
                     // intent is abandoned with nothing durable to unwind.
                     (None, None) => return Ok(unlisted),
@@ -229,63 +223,44 @@ impl Marketplace {
             ));
         }
 
-        // 2. Pay intent without completion: did the lock land?
+        // 2. Did this buyer's lock land? The chain's log answers, matched
+        //    on listing *and* buyer: a listing another buyer locked and
+        //    was refunded is open to this one, not refunded to it.
         let listing_state = self
             .chain
             .auction(&self.auction_addr)?
             .listing(listing_id)?
             .state
             .clone();
-        let price = match (p.paid, &listing_state) {
-            (Some(price), _) => price,
-            (
-                None,
-                ListingState::Locked {
-                    buyer: b,
-                    payment,
-                    h_v,
-                    ..
-                },
-            ) => {
-                if *b != pay.buyer || *h_v != Poseidon::hash(&[pay.k_v]) {
-                    return Err(ZkdetError::Protocol(
-                        "listing is locked by a different buyer".into(),
-                    ));
-                }
-                let price = *payment;
-                wal.append(&ExchangeRecord::PayDone(PayDone {
-                    listing: listing_id,
-                    price,
-                }))?;
-                price
+        let price = match (self.landed_lock(listing_id, pay.buyer), &listing_state) {
+            (_, ListingState::Locked { buyer: b, h_v, .. })
+                if *b != pay.buyer || *h_v != Poseidon::hash(&[pay.k_v]) =>
+            {
+                return Err(ZkdetError::Protocol(
+                    "listing is locked by a different buyer".into(),
+                ));
             }
+            // Landed: still escrowed, settled, or already refunded.
+            (Some(price), _) => price,
             // The lock never landed: re-lock at the current clock price
             // with the journaled k_v.
-            (None, ListingState::Open) => self.lock_payment(wal, &pay)?,
-            (None, _) => {
-                // Settled without a journaled payment: the lock landed in
-                // a previous life — reconstruct it from the chain's log.
-                self.find_event(|event| match event {
-                    Event::AuctionLocked {
-                        listing, payment, ..
-                    } if *listing == listing_id => Some(*payment),
-                    _ => None,
-                })
-                .ok_or_else(|| {
-                    ZkdetError::Protocol("settled listing has no AuctionLocked event".into())
-                })?
+            (None, ListingState::Open) => self.lock_payment(&pay)?,
+            (None, state) => {
+                return Err(ZkdetError::Protocol(format!(
+                    "listing is {state:?} but holds no lock by this buyer"
+                )))
             }
         };
         let session = BuyerSession::from_intent(&pay, price);
 
-        // 3. Settle side: if the settlement has not landed and the seller
-        //    can still settle, resume there (idempotent under replays).
+        // 3. Settle side: if the settlement has not landed, no refund was
+        //    begun and the seller can still settle, resume there with the
+        //    k_v the seller received (idempotent under replays).
         if self
             .chain
             .settlement_height(self.auction_addr, listing_id)
             .is_none()
             && !p.refund_intent
-            && !p.refund_done
         {
             let k_v = p.settle_intent.map_or(pay.k_v, |settle| settle.k_v);
             if let (Some(owner), Some(intent)) = (seller, &p.list_intent) {
@@ -305,12 +280,32 @@ impl Marketplace {
             outcome: RecoveryOutcome::Completed(report),
         })
     }
+
+    /// The escrowed price of `buyer`'s latest lock on `listing`, read from
+    /// the chain's log — mined blocks and the pending pool, newest first.
+    fn landed_lock(&self, listing: ListingId, buyer: Address) -> Option<Wei> {
+        self.chain
+            .blocks()
+            .iter()
+            .flat_map(|block| &block.receipts)
+            .chain(self.chain.pending_receipts())
+            .rev()
+            .flat_map(|receipt| &receipt.events)
+            .find_map(|event| match event {
+                Event::AuctionLocked {
+                    listing: l,
+                    buyer: b,
+                    payment,
+                } if *l == listing && *b == buyer => Some(*payment),
+                _ => None,
+            })
+    }
 }
 
 /// The fold's working state: exchanges keyed by token (the journal-level
 /// idempotency key: one active exchange per token per journal) in
-/// first-record order, and the listing → token map that attaches id-only
-/// records.
+/// first-record order, and the listing → token map that `PayIntent` and
+/// `SettleIntent` fill and the id-only records attach through.
 #[derive(Default)]
 struct Fold {
     order: Vec<TokenId>,
@@ -346,7 +341,6 @@ impl Fold {
             f(p);
         }
     }
-
 }
 
 /// Folds the record stream into per-exchange progress, in first-record
@@ -360,31 +354,19 @@ fn fold_records(records: Vec<ExchangeRecord>) -> Vec<(TokenId, Progress)> {
                 let p = f.token(intent.token);
                 p.list_intent = Some(intent);
             }
-            R::ListDone(done) => {
-                f.listed(done.token, done.listing);
-            }
             R::PayIntent(intent) => {
                 let p = f.listed(intent.token, intent.listing);
                 p.pay_intent = Some(intent);
             }
-            R::PayDone(done) => f.on_listing(done.listing, |p| p.paid = Some(done.price)),
             R::SettleIntent(intent) => {
                 let p = f.listed(intent.token, intent.listing);
                 p.settle_intent = Some(intent);
             }
-            R::SettleDone(listing) => f.on_listing(listing, |p| p.settle_done = true),
             R::RetrieveIntent(intent) => {
                 f.on_listing(intent.listing, |p| p.retrieve_started = true)
             }
-            R::RetrieveDone(listing) | R::DecryptDone(listing) => {
-                f.on_listing(listing, |p| p.retrieve_started = true);
-            }
             R::RefundIntent(listing) => f.on_listing(listing, |p| p.refund_intent = true),
-            R::RefundDone(listing) => f.on_listing(listing, |p| p.refund_done = true),
             R::Terminal(t) => f.on_listing(t.listing, |p| p.terminal = Some(t.outcome)),
-            // No progress to note: proving has no side effect (a replay
-            // re-proves).
-            R::ProveDone(_) => {}
         }
     }
     let Fold {
@@ -402,9 +384,8 @@ fn fold_records(records: Vec<ExchangeRecord>) -> Vec<(TokenId, Progress)> {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-    use crate::journal::Terminal;
+    use crate::journal::{RetrieveIntent, Terminal};
     use rand::{rngs::StdRng, SeedableRng};
-    use zkdet_chain::Address;
     use zkdet_field::Fr;
 
     fn list_intent(token: u64) -> ExchangeRecord {
@@ -419,13 +400,6 @@ mod tests {
         })
     }
 
-    fn list_done(listing: u64, token: u64) -> ExchangeRecord {
-        ExchangeRecord::ListDone(ListDone {
-            listing: ListingId(listing),
-            token: TokenId(token),
-        })
-    }
-
     fn pay_intent(listing: u64, token: u64) -> ExchangeRecord {
         ExchangeRecord::PayIntent(PayIntent {
             listing: ListingId(listing),
@@ -436,10 +410,18 @@ mod tests {
         })
     }
 
-    fn pay_done(listing: u64, price: Wei) -> ExchangeRecord {
-        ExchangeRecord::PayDone(PayDone {
+    fn settle_intent(listing: u64, token: u64) -> ExchangeRecord {
+        ExchangeRecord::SettleIntent(SettleIntent {
             listing: ListingId(listing),
-            price,
+            token: TokenId(token),
+            k_v: Fr::from(5u64),
+        })
+    }
+
+    fn retrieve_intent(listing: u64) -> ExchangeRecord {
+        ExchangeRecord::RetrieveIntent(RetrieveIntent {
+            listing: ListingId(listing),
+            attempt: 1,
         })
     }
 
@@ -456,47 +438,48 @@ mod tests {
         let exchanges = fold_records(vec![
             list_intent(9),
             list_intent(4),
-            list_done(0, 4),
-            list_done(1, 9),
+            pay_intent(0, 4),
             pay_intent(1, 9),
-            pay_done(0, 40),
-            pay_done(1, 90),
-            ExchangeRecord::SettleDone(ListingId(0)),
+            settle_intent(0, 4),
+            retrieve_intent(1),
             terminal(1),
         ]);
         let tokens: Vec<u64> = exchanges.iter().map(|(t, _)| t.0).collect();
         assert_eq!(tokens, [9, 4]);
         let (nine, four) = (&exchanges[0].1, &exchanges[1].1);
-        assert_eq!((nine.listing, nine.paid), (Some(ListingId(1)), Some(90)));
+        assert_eq!(nine.listing, Some(ListingId(1)));
         assert_eq!(nine.terminal, Some(ExchangeOutcome::Settled));
         assert_eq!(nine.pay_intent.as_ref().map(|i| i.token), Some(TokenId(9)));
         let opening = nine.list_intent.as_ref().map(|i| i.key_opening);
         assert_eq!(opening, Some(Fr::from(10u64)));
-        assert!(!nine.settle_done);
-        assert_eq!((four.listing, four.paid), (Some(ListingId(0)), Some(40)));
-        assert!(four.settle_done && four.pay_intent.is_none() && four.terminal.is_none());
+        assert!(nine.retrieve_started && nine.settle_intent.is_none());
+        assert_eq!(four.listing, Some(ListingId(0)));
+        assert_eq!(
+            four.settle_intent.as_ref().map(|i| i.token),
+            Some(TokenId(4))
+        );
+        assert!(!four.retrieve_started && four.terminal.is_none());
         assert_eq!(nine.resumed_from(), "terminal");
         assert_eq!(four.resumed_from(), "settle");
     }
 
     #[test]
     fn id_only_records_before_their_listing_is_known_are_ignored() {
-        // Listing 7 is tied to a token only by the last record: everything
-        // before it names a listing the fold cannot place, and must not
-        // land on the one exchange that is open.
+        // Listing 7 is tied to a token only by the last record, the pay
+        // intent: everything before it names a listing the fold cannot
+        // place, and must not land on the one exchange that is open.
         let exchanges = fold_records(vec![
             list_intent(3),
-            pay_done(7, 99),
-            ExchangeRecord::SettleDone(ListingId(7)),
-            ExchangeRecord::RefundDone(ListingId(7)),
+            retrieve_intent(7),
+            ExchangeRecord::RefundIntent(ListingId(7)),
             terminal(7),
-            list_done(7, 3),
+            pay_intent(7, 3),
         ]);
         assert_eq!(exchanges.len(), 1);
         let p = &exchanges[0].1;
-        assert_eq!((p.listing, p.paid), (Some(ListingId(7)), None));
-        assert!(p.terminal.is_none() && !p.settle_done && !p.refund_done);
-        assert_eq!(p.resumed_from(), "list");
+        assert_eq!(p.listing, Some(ListingId(7)));
+        assert!(p.terminal.is_none() && !p.retrieve_started && !p.refund_intent);
+        assert_eq!(p.resumed_from(), "pay");
     }
 
     #[test]
@@ -506,7 +489,7 @@ mod tests {
         let (seller, mut buyer) = (m.register(), m.register());
         let mut wal = ExchangeWal::new();
         // A key-secure exchange the journal already closed.
-        for rec in [list_intent(3), list_done(0, 3), pay_intent(0, 3), terminal(0)] {
+        for rec in [list_intent(3), pay_intent(0, 3), terminal(0)] {
             wal.append(&rec).unwrap();
         }
 

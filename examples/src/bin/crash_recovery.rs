@@ -1,6 +1,7 @@
-//! Crash-recovery: a seller lists, a buyer pays, and the process dies
-//! mid-settlement — then restarts from the write-ahead journal's durable
-//! bytes and recovers the exchange without double-settling (DESIGN.md §13).
+//! Crash-recovery: a seller lists, a buyer pays, the seller settles, and
+//! the process dies before the buyer fetches the data — then restarts
+//! from the write-ahead journal's durable bytes and recovers the exchange
+//! without double-settling (DESIGN.md §13).
 //!
 //! ```text
 //! cargo run --release -p zkdet-examples --bin crash_recovery
@@ -27,11 +28,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     banner("journaled exchange (doomed)");
     // Every step appends an intent record to the WAL before its side
-    // effect and a completion record after. We arm a crash on the 6th
-    // append — the ProveDone record — so the process dies with the π_k
-    // proof computed but the settlement not yet journaled as submitted.
+    // effect; the chain records whether the effect landed. We arm a crash
+    // on the 4th append — the RetrieveIntent record — so the process dies
+    // after the settlement landed on chain but before bob fetched the
+    // ciphertext.
     let mut wal = ExchangeWal::new();
-    wal.set_crash_after(6, CrashMode::Torn);
+    wal.set_crash_after(4, CrashMode::Torn);
     let doomed = || -> Result<(), ZkdetError> {
         let listing =
             market.journaled_list_for_sale(&mut wal, &alice, token, 100, 50, 1, "u8".into(), &mut rng)?;
@@ -46,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Ok(())
     }();
     let err = doomed.expect_err("the armed crash must fire");
-    println!("💥 process died mid-settle: {err}");
+    println!("💥 process died between settling and fetching: {err}");
     println!(
         "durable journal: {} intact records + a torn tail of {} bytes",
         ExchangeWal::open(wal.durable_bytes().to_vec())?.record_count(),
@@ -90,6 +92,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     banner("done");
-    println!("the crash cost a re-proof, not the money and not the data");
+    println!("the crash cost a re-fetch, not the money and not the data");
     Ok(())
 }

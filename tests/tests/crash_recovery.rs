@@ -2,7 +2,7 @@
 //!
 //! The process model: the exchange runs through the journaled step
 //! wrappers, which append an intent record to the [`ExchangeWal`] before
-//! every side effect and a completion record after. A crash is injected
+//! every side effect; the chain records whether it landed. A crash is injected
 //! at the *n*-th append — cleanly (the record never makes it) or torn
 //! (a prefix of the frame survives) — which makes every record boundary
 //! of every schedule a crash point. The "restart" reopens the journal
@@ -21,12 +21,16 @@
 //! `ZKDET_CRASH_SCHEDULES` (default 2 for local runs; CI runs ≥ 100).
 
 use rand::rngs::StdRng;
+use zkdet_chain::contracts::{ListingId, REFUND_TIMEOUT_BLOCKS};
+use zkdet_chain::Event;
 use zkdet_circuits::exchange::RangePredicate;
+use zkdet_core::journal::PayIntent;
 use zkdet_core::{
-    DataOwner, Dataset, ExchangeOutcome, ExchangeReport, ExchangeWal, Marketplace, Recovery,
-    RecoveryOutcome, ZkdetError,
+    DataOwner, Dataset, ExchangeOutcome, ExchangeRecord, ExchangeReport, ExchangeWal, Marketplace,
+    Recovery, RecoveryOutcome, ZkdetError,
 };
 use zkdet_field::Fr;
+use zkdet_plonk::Plonk;
 use zkdet_storage::{xor_distance, FaultPlan, RetrievalPolicy};
 use zkdet_tests::invariants::{
     assert_exchange_invariants, assert_no_wedged_escrow, assert_paid_exactly_once,
@@ -298,7 +302,10 @@ fn kill_at_every_step_always_terminates_clean() {
         // Probe: count the appends of the uncrashed flow, which
         // enumerates this schedule's crash points.
         let records = run_crash_point(&mut m, sched, None, &mut r);
-        assert!(records >= 7, "clean flow journals every step: {records}");
+        // Settled: list, pay, settle and retrieve intents, then terminal.
+        // Withheld: list, pay and refund intents, then terminal.
+        let min = if sched.seller_withholds() { 4 } else { 5 };
+        assert!(records >= min, "clean flow journals every step: {records}");
 
         for k in 1..=records {
             let mode = if k % 2 == 1 {
@@ -314,18 +321,18 @@ fn kill_at_every_step_always_terminates_clean() {
 #[test]
 fn recovery_resumes_after_crash_between_settle_and_retrieve() {
     // A focused probe of the trickiest window: the settlement landed on
-    // chain but the SettleDone/Retrieve records did not. Recovery must
-    // NOT settle twice (exactly-once via the settlement journal) and the
+    // chain but the RetrieveIntent record did not. Recovery must NOT
+    // settle twice (exactly-once via the settlement journal) and the
     // buyer must still decrypt.
     let mut r = rng(0xC4A6);
     let mut m = Marketplace::bootstrap(1 << 14, 10, &mut r).expect("bootstrap");
     let sched = Schedule::new(0); // inert faults, seller settles
     let mut life = fresh_life(&mut m, sched, &mut r);
     let mut wal = ExchangeWal::new();
-    // Clean flow appends: List{Intent,Done}, Pay{Intent,Done},
-    // SettleIntent, ProveDone → crash on the 7th append (SettleDone),
-    // strictly after the on-chain settlement succeeded.
-    wal.set_crash_after(7, CrashMode::Clean);
+    // Clean flow appends: ListIntent, PayIntent, SettleIntent → crash on
+    // the 4th append (RetrieveIntent), strictly after the on-chain
+    // settlement succeeded.
+    wal.set_crash_after(4, CrashMode::Clean);
     let err = journaled_flow(&mut m, &mut wal, &mut life, false, &mut r)
         .expect_err("flow must crash at the settle boundary");
     assert!(matches!(
@@ -334,7 +341,7 @@ fn recovery_resumes_after_crash_between_settle_and_retrieve() {
     ));
     let settled_at = m
         .chain
-        .settlement_height(m.auction_addr, zkdet_chain::contracts::ListingId(0))
+        .settlement_height(m.auction_addr, ListingId(0))
         .expect("settlement landed before the crash");
 
     let mut wal = ExchangeWal::open(wal.durable_bytes().to_vec()).expect("reopen");
@@ -351,8 +358,7 @@ fn recovery_resumes_after_crash_between_settle_and_retrieve() {
     assert_eq!(rep.data.as_ref(), Some(&life.data));
     // Exactly once: the settlement height did not move.
     assert_eq!(
-        m.chain
-            .settlement_height(m.auction_addr, zkdet_chain::contracts::ListingId(0)),
+        m.chain.settlement_height(m.auction_addr, ListingId(0)),
         Some(settled_at)
     );
     assert_exchange_invariants(
@@ -363,4 +369,239 @@ fn recovery_resumes_after_crash_between_settle_and_retrieve() {
         rep,
         &mut r,
     );
+}
+
+/// The chain events (mined and pending) that `pick` selects.
+fn count_events(m: &Marketplace, pick: impl Fn(&Event) -> bool) -> usize {
+    m.chain
+        .blocks()
+        .iter()
+        .flat_map(|block| &block.receipts)
+        .chain(m.chain.pending_receipts())
+        .flat_map(|receipt| &receipt.events)
+        .filter(|event| pick(event))
+        .count()
+}
+
+#[test]
+fn recovery_settles_once_after_crash_between_prove_and_submit() {
+    // The window between proving π_k and submitting it journals nothing,
+    // so kill-at-every-step never lands in it: the process dies here
+    // with a proof in memory and only the SettleIntent durable.
+    let mut r = rng(0xC4A7);
+    let mut m = Marketplace::bootstrap(1 << 14, 10, &mut r).expect("bootstrap");
+    let mut life = fresh_life(&mut m, Schedule::new(0), &mut r);
+    let mut wal = ExchangeWal::new();
+    let listing = m
+        .journaled_list_for_sale(
+            &mut wal,
+            &life.seller,
+            life.token,
+            100,
+            50,
+            1,
+            "u8".into(),
+            &mut r,
+        )
+        .expect("list");
+    let pkg = m
+        .seller_validation_package(&life.seller, life.token, RangePredicate { bits: 8 }, &mut r)
+        .expect("π_p");
+    let session = m
+        .journaled_validate_and_lock(&mut wal, &life.buyer, listing.listing, &pkg, &mut r)
+        .expect("lock");
+    let witness = m
+        .seller_begin_settlement(&mut wal, &life.seller, &listing, session.k_v_message())
+        .expect("begin settlement")
+        .expect("not settled yet");
+    let (pk, vk) = Plonk::preprocess(m.key_registry().srs(), &witness.circuit).expect("keys");
+    assert_eq!(
+        vk.to_bytes(),
+        m.keyneg_vk().to_bytes(),
+        "the deployment's π_k relation"
+    );
+    Plonk::prove(&pk, &witness.circuit, &mut r).expect("π_k");
+    // ---- crash: the proof dies with the process, unsubmitted ----------
+    assert!(m
+        .chain
+        .settlement_height(m.auction_addr, listing.listing)
+        .is_none());
+
+    let mut wal = ExchangeWal::open(wal.durable_bytes().to_vec()).expect("reopen");
+    let settle_k_v = match wal.records().expect("replay").as_slice() {
+        [ExchangeRecord::ListIntent(_), ExchangeRecord::PayIntent(_), ExchangeRecord::SettleIntent(s)] => {
+            s.k_v
+        }
+        other => panic!("journal must end at the settle intent: {other:?}"),
+    };
+    let report = m
+        .recover(&mut wal, Some(&life.seller), &mut life.buyer, &mut r)
+        .expect("recover");
+    let [ex] = report.exchanges.as_slice() else {
+        panic!("expected exactly one recovered exchange");
+    };
+    assert_eq!(ex.resumed_from, "settle");
+    let RecoveryOutcome::Completed(rep) = &ex.outcome else {
+        panic!("expected a completed exchange, got {:?}", ex.outcome);
+    };
+    assert_eq!(rep.outcome, ExchangeOutcome::Settled);
+    assert_eq!(rep.data.as_ref(), Some(&life.data));
+    // Exactly once, under the journaled k_v: one published k_c, and it
+    // blinds the key with the SettleIntent's k_v.
+    let published = count_events(
+        &m,
+        |e| matches!(e, Event::KeyPublished { listing: l, .. } if *l == listing.listing),
+    );
+    assert_eq!(published, 1);
+    let key = life.seller.secret(life.token).expect("seller key").key;
+    assert_eq!(m.published_k_c(listing.listing), Some(key + settle_k_v));
+    assert_eq!(witness.k_c, key + settle_k_v);
+    assert_exchange_invariants(
+        &mut m,
+        life.seller.address,
+        life.buyer.address,
+        life.token,
+        rep,
+        &mut r,
+    );
+}
+
+#[test]
+fn recovery_reports_a_landed_refund_without_settling() {
+    // A withheld flow dies on its Terminal append, after the refund
+    // landed: the journal ends at RefundIntent, the chain holds the
+    // refund. The seller is back, so only the refund intent keeps
+    // recovery from trying to settle an open listing.
+    let mut r = rng(0xC4A8);
+    let mut m = Marketplace::bootstrap(1 << 14, 10, &mut r).expect("bootstrap");
+    let sched = Schedule::new(5);
+    assert!(sched.seller_withholds());
+    let mut life = fresh_life(&mut m, sched, &mut r);
+    let mut wal = ExchangeWal::new();
+    wal.set_crash_after(4, CrashMode::Clean);
+    let err = journaled_flow(&mut m, &mut wal, &mut life, true, &mut r)
+        .expect_err("flow must crash on its terminal record");
+    assert!(matches!(
+        err,
+        ZkdetError::Journal(zkdet_wal::WalError::Crashed)
+    ));
+    let buyer = life.buyer.address;
+    let refunds = |m: &Marketplace| {
+        count_events(
+            m,
+            |e| matches!(e, Event::Refunded { buyer: b, .. } if *b == buyer),
+        )
+    };
+    assert_eq!(refunds(&m), 1, "the refund landed before the crash");
+
+    let mut wal = ExchangeWal::open(wal.durable_bytes().to_vec()).expect("reopen");
+    let report = m
+        .recover(&mut wal, Some(&life.seller), &mut life.buyer, &mut r)
+        .expect("recover");
+    let [ex] = report.exchanges.as_slice() else {
+        panic!("expected exactly one recovered exchange");
+    };
+    assert_eq!(ex.resumed_from, "refund");
+    let RecoveryOutcome::Completed(rep) = &ex.outcome else {
+        panic!("expected a completed exchange, got {:?}", ex.outcome);
+    };
+    assert_eq!(rep.outcome, ExchangeOutcome::Refunded);
+    let listing = ex.listing.expect("listing");
+    assert_eq!(m.chain.settlement_height(m.auction_addr, listing), None);
+    assert_eq!(refunds(&m), 1, "refunded exactly once");
+    assert_paid_exactly_once(&m, life.seller.address, life.buyer.address, &rep.outcome);
+    assert_no_wedged_escrow(&m);
+
+    // A second recovery finds the Terminal record and appends nothing.
+    let count = wal.record_count();
+    let again = m
+        .recover(&mut wal, Some(&life.seller), &mut life.buyer, &mut r)
+        .expect("second recovery");
+    assert!(matches!(
+        again.exchanges.as_slice(),
+        [ex] if matches!(ex.outcome, RecoveryOutcome::AlreadyTerminal(ExchangeOutcome::Refunded))
+    ));
+    assert_eq!(wal.record_count(), count);
+}
+
+#[test]
+fn recovery_relocks_for_a_buyer_whose_lock_never_landed() {
+    // Buyer A locks listing L and is refunded; buyer B's pay intent is
+    // durable but B's lock never landed. The chain's lock on L is A's,
+    // so recovery must re-lock for B and settle, not read A's refund as
+    // B's.
+    let mut r = rng(0xC4A9);
+    let mut m = Marketplace::bootstrap(1 << 14, 10, &mut r).expect("bootstrap");
+    let mut life = fresh_life(&mut m, Schedule::new(0), &mut r);
+    let mut wal = ExchangeWal::new();
+    let listing = m
+        .journaled_list_for_sale(
+            &mut wal,
+            &life.seller,
+            life.token,
+            100,
+            50,
+            1,
+            "u8".into(),
+            &mut r,
+        )
+        .expect("list");
+    let pkg = m
+        .seller_validation_package(&life.seller, life.token, RangePredicate { bits: 8 }, &mut r)
+        .expect("π_p");
+
+    let mut buyer_a = m.register();
+    let session_a = m
+        .buyer_validate_and_lock(&buyer_a, listing.listing, &pkg, &mut r)
+        .expect("A locks");
+    for _ in 0..REFUND_TIMEOUT_BLOCKS {
+        m.chain.mine_block();
+    }
+    let rep_a = m
+        .drive_exchange_to_completion(&mut buyer_a, &session_a)
+        .expect("A's refund");
+    assert_eq!(rep_a.outcome, ExchangeOutcome::Refunded);
+
+    // B's pay intent, journaled; the process dies before the lock.
+    let commitment = m
+        .chain
+        .nft(&m.nft_addr)
+        .expect("nft")
+        .token_meta(life.token)
+        .expect("meta")
+        .commitment;
+    wal.append(&ExchangeRecord::PayIntent(PayIntent {
+        listing: listing.listing,
+        token: life.token,
+        buyer: life.buyer.address,
+        k_v: Fr::from(0xB0B_u64),
+        expected_commitment: commitment,
+    }))
+    .expect("pay intent");
+
+    let mut wal = ExchangeWal::open(wal.durable_bytes().to_vec()).expect("reopen");
+    let report = m
+        .recover(&mut wal, Some(&life.seller), &mut life.buyer, &mut r)
+        .expect("recover");
+    let [ex] = report.exchanges.as_slice() else {
+        panic!("expected exactly one recovered exchange");
+    };
+    assert_eq!(ex.listing, Some(listing.listing));
+    let RecoveryOutcome::Completed(rep) = &ex.outcome else {
+        panic!("expected a completed exchange, got {:?}", ex.outcome);
+    };
+    assert_eq!(
+        rep.outcome,
+        ExchangeOutcome::Settled,
+        "B was re-locked and served"
+    );
+    assert_eq!(rep.data.as_ref(), Some(&life.data));
+    let locks_by_b = count_events(&m, |e| {
+        matches!(e, Event::AuctionLocked { listing: l, buyer, .. }
+            if *l == listing.listing && *buyer == life.buyer.address)
+    });
+    assert_eq!(locks_by_b, 1);
+    assert_eq!(m.chain.state.balance(&buyer_a.address), INITIAL_BALANCE);
+    assert_paid_exactly_once(&m, life.seller.address, life.buyer.address, &rep.outcome);
+    assert_no_wedged_escrow(&m);
 }

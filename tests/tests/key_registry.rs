@@ -143,10 +143,11 @@ const PARENT_STEPS: u64 = 3597;
 const PARENT_JOBS_RUN: u64 = 17;
 const PARENT_BUSY_TICKS: u64 = 10_196;
 /// SHA-256 over schedule log ‖ journals ‖ timelines of the same run, since
-/// FairSwap sessions stopped writing journal records. The schedule above
-/// is unchanged; only the journals lost the swap frames.
+/// the exchange journal stopped writing completion records (the chain
+/// holds those facts). The schedule above is unchanged; only the journals
+/// and the timelines folded from them lost the completion frames.
 const PARENT_REPLAY_SHA256: &str =
-    "de374c20b3889eacb05af698fea42d1d57bafcd289088c4ee1a9bc03fb5658fb";
+    "0c2bc6f6927257c6de52be85279ad3cb6ec1fd9ab4ff1c167fae5310f678269a";
 
 #[test]
 fn repeated_load_runs_replay_the_parent_schedule() {

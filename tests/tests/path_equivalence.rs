@@ -16,29 +16,15 @@ use zkdet_core::{
 use zkdet_field::Fr;
 use zkdet_tests::rng;
 
-const SETTLED_STEPS: [&str; 11] = [
+const SETTLED_STEPS: [&str; 5] = [
     "list_intent",
-    "list_done",
     "pay_intent",
-    "pay_done",
     "settle_intent",
-    "prove_done",
-    "settle_done",
     "retrieve_intent",
-    "retrieve_done",
-    "decrypt_done",
     "terminal",
 ];
 
-const REFUNDED_STEPS: [&str; 7] = [
-    "list_intent",
-    "list_done",
-    "pay_intent",
-    "pay_done",
-    "refund_intent",
-    "refund_done",
-    "terminal",
-];
+const REFUNDED_STEPS: [&str; 4] = ["list_intent", "pay_intent", "refund_intent", "terminal"];
 
 /// One exchange from a fixed seed over `journal`; returns the chain
 /// digest it ends with and what the buyer recovered.

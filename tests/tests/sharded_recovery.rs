@@ -171,10 +171,10 @@ fn sharded_kill_at_every_step_settles_each_shard_exactly_once() {
     }
     let settle_records = sharded.shard(0).wal.record_count();
     let refund_records = sharded.shard(1).wal.record_count();
-    assert!(settle_records >= 7, "exchange journals every step");
+    assert!(settle_records >= 5, "exchange journals every step");
     assert_eq!(
-        refund_records, 7,
-        "list/pay/refund, intent+done, then terminal"
+        refund_records, 4,
+        "list, pay and refund intents, then terminal"
     );
 
     // ---- kill at every step, restart, recover shard-by-shard ----------
