@@ -12,6 +12,8 @@
 //!   aggregation and partition (§IV-D 1–3);
 //! * [`exchange`] — the `π_p` (data validation) and `π_k` (key negotiation)
 //!   relations of the key-secure exchange protocol (§IV-F);
+//! * [`spec`] — the six registry relations as plain Rust, the reference
+//!   the circuits are tested against;
 //! * [`apps`] — the data-processing showcases of §IV-E: logistic-regression
 //!   convergence and a transformer block (attention + feed-forward).
 //!
@@ -26,6 +28,7 @@ pub mod encryption;
 pub mod exchange;
 pub mod gadgets;
 pub mod registry;
+pub mod spec;
 pub mod transform;
 
 pub use encryption::EncryptionCircuit;
