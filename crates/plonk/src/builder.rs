@@ -389,6 +389,26 @@ impl CircuitBuilder {
         z
     }
 
+    /// `(x + k_x)·(y + k_y)` for circuit constants `k_x`, `k_y` in a single
+    /// gate (`q_M = 1`, `q_L = k_y`, `q_R = k_x`, `q_C = k_x·k_y`), so a
+    /// constant shift of either factor costs no row of its own.
+    pub fn mul_shifted(&mut self, x: Variable, k_x: Fr, y: Variable, k_y: Fr) -> Variable {
+        let z = self.alloc((self.value(x) + k_x) * (self.value(y) + k_y));
+        self.gate(
+            x,
+            y,
+            z,
+            Selectors {
+                q_m: Fr::ONE,
+                q_l: k_y,
+                q_r: k_x,
+                q_c: k_x * k_y,
+                q_o: -Fr::ONE,
+            },
+        );
+        z
+    }
+
     /// Constrains `x == y` (zero gates; merged in the copy permutation).
     ///
     /// # Panics
@@ -625,8 +645,10 @@ impl CompiledCircuit {
         self.rows
     }
 
-    /// Rows before padding to a power of two.
-    pub(crate) fn rows_used(&self) -> usize {
+    /// Rows before padding to a power of two: public-input rows plus
+    /// gates. A gadget change that moves this across a power of two moves
+    /// [`Self::rows`], and with it every prove and preprocess of the shape.
+    pub fn rows_used(&self) -> usize {
         self.rows_used
     }
 
@@ -794,6 +816,14 @@ mod tests {
 
         let p = b.pow_const(x, 5);
         assert_eq!(b.value(p), Fr::from(16807u64));
+
+        // (7 + 3)·(17 − 2), and (7 + 4)², each in one row.
+        let rows = b.gate_count();
+        let ms = b.mul_shifted(x, Fr::from(3u64), a, -Fr::from(2u64));
+        assert_eq!(b.value(ms), Fr::from(150u64));
+        let sq = b.mul_shifted(x, Fr::from(4u64), x, Fr::from(4u64));
+        assert_eq!(b.value(sq), Fr::from(121u64));
+        assert_eq!(b.gate_count(), rows + 2);
 
         let inv = b.inverse(x);
         assert_eq!(b.value(inv) * Fr::from(7u64), Fr::ONE);
