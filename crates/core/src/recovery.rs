@@ -24,7 +24,9 @@ use zkdet_chain::{Address, Event, TokenId, Wei};
 use zkdet_crypto::poseidon::Poseidon;
 
 use crate::error::ZkdetError;
-use crate::exchange::{BuyerSession, ExchangeOutcome, ExchangeReport, SellerListing};
+use crate::exchange::{
+    finish_exchange, BuyerSession, ExchangeOutcome, ExchangeReport, SellerListing, REFUND_LANDED,
+};
 use crate::journal::{ExchangeRecord, ExchangeWal, ListIntent, PayIntent, SettleIntent};
 use crate::market::{DataOwner, Marketplace};
 
@@ -232,7 +234,27 @@ impl Marketplace {
             .listing(listing_id)?
             .state
             .clone();
-        let price = match (self.landed_lock(listing_id, pay.buyer), &listing_state) {
+        let landed = self.landed_lock(listing_id, pay.buyer);
+        // This buyer's lock landed and was refunded, and the listing has
+        // moved on to another buyer since: the exchange ended refunded,
+        // whoever holds the listing now. (An open listing takes the drive
+        // below, which reports the same landed refund.)
+        if landed.is_some_and(|lock| lock.refunded) && listing_state != ListingState::Open {
+            let report = finish_exchange(
+                wal,
+                listing_id,
+                ExchangeOutcome::Refunded,
+                None,
+                REFUND_LANDED.to_string(),
+                0,
+            )?;
+            return Ok(RecoveredExchange {
+                listing: Some(listing_id),
+                outcome: RecoveryOutcome::Completed(report),
+                ..unlisted
+            });
+        }
+        let price = match (landed.map(|lock| lock.price), &listing_state) {
             (_, ListingState::Locked { buyer: b, h_v, .. })
                 if *b != pay.buyer || *h_v != Poseidon::hash(&[pay.k_v]) =>
             {
@@ -281,9 +303,10 @@ impl Marketplace {
         })
     }
 
-    /// The escrowed price of `buyer`'s latest lock on `listing`, read from
-    /// the chain's log — mined blocks and the pending pool, newest first.
-    fn landed_lock(&self, listing: ListingId, buyer: Address) -> Option<Wei> {
+    /// `buyer`'s latest lock on `listing`, read from the chain's log —
+    /// mined blocks and the pending pool, newest first.
+    fn landed_lock(&self, listing: ListingId, buyer: Address) -> Option<LandedLock> {
+        let mut refunded = false;
         self.chain
             .blocks()
             .iter()
@@ -292,14 +315,34 @@ impl Marketplace {
             .rev()
             .flat_map(|receipt| &receipt.events)
             .find_map(|event| match event {
+                Event::Refunded {
+                    listing: l,
+                    buyer: b,
+                    ..
+                } if *l == listing && *b == buyer => {
+                    refunded = true;
+                    None
+                }
                 Event::AuctionLocked {
                     listing: l,
                     buyer: b,
                     payment,
-                } if *l == listing && *b == buyer => Some(*payment),
+                } if *l == listing && *b == buyer => Some(LandedLock {
+                    price: *payment,
+                    refunded,
+                }),
                 _ => None,
             })
     }
+}
+
+/// A lock the chain's log holds for one buyer on one listing.
+#[derive(Clone, Copy)]
+struct LandedLock {
+    /// The escrowed price.
+    price: Wei,
+    /// Whether a refund of it landed after it.
+    refunded: bool,
 }
 
 /// The fold's working state: exchanges keyed by token (the journal-level

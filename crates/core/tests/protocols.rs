@@ -257,6 +257,71 @@ fn buyer_gets_refund_after_seller_timeout() {
 }
 
 #[test]
+fn published_k_c_answers_only_for_a_key_secure_settled_listing() {
+    let mut rng = StdRng::seed_from_u64(612);
+    let mut m = market(&mut rng);
+    let mut seller = m.register();
+    let mut buyer_a = m.register();
+    let buyer_b = m.register();
+    let t1 = m
+        .publish_original(&mut seller, small_dataset(&[1, 2]), &mut rng)
+        .unwrap();
+    let t2 = m
+        .publish_original(&mut seller, small_dataset(&[3, 4]), &mut rng)
+        .unwrap();
+    let l1 = m
+        .list_for_sale(&seller, t1, 1_000, 500, 10, "any".into(), &mut rng)
+        .unwrap();
+    let l2 = m
+        .list_for_sale(&seller, t2, 1_000, 500, 10, "any".into(), &mut rng)
+        .unwrap();
+    assert_eq!(m.published_k_c(l1.listing), None, "open");
+    assert_eq!(
+        m.published_k_c(zkdet_chain::contracts::ListingId(999)),
+        None,
+        "no such listing"
+    );
+
+    let p1 = m
+        .seller_validation_package(&seller, t1, RangePredicate { bits: 8 }, &mut rng)
+        .unwrap();
+    let s1 = m
+        .buyer_validate_and_lock(&buyer_a, l1.listing, &p1, &mut rng)
+        .unwrap();
+    assert_eq!(m.published_k_c(l1.listing), None, "locked");
+
+    // Listing 2 settles: its KeyPublished event is in the log, and only
+    // listing 2 answers with it.
+    let p2 = m
+        .seller_validation_package(&seller, t2, RangePredicate { bits: 8 }, &mut rng)
+        .unwrap();
+    let s2 = m
+        .buyer_validate_and_lock(&buyer_b, l2.listing, &p2, &mut rng)
+        .unwrap();
+    m.seller_settle(&seller, &l2, s2.k_v_message(), &mut rng)
+        .unwrap();
+    let key = seller.secret(t2).unwrap().key;
+    assert_eq!(
+        m.published_k_c(l2.listing),
+        Some(key + s2.k_v_message()),
+        "settled"
+    );
+    assert_eq!(m.published_k_c(l1.listing), None, "another listing's key");
+
+    for _ in 0..zkdet_chain::contracts::REFUND_TIMEOUT_BLOCKS {
+        m.chain.mine_block();
+    }
+    let report = m.drive_exchange_to_completion(&mut buyer_a, &s1).unwrap();
+    assert_eq!(report.outcome, ExchangeOutcome::Refunded);
+    assert_eq!(m.published_k_c(l1.listing), None, "refunded");
+    assert_eq!(
+        m.published_k_c(l2.listing),
+        Some(key + s2.k_v_message()),
+        "still settled, blocks later"
+    );
+}
+
+#[test]
 fn clock_price_decays_between_blocks() {
     let mut rng = StdRng::seed_from_u64(607);
     let mut m = market(&mut rng);

@@ -525,6 +525,73 @@ fn recovery_reports_a_landed_refund_without_settling() {
 }
 
 #[test]
+fn recovery_reports_a_refunded_buyer_after_another_buyer_locked() {
+    // Buyer A's journaled flow locks listing L, is refunded, and dies on
+    // its Terminal append. Buyer B then locks L under a journal of its
+    // own. Recovering A's journal must report A's landed refund, whoever
+    // holds L now, and move nothing.
+    let mut r = rng(0xC4AA);
+    let mut m = Marketplace::bootstrap(1 << 14, 10, &mut r).expect("bootstrap");
+    let mut life = fresh_life(&mut m, Schedule::new(5), &mut r);
+    let mut wal_a = ExchangeWal::new();
+    wal_a.set_crash_after(4, CrashMode::Clean);
+    let err = journaled_flow(&mut m, &mut wal_a, &mut life, true, &mut r)
+        .expect_err("A's flow must crash on its terminal record");
+    assert!(matches!(
+        err,
+        ZkdetError::Journal(zkdet_wal::WalError::Crashed)
+    ));
+
+    let mut wal_a = ExchangeWal::open(wal_a.durable_bytes().to_vec()).expect("reopen");
+    let mut wal_b = ExchangeWal::new();
+    let listing = match wal_a.records().expect("replay").as_slice() {
+        [ExchangeRecord::ListIntent(_), ExchangeRecord::PayIntent(pay), ExchangeRecord::RefundIntent(_)] => {
+            pay.listing
+        }
+        other => panic!("A's journal must end at the refund intent: {other:?}"),
+    };
+    let buyer_b = m.register();
+    let pkg = m
+        .seller_validation_package(&life.seller, life.token, RangePredicate { bits: 8 }, &mut r)
+        .expect("π_p");
+    m.journaled_validate_and_lock(&mut wal_b, &buyer_b, listing, &pkg, &mut r)
+        .expect("B locks");
+
+    let parties = [
+        life.seller.address,
+        life.buyer.address,
+        buyer_b.address,
+        m.auction_addr,
+    ];
+    let balances = |m: &Marketplace| parties.map(|a| m.chain.state.balance(&a));
+    let before = balances(&m);
+    let report = m
+        .recover(&mut wal_a, Some(&life.seller), &mut life.buyer, &mut r)
+        .expect("recover A");
+    let [ex] = report.exchanges.as_slice() else {
+        panic!("expected exactly one recovered exchange");
+    };
+    let RecoveryOutcome::Completed(rep) = &ex.outcome else {
+        panic!("expected a completed exchange, got {:?}", ex.outcome);
+    };
+    assert_eq!(rep.outcome, ExchangeOutcome::Refunded);
+    assert_eq!(ex.listing, Some(listing));
+    assert_eq!(balances(&m), before, "recovering A moved funds");
+    assert_eq!(m.chain.settlement_height(m.auction_addr, listing), None);
+
+    let count = wal_a.record_count();
+    let again = m
+        .recover(&mut wal_a, Some(&life.seller), &mut life.buyer, &mut r)
+        .expect("second recovery");
+    assert!(matches!(
+        again.exchanges.as_slice(),
+        [ex] if matches!(ex.outcome, RecoveryOutcome::AlreadyTerminal(ExchangeOutcome::Refunded))
+    ));
+    assert_eq!(wal_a.record_count(), count);
+    assert_eq!(balances(&m), before);
+}
+
+#[test]
 fn recovery_relocks_for_a_buyer_whose_lock_never_landed() {
     // Buyer A locks listing L and is refunded; buyer B's pay intent is
     // durable but B's lock never landed. The chain's lock on L is A's,
