@@ -98,9 +98,11 @@ fn main() -> ExitCode {
     for c in &circuits {
         let dof = &c.analysis.dof;
         println!(
-            "{:<24} gates={:<5} classes={:<5} free={:<5} digest={}…  {} finding(s)",
+            "{:<24} gates={:<5} rows={:<5} domain={:<5} classes={:<5} free={:<5} digest={}…  {} finding(s)",
             c.name,
             dof.gates,
+            c.rows_used,
+            c.domain,
             dof.copy_classes,
             dof.free_classes,
             &digest_hex(c.digest)[..16],

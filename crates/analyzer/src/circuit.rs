@@ -507,6 +507,11 @@ pub struct CircuitReport {
     pub description: &'static str,
     /// Structural digest of the [`SEED_A`] builder.
     pub digest: Fr,
+    /// Rows the built circuit uses: public-input rows plus gates.
+    pub rows_used: usize,
+    /// The power-of-two domain those rows pad to — what every prove and
+    /// preprocess of the shape pays for.
+    pub domain: usize,
     /// Analysis of the [`SEED_A`] builder, plus a leading
     /// `witness-dependent-structure` finding when the [`SEED_B`] builder's
     /// digest differs.
@@ -541,10 +546,13 @@ pub fn check_registry() -> Vec<CircuitReport> {
                     ),
                 );
             }
+            let compiled = builder.build();
             CircuitReport {
                 name: entry.name,
                 description: entry.description,
                 digest,
+                rows_used: compiled.rows_used(),
+                domain: compiled.rows(),
                 analysis,
             }
         })

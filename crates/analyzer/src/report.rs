@@ -113,6 +113,8 @@ pub fn to_value(
                         .with("name", c.name)
                         .with("description", c.description)
                         .with("structural_digest", digest_hex(c.digest))
+                        .with("rows_used", c.rows_used)
+                        .with("domain", c.domain)
                         .with("dof", dof_to_value(&c.analysis.dof))
                         .with(
                             "findings",
@@ -158,6 +160,8 @@ mod tests {
             name: "dead_gate",
             description: "one pinned zero and one all-zero gate",
             digest: structural_digest(&b),
+            rows_used: 3,
+            domain: 8,
             analysis: analyze(&b),
         }];
         let src = "fn f() { let t = Instant::now(); }";
