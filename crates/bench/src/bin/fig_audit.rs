@@ -12,8 +12,9 @@
 //! * `warm` — a re-audit against the cache the cold run filled: every
 //!   check hits, so no group arithmetic runs at all.
 //!
-//! `warm_speedup` is cold over warm: what is left of a re-audit is
-//! fetching and hashing the artefacts.
+//! The printed speedup is cold over warm: what is left of a re-audit is
+//! fetching and hashing the artefacts. It is a wall-clock ratio, so it
+//! is printed, not written to `meta`, where every key is a pin.
 //!
 //! Emits `BENCH_fig_audit.json` (schema `zkdet-bench-v1`).
 //!
@@ -119,7 +120,6 @@ fn main() {
     println!("{proofs} proofs in {msm_terms} MSM terms; warm is {warm_speedup:.1}x faster");
     report.meta("proofs", proofs);
     report.meta("msm_terms", msm_terms);
-    report.meta("warm_speedup", format!("{warm_speedup:.2}").as_str());
     report.meta(
         "cache_hit_rate",
         format!("{:.3}", m.audit_cache().hit_rate()).as_str(),

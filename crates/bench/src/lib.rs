@@ -23,7 +23,7 @@
 pub mod diff;
 pub mod report;
 
-pub use diff::{diff_reports, DiffOutcome, RowDelta, Verdict, FAIL_PCT, WARN_PCT};
+pub use diff::diff_reports;
 pub use report::{check, init_telemetry, write_profile, BenchReport, SCHEMA};
 
 use std::time::{Duration, Instant};
@@ -37,8 +37,8 @@ use zkdet_field::{Field, Fr};
 use zkdet_plonk::CompiledCircuit;
 
 /// Seed of the deterministic benchmark RNG. Stamped into every bench
-/// artefact's `meta.bench_seed` so `bench_diff` can refuse to compare
-/// runs measured over different workloads.
+/// artefact's `meta.bench_seed`, a pin `bench_diff` fails on when two
+/// runs measured different workloads.
 pub const BENCH_SEED: u64 = 0xbe_9c;
 
 /// Deterministic benchmark RNG.

@@ -47,8 +47,8 @@ impl BenchReport {
     /// Assembles the artefact, snapshotting global telemetry now.
     ///
     /// Stamps `meta.bench_seed` (the deterministic workload seed) and
-    /// `meta.row_count` so downstream comparison (`bench_diff`) can
-    /// refuse apples-to-oranges diffs. A bin that sweeps a different
+    /// `meta.row_count`, pins that `bench_diff` fails on when two runs
+    /// measured different workloads. A bin that sweeps a different
     /// seed may set `bench_seed` explicitly before writing.
     pub fn to_value(&self) -> Value {
         let mut meta = self.meta.clone();

@@ -710,6 +710,12 @@ impl Marketplace {
     ///   already back in `Open` means that refund landed earlier (a crash
     ///   came before its `Terminal` record, or the session was driven
     ///   twice);
+    /// - a listing another buyer has locked, or whose settlement this
+    ///   buyer cannot unblind, is judged by this buyer's own lock on the
+    ///   chain's log: if its refund landed, the exchange ended
+    ///   [`ExchangeOutcome::Refunded`]. Only these rare arms read the log;
+    ///   the common ones (locked by or settled to this buyer) read no more
+    ///   than the listing's state;
     /// - [`crate::error::Recovery::Fatal`] errors (proof or protocol
     ///   violations) propagate as `Err` immediately;
     /// - every iteration ticks the storage layer's deterministic repair
@@ -741,6 +747,11 @@ impl Marketplace {
                 {
                     return Ok(None)
                 }
+                // The listing settled to another buyer after this one's
+                // refund landed: the `k_c` was never ours to unblind.
+                Err(e) if e.recovery() != Recovery::Fatal && self.refund_landed(session) => {
+                    (ExchangeOutcome::Refunded, None, REFUND_LANDED.to_string())
+                }
                 // Settled on-chain: the refund path is closed, but every
                 // party is in a clean terminal state.
                 Err(e) if e.recovery() != Recovery::Fatal => {
@@ -751,6 +762,16 @@ impl Marketplace {
         } else {
             let auction = self.chain.auction(&self.auction_addr)?;
             match auction.listing(listing)?.state {
+                // Another buyer locked the listing after this one's refund
+                // landed.
+                ListingState::Locked { buyer, .. } if buyer != session.buyer => {
+                    if !self.refund_landed(session) {
+                        return Err(ZkdetError::Protocol(
+                            "listing is locked by a different buyer".into(),
+                        ));
+                    }
+                    (ExchangeOutcome::Refunded, None, REFUND_LANDED.to_string())
+                }
                 ListingState::Locked { locked_at, .. } => {
                     if self.chain.height() < locked_at + REFUND_TIMEOUT_BLOCKS {
                         return Ok(None);

@@ -303,6 +303,12 @@ impl Marketplace {
         })
     }
 
+    /// Whether the session buyer's latest lock on its listing was refunded.
+    pub(crate) fn refund_landed(&self, session: &BuyerSession) -> bool {
+        self.landed_lock(session.listing, session.buyer)
+            .is_some_and(|lock| lock.refunded)
+    }
+
     /// `buyer`'s latest lock on `listing`, read from the chain's log —
     /// mined blocks and the pending pool, newest first.
     fn landed_lock(&self, listing: ListingId, buyer: Address) -> Option<LandedLock> {

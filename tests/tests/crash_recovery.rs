@@ -592,6 +592,78 @@ fn recovery_reports_a_refunded_buyer_after_another_buyer_locked() {
 }
 
 #[test]
+fn a_refunded_buyer_driven_again_after_another_buyer_locked_stays_refunded() {
+    // Buyer A locks listing L and is refunded; buyer B then locks L.
+    // Driving A's session again must report A's landed refund at once,
+    // both while B waits on the seller and after B settled, and move
+    // nothing: no refund of a lock A no longer holds, no unblinding of
+    // B's k_c with A's k_v.
+    let mut r = rng(0xC4AB);
+    let mut m = Marketplace::bootstrap(1 << 14, 10, &mut r).expect("bootstrap");
+    let life = fresh_life(&mut m, Schedule::new(0), &mut r);
+    let listing = m
+        .list_for_sale(&life.seller, life.token, 100, 50, 1, "u8".into(), &mut r)
+        .expect("list");
+    let pkg = m
+        .seller_validation_package(&life.seller, life.token, RangePredicate { bits: 8 }, &mut r)
+        .expect("π_p");
+    let mut buyer_a = m.register();
+    let session_a = m
+        .buyer_validate_and_lock(&buyer_a, listing.listing, &pkg, &mut r)
+        .expect("A locks");
+    for _ in 0..REFUND_TIMEOUT_BLOCKS {
+        m.chain.mine_block();
+    }
+    let rep = m
+        .drive_exchange_to_completion(&mut buyer_a, &session_a)
+        .expect("A's refund");
+    assert_eq!(rep.outcome, ExchangeOutcome::Refunded);
+
+    let buyer_b = m.register();
+    let session_b = m
+        .buyer_validate_and_lock(&buyer_b, listing.listing, &pkg, &mut r)
+        .expect("B locks");
+    let parties = [
+        life.seller.address,
+        buyer_a.address,
+        buyer_b.address,
+        m.auction_addr,
+    ];
+    let balances = |m: &Marketplace| parties.map(|a| m.chain.state.balance(&a));
+    let mut drive_a_again = |m: &mut Marketplace, case: &str| {
+        let before = balances(m);
+        let mut wal = ExchangeWal::new();
+        let rep = m
+            .journaled_drive_to_completion(&mut wal, &mut buyer_a, &session_a)
+            .unwrap_or_else(|e| panic!("{case}: driving A again: {e}"));
+        assert_eq!(rep.outcome, ExchangeOutcome::Refunded, "{case}");
+        assert_eq!(rep.blocks_waited, 0, "{case}: A waited on B's lock");
+        // At most a retrieve attempt (B's k_c, which A cannot unblind)
+        // before the terminal record; never a refund intent.
+        let records = wal.records().expect("replay");
+        assert!(
+            matches!(records.as_slice(),
+                [ExchangeRecord::Terminal(t)] | [ExchangeRecord::RetrieveIntent(_), ExchangeRecord::Terminal(t)]
+                    if t.reason == "refund landed before the crash"),
+            "{case}: {records:?}"
+        );
+        assert_eq!(balances(m), before, "{case}: driving A again moved funds");
+    };
+    drive_a_again(&mut m, "B waiting");
+    m.seller_settle(&life.seller, &listing, session_b.k_v_message(), &mut r)
+        .expect("settle to B");
+    drive_a_again(&mut m, "B settled");
+    let owner = m
+        .chain
+        .nft(&m.nft_addr)
+        .expect("nft")
+        .owner_of(life.token)
+        .expect("owner");
+    assert_eq!(owner, buyer_b.address);
+    assert!(buyer_a.secret(life.token).is_none(), "A learned B's key");
+}
+
+#[test]
 fn recovery_relocks_for_a_buyer_whose_lock_never_landed() {
     // Buyer A locks listing L and is refunded; buyer B's pay intent is
     // durable but B's lock never landed. The chain's lock on L is A's,
