@@ -20,7 +20,7 @@ use zkdet_telemetry::Value;
 
 /// Whether `key` holds wall time (nanosecond rows from the proving
 /// benches, microsecond rows from the storage/audit benches).
-pub fn is_wall_time(key: &str) -> bool {
+fn is_wall_time(key: &str) -> bool {
     key.ends_with("_ns") || key.ends_with("micros")
 }
 

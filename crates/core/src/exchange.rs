@@ -764,12 +764,9 @@ impl Marketplace {
             match auction.listing(listing)?.state {
                 // Another buyer locked the listing after this one's refund
                 // landed.
-                ListingState::Locked { buyer, .. } if buyer != session.buyer => {
-                    if !self.refund_landed(session) {
-                        return Err(ZkdetError::Protocol(
-                            "listing is locked by a different buyer".into(),
-                        ));
-                    }
+                ListingState::Locked { buyer, .. }
+                    if buyer != session.buyer && self.refund_landed(session) =>
+                {
                     (ExchangeOutcome::Refunded, None, REFUND_LANDED.to_string())
                 }
                 ListingState::Locked { locked_at, .. } => {

@@ -642,9 +642,12 @@ fn a_refunded_buyer_driven_again_after_another_buyer_locked_stays_refunded() {
         // before the terminal record; never a refund intent.
         let records = wal.records().expect("replay");
         assert!(
-            matches!(records.as_slice(),
-                [ExchangeRecord::Terminal(t)] | [ExchangeRecord::RetrieveIntent(_), ExchangeRecord::Terminal(t)]
-                    if t.reason == "refund landed before the crash"),
+            matches!(
+                records.as_slice(),
+                [ExchangeRecord::Terminal(t)]
+                    | [ExchangeRecord::RetrieveIntent(_), ExchangeRecord::Terminal(t)]
+                    if t.reason == "refund landed before the crash"
+            ),
             "{case}: {records:?}"
         );
         assert_eq!(balances(m), before, "{case}: driving A again moved funds");
