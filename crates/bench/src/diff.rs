@@ -25,12 +25,12 @@ fn is_wall_time(key: &str) -> bool {
 }
 
 /// The comparison of one baseline with its fresh artefact.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Diff {
     /// Pins that held.
-    pub pins: usize,
+    pins: usize,
     /// One line per wall-time value: where, both values, percent change.
-    pub timings: Vec<String>,
+    timings: Vec<String>,
     /// One line per pin that moved; empty means the pair passes.
     pub moved: Vec<String>,
 }
