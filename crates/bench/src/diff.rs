@@ -164,103 +164,83 @@ mod tests {
         })
     }
 
-    #[test]
-    fn one_rule_case_table() {
+    /// `artefact()` with its `meta.preset` set to the default preset.
+    fn default_preset() -> Value {
         let base = artefact();
-        let mut default_preset = artefact();
-        default_preset.set(
-            "meta",
-            base.get("meta").unwrap().clone().with("preset", "default"),
-        );
-        let mut one_row = artefact();
-        one_row.set(
-            "rows",
-            vec![base.get("rows").unwrap().as_array().unwrap()[0].clone()],
-        );
-        let mut other_telemetry = artefact();
-        other_telemetry.set("telemetry", Value::object());
-        // (case, fresh, whether it passes, lines the report must print).
-        let cases: [(&str, Option<Value>, bool, &[&str]); 10] = [
-            (
-                "identical",
-                Some(artefact()),
-                true,
-                &["8 pins held, 0 moved"],
-            ),
-            (
-                "telemetry is not compared",
-                Some(other_telemetry),
-                true,
-                &[],
-            ),
-            (
-                "an exact row value changed",
-                Some(edit_rows(|i, r| {
-                    if i == 1 {
-                        r.set("reads_ok", 23u64)
-                    }
-                })),
-                false,
-                &["MOVED rows[1].reads_ok: 24 -> 23"],
-            ),
-            (
-                "a meta key changed (default preset vs small)",
-                Some(default_preset),
-                false,
-                &["MOVED meta.preset: \"small\" -> \"default\""],
-            ),
-            (
-                "a key added",
-                Some(edit_rows(|i, r| {
-                    if i == 0 {
-                        r.set("lost", 0u64)
-                    }
-                })),
-                false,
-                &["MOVED rows[0].lost: (absent) -> 0"],
-            ),
-            (
-                "a key removed",
-                Some(edit_rows(|i, r| {
-                    if let (0, Value::Object(fields)) = (i, r) {
-                        fields.retain(|(k, _)| k != "reads_ok");
-                    }
-                })),
-                false,
-                &["MOVED rows[0].reads_ok: 24 -> (absent)"],
-            ),
-            (
-                "the row count changed",
-                Some(one_row),
-                false,
-                &["MOVED row count: 2 -> 1"],
-            ),
-            (
-                "every timing x3",
-                Some(scale_timings(3.0)),
-                true,
-                &["rows[0].read_micros", "1467 ->           4401  +200.0%"],
-            ),
-            (
-                "every timing x0.3",
-                Some(scale_timings(0.3)),
-                true,
-                &["rows[1].read_micros", "1426 ->            427  -70.1%"],
-            ),
-            (
-                "no fresh artefact",
-                None,
-                false,
-                &["MOVED no fresh artefact"],
-            ),
-        ];
-        for (case, fresh, passes, printed) in cases {
-            let diff = diff_reports(&base, fresh.as_ref());
-            let report = diff.render("BENCH_fig_storage.json");
-            assert_eq!(diff.moved.len(), usize::from(!passes), "{case}: {report}");
-            for line in printed {
-                assert!(report.contains(line), "{case}: {line:?} not in {report}");
-            }
+        let meta = base.get("meta").unwrap().clone().with("preset", "default");
+        base.with("meta", meta)
+    }
+
+    /// `artefact()` with its second row dropped.
+    fn one_row() -> Value {
+        let base = artefact();
+        let first = base.get("rows").unwrap().as_array().unwrap()[0].clone();
+        base.with("rows", vec![first])
+    }
+
+    /// Compares `fresh` with `artefact()` and checks the verdict and the
+    /// lines the report must print.
+    fn check(case: &str, fresh: Option<Value>, passes: bool, printed: &[&str]) {
+        let diff = diff_reports(&artefact(), fresh.as_ref());
+        let report = diff.render("BENCH_fig_storage.json");
+        assert_eq!(diff.moved.len(), usize::from(!passes), "{case}: {report}");
+        for line in printed {
+            assert!(report.contains(line), "{case}: {line:?} not in {report}");
         }
+    }
+
+    /// The case table of the rule, one test per case:
+    /// `case: fresh artefact, whether the pair passes, lines printed`.
+    macro_rules! case_table {
+        ($($case:ident: $fresh:expr, $passes:expr, $printed:expr;)*) => {$(
+            #[test]
+            fn $case() {
+                check(stringify!($case), $fresh, $passes, $printed);
+            }
+        )*};
+    }
+
+    case_table! {
+        identical: Some(artefact()), true, &["8 pins held, 0 moved"];
+        telemetry_is_not_compared:
+            Some(artefact().with("telemetry", Value::object())), true, &[];
+        an_exact_row_value_changed:
+            Some(edit_rows(|i, r| {
+                if i == 1 {
+                    r.set("reads_ok", 23u64)
+                }
+            })),
+            false,
+            &["MOVED rows[1].reads_ok: 24 -> 23"];
+        a_meta_key_changed_default_preset_vs_small:
+            Some(default_preset()),
+            false,
+            &["MOVED meta.preset: \"small\" -> \"default\""];
+        a_key_added:
+            Some(edit_rows(|i, r| {
+                if i == 0 {
+                    r.set("lost", 0u64)
+                }
+            })),
+            false,
+            &["MOVED rows[0].lost: (absent) -> 0"];
+        a_key_removed:
+            Some(edit_rows(|i, r| {
+                if let (0, Value::Object(fields)) = (i, r) {
+                    fields.retain(|(k, _)| k != "reads_ok");
+                }
+            })),
+            false,
+            &["MOVED rows[0].reads_ok: 24 -> (absent)"];
+        the_row_count_changed: Some(one_row()), false, &["MOVED row count: 2 -> 1"];
+        every_timing_x3:
+            Some(scale_timings(3.0)),
+            true,
+            &["rows[0].read_micros", "1467 ->           4401  +200.0%"];
+        every_timing_x0_3:
+            Some(scale_timings(0.3)),
+            true,
+            &["rows[1].read_micros", "1426 ->            427  -70.1%"];
+        no_fresh_artefact: None, false, &["MOVED no fresh artefact"];
     }
 }
