@@ -48,7 +48,11 @@ pub enum ListingState {
         locked_at: u64,
     },
     /// Payment released to the seller; token with the buyer.
-    Settled,
+    Settled {
+        /// The buyer whose lock settled (kept from the lock; no new
+        /// storage is written).
+        buyer: Address,
+    },
     /// Cancelled by the seller before any lock.
     Cancelled,
 }
@@ -257,7 +261,7 @@ impl AuctionContract {
         }
         meter.sstore(false); // state
         meter.log(3, 32);
-        listing.state = ListingState::Settled;
+        listing.state = ListingState::Settled { buyer };
         events.push(Event::KeyPublished { listing: id, k_c });
         Ok((buyer, payment))
     }
@@ -298,7 +302,7 @@ impl AuctionContract {
         }
         meter.sstore(false);
         meter.log(3, 32);
-        listing.state = ListingState::Settled;
+        listing.state = ListingState::Settled { buyer };
         self.zkcp_disclosed_keys.push((id, k));
         events.push(Event::KeyLeaked { listing: id, key: k });
         Ok((buyer, payment))

@@ -175,7 +175,7 @@ fn settle_happy_path_moves_funds_and_token() {
     );
     assert_eq!(
         f.chain.auction(&f.auction).unwrap().listing(id).unwrap().state,
-        ListingState::Settled
+        ListingState::Settled { buyer: f.buyer }
     );
 }
 

@@ -160,17 +160,12 @@ pub(crate) fn finish_exchange(
         outcome: outcome.clone(),
         reason: reason.clone(),
     }))?;
-    let failure = match outcome {
-        ExchangeOutcome::Settled => None,
-        ExchangeOutcome::Refunded => Some(MISSED_DEADLINE.to_string()),
-        ExchangeOutcome::Aborted => Some(reason),
-    };
     Ok(ExchangeReport {
+        failure: (outcome != ExchangeOutcome::Settled).then_some(reason),
         outcome,
         data,
         recover_attempts,
         blocks_waited: 0,
-        failure,
     })
 }
 
@@ -604,7 +599,7 @@ impl Marketplace {
             .listing(listing)
             .ok()?
             .state;
-        if *state != ListingState::Settled {
+        if !matches!(state, ListingState::Settled { .. }) {
             return None;
         }
         self.chain
@@ -698,7 +693,8 @@ impl Marketplace {
     /// next iteration (the inline loops mine a block, the executor's
     /// machine yields to its shard's block producer).
     ///
-    /// - once the seller's `k_c` is published, recovery is attempted with
+    /// - once the listing settled to this buyer, recovery of the published
+    ///   `k_c` is attempted with
     ///   transient storage faults retried up to [`MAX_RECOVER_ATTEMPTS`]
     ///   times (each attempt already retries, hedges and backs off inside
     ///   [`crate::market::Marketplace::fetch_artefacts`]); unrecoverable
@@ -710,12 +706,10 @@ impl Marketplace {
     ///   already back in `Open` means that refund landed earlier (a crash
     ///   came before its `Terminal` record, or the session was driven
     ///   twice);
-    /// - a listing another buyer has locked, or whose settlement this
-    ///   buyer cannot unblind, is judged by this buyer's own lock on the
-    ///   chain's log: if its refund landed, the exchange ended
-    ///   [`ExchangeOutcome::Refunded`]. Only these rare arms read the log;
-    ///   the common ones (locked by or settled to this buyer) read no more
-    ///   than the listing's state;
+    /// - a listing settled to, or locked by, another buyer means this
+    ///   buyer's landed lock ended in a refund: the exchange ended
+    ///   [`ExchangeOutcome::Refunded`], read from the listing's state
+    ///   alone — nothing is fetched and the chain's log is not scanned;
     /// - [`crate::error::Recovery::Fatal`] errors (proof or protocol
     ///   violations) propagate as `Err` immediately;
     /// - every iteration ticks the storage layer's deterministic repair
@@ -732,60 +726,64 @@ impl Marketplace {
     ) -> Result<Option<ExchangeReport>, ZkdetError> {
         let listing = session.listing;
         self.tick_storage_repairs();
-        let (outcome, data, reason) = if let Some(k_c) = self.published_k_c(listing) {
-            *recover_attempts += 1;
-            journal.append(&ExchangeRecord::RetrieveIntent(RetrieveIntent {
-                listing,
-                attempt: *recover_attempts,
-            }))?;
-            match self.recover_attempt(buyer, session, k_c) {
-                Ok(data) => (ExchangeOutcome::Settled, Some(data), String::new()),
-                // Storage was flaky, not wrong — try again later.
-                Err(e)
-                    if e.recovery() == Recovery::Transient
-                        && *recover_attempts < MAX_RECOVER_ATTEMPTS =>
-                {
-                    return Ok(None)
-                }
-                // The listing settled to another buyer after this one's
-                // refund landed: the `k_c` was never ours to unblind.
-                Err(e) if e.recovery() != Recovery::Fatal && self.refund_landed(session) => {
-                    (ExchangeOutcome::Refunded, None, REFUND_LANDED.to_string())
-                }
-                // Settled on-chain: the refund path is closed, but every
-                // party is in a clean terminal state.
-                Err(e) if e.recovery() != Recovery::Fatal => {
-                    (ExchangeOutcome::Aborted, None, e.to_string())
-                }
-                Err(e) => return Err(e),
+        let state = self
+            .chain
+            .auction(&self.auction_addr)?
+            .listing(listing)?
+            .state
+            .clone();
+        let (outcome, data, reason) = match state {
+            // Settled to, or locked by, another buyer: this buyer's landed
+            // lock ended in a refund.
+            ListingState::Settled { buyer } | ListingState::Locked { buyer, .. }
+                if buyer != session.buyer =>
+            {
+                (ExchangeOutcome::Refunded, None, REFUND_LANDED.to_string())
             }
-        } else {
-            let auction = self.chain.auction(&self.auction_addr)?;
-            match auction.listing(listing)?.state {
-                // Another buyer locked the listing after this one's refund
-                // landed.
-                ListingState::Locked { buyer, .. }
-                    if buyer != session.buyer && self.refund_landed(session) =>
-                {
-                    (ExchangeOutcome::Refunded, None, REFUND_LANDED.to_string())
-                }
-                ListingState::Locked { locked_at, .. } => {
-                    if self.chain.height() < locked_at + REFUND_TIMEOUT_BLOCKS {
-                        return Ok(None);
+            ListingState::Settled { .. } => {
+                let k_c = self.published_k_c(listing).ok_or_else(|| {
+                    ZkdetError::Protocol(format!(
+                        "listing {listing:?} settled without publishing k_c"
+                    ))
+                })?;
+                *recover_attempts += 1;
+                journal.append(&ExchangeRecord::RetrieveIntent(RetrieveIntent {
+                    listing,
+                    attempt: *recover_attempts,
+                }))?;
+                match self.recover_attempt(buyer, session, k_c) {
+                    Ok(data) => (ExchangeOutcome::Settled, Some(data), String::new()),
+                    // Storage was flaky, not wrong — try again later.
+                    Err(e)
+                        if e.recovery() == Recovery::Transient
+                            && *recover_attempts < MAX_RECOVER_ATTEMPTS =>
+                    {
+                        return Ok(None)
                     }
-                    journal.append(&ExchangeRecord::RefundIntent(listing))?;
-                    match self.buyer_refund(session) {
-                        Ok(outcome) => (outcome, None, MISSED_DEADLINE.to_string()),
-                        Err(e) if e.recovery() == Recovery::Transient => return Ok(None),
-                        Err(e) => return Err(e),
+                    // Settled on-chain: the refund path is closed, but every
+                    // party is in a clean terminal state.
+                    Err(e) if e.recovery() != Recovery::Fatal => {
+                        (ExchangeOutcome::Aborted, None, e.to_string())
                     }
+                    Err(e) => return Err(e),
                 }
-                ListingState::Open => (ExchangeOutcome::Refunded, None, REFUND_LANDED.to_string()),
-                ref state => {
-                    return Err(ZkdetError::Protocol(format!(
-                        "exchange for listing {listing:?} is neither locked nor settled ({state:?})"
-                    )))
+            }
+            ListingState::Locked { locked_at, .. } => {
+                if self.chain.height() < locked_at + REFUND_TIMEOUT_BLOCKS {
+                    return Ok(None);
                 }
+                journal.append(&ExchangeRecord::RefundIntent(listing))?;
+                match self.buyer_refund(session) {
+                    Ok(outcome) => (outcome, None, MISSED_DEADLINE.to_string()),
+                    Err(e) if e.recovery() == Recovery::Transient => return Ok(None),
+                    Err(e) => return Err(e),
+                }
+            }
+            ListingState::Open => (ExchangeOutcome::Refunded, None, REFUND_LANDED.to_string()),
+            ListingState::Cancelled => {
+                return Err(ZkdetError::Protocol(format!(
+                    "exchange for listing {listing:?} found it cancelled"
+                )))
             }
         };
         finish_exchange(journal, listing, outcome, data, reason, *recover_attempts).map(Some)

@@ -30,7 +30,7 @@ use zkdet_plonk::{CompiledCircuit, Plonk, Proof, VerifyingKey};
 use zkdet_provenance::{
     export, lineage_digest, verify_lineage, AuditCache, LineageCheck, NodeId,
 };
-use zkdet_storage::{PinOwner, RetrievalPolicy, StorageNetwork};
+use zkdet_storage::{PinOwner, StorageNetwork};
 
 use crate::bundle::{ProofBundle, TransformProof};
 use crate::codec::{decode_ciphertext, encode_ciphertext};
@@ -199,8 +199,6 @@ pub struct Marketplace {
     /// Registered processing relations (§IV-D 4): formula name → vk.
     processing_vks: BTreeMap<String, VerifyingKey>,
     next_owner_seed: u64,
-    /// How hard storage fetches fight infrastructure faults.
-    retrieval_policy: RetrievalPolicy,
     /// Per-instance metrics registry: always on (unlike the disabled-by-
     /// default global), so parallel tests stay isolated and the robustness
     /// counters are never silently lost.
@@ -282,7 +280,6 @@ impl Marketplace {
             keys,
             processing_vks: BTreeMap::new(),
             next_owner_seed: config.owner_seed_base.max(1),
-            retrieval_policy: RetrievalPolicy::default(),
             metrics,
             audit_cache: AuditCache::new(),
         })
@@ -291,16 +288,6 @@ impl Marketplace {
     /// Verifying key for π_k: the registry's entry the verifier contract embeds.
     pub fn keyneg_vk(&self) -> &VerifyingKey {
         &self.keyneg.vk
-    }
-
-    /// Replaces the retrieval policy applied to every storage fetch.
-    pub fn set_retrieval_policy(&mut self, policy: RetrievalPolicy) {
-        self.retrieval_policy = policy;
-    }
-
-    /// The retrieval policy currently in force.
-    pub fn retrieval_policy(&self) -> &RetrievalPolicy {
-        &self.retrieval_policy
     }
 
     /// Cumulative robustness counters over every fetch performed so far
@@ -695,11 +682,11 @@ impl Marketplace {
 
     /// Fetches a token's public artefacts: `(ciphertext, bundle)`.
     ///
-    /// Retrieval goes through [`StorageNetwork::retrieve_resilient`] under
-    /// the marketplace's [`RetrievalPolicy`], so transient storage faults
-    /// (drops, slow or crashed share holders, stale records) are retried, hedged
-    /// and backed off before an error surfaces; per-fetch statistics are
-    /// accumulated into [`Marketplace::robustness`].
+    /// Retrieval goes through [`StorageNetwork::retrieve_with_stats`], so
+    /// transient storage faults (drops, slow or crashed share holders,
+    /// stale records) are retried, hedged and backed off before an error
+    /// surfaces; per-fetch statistics are accumulated into
+    /// [`Marketplace::robustness`].
     pub fn fetch_artefacts(
         &mut self,
         token: TokenId,
@@ -716,13 +703,11 @@ impl Marketplace {
         Ok((ciphertext, bundle))
     }
 
-    /// One policy-governed retrieval with metrics accumulation.
+    /// One retrieval with metrics accumulation.
     fn retrieve_tracked(&mut self, cid: &zkdet_storage::Cid) -> Result<Arc<[u8]>, ZkdetError> {
         // zkdet-analyzer: allow(wall-clock) retrieval latency metric only; never feeds protocol or schedule state
         let t0 = std::time::Instant::now();
-        let (bytes, stats) = self
-            .storage
-            .retrieve_resilient(cid, &self.retrieval_policy)?;
+        let (bytes, stats) = self.storage.retrieve_with_stats(cid)?;
         self.metrics.observe(
             metric::RETRIEVE_LATENCY_US,
             t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,

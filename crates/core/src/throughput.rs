@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkdet_chain::{TokenId, Wei};
-use zkdet_exec::{ExecConfig, ExecSummary, Executor};
+use zkdet_exec::{ExecSummary, Executor};
 use zkdet_field::Fr;
 use zkdet_storage::FaultPlan;
 
@@ -259,8 +259,7 @@ pub fn run_load(config: &LoadConfig) -> Result<LoadOutcome, ZkdetError> {
         }
     }
 
-    let mut executor: Executor<MarketWorld> =
-        Executor::new(config.seed, ExecConfig::with_workers(config.sim_workers));
+    let mut executor: Executor<MarketWorld> = Executor::new(config.seed, config.sim_workers);
     for s in 0..config.shards {
         executor.spawn_daemon(Box::new(MaintenanceDaemon { shard: s }));
     }
@@ -340,11 +339,8 @@ pub fn run_load(config: &LoadConfig) -> Result<LoadOutcome, ZkdetError> {
     }
 
     // Every acknowledged publish is still reconstructible (unless the
-    // fault schedule provably exceeded the erasure budget).
-    let policy = zkdet_storage::RetrievalPolicy {
-        max_attempts: 8,
-        ..zkdet_storage::RetrievalPolicy::default()
-    };
+    // fault schedule provably exceeded the erasure budget), through the
+    // same read the protocol itself does.
     for s in 0..config.shards {
         let market = &mut world.sharded.shard_mut(s).market;
         for cid in market.storage.acknowledged_publishes() {
@@ -354,7 +350,7 @@ pub fn run_load(config: &LoadConfig) -> Result<LoadOutcome, ZkdetError> {
             if !report.recoverable() {
                 continue;
             }
-            if market.storage.retrieve_resilient(&cid, &policy).is_err() {
+            if market.storage.retrieve(&cid).is_err() {
                 failures.push(format!(
                     "shard {s}: acked publish {cid} with {}/{} intact shares failed to \
                      reconstruct",

@@ -84,13 +84,6 @@ impl FaultPlan {
         }
     }
 
-    /// The schedule seed; also salts the retrieval policy's backoff
-    /// jitter so crash-restart replays of the same schedule wait
-    /// identical ticks.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Drops every request with probability `prob` (clamped to `[0, 1]`).
     pub fn with_global_drop(mut self, prob: f64) -> Self {
         self.global_drop_ppm = to_ppm(prob);

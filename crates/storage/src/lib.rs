@@ -25,9 +25,10 @@
 //!
 //! Robustness: a seeded [`FaultPlan`] injects crashes, latency, request
 //! drops, share corruption, stale provider records, Byzantine nodes, and
-//! ack withholding; a [`RetrievalPolicy`] fights back with bounded retries,
-//! exponential backoff on the simulated clock, hedged share probes, and
-//! quarantine of nodes caught serving corrupt bytes.
+//! ack withholding; every read ([`StorageNetwork::retrieve`]) fights back
+//! with a bounded number of share sweeps, exponential backoff on the
+//! simulated clock, hedged share probes, and quarantine of nodes caught
+//! serving corrupt bytes.
 
 #![forbid(unsafe_code)]
 
@@ -38,7 +39,6 @@ mod fault;
 mod health;
 mod manifest;
 mod network;
-mod policy;
 mod quorum;
 
 pub use cid::Cid;
@@ -50,5 +50,4 @@ pub use manifest::{share_key, ManifestError, ShareManifest};
 pub use network::{
     PinOwner, RetrievalStats, StorageError, StorageNetwork, REPAIR_INTERVAL_TICKS,
 };
-pub use policy::RetrievalPolicy;
 pub use quorum::{DurabilityReport, QuorumConfig, RepairReport, TamperEvidence};

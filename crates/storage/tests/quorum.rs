@@ -4,9 +4,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use zkdet_storage::{
-    FaultPlan, PinOwner, QuorumConfig, RetrievalPolicy, StorageError, StorageNetwork,
-};
+use zkdet_storage::{FaultPlan, PinOwner, QuorumConfig, StorageError, StorageNetwork};
 
 const BLOB: &[u8] = b"quorum-stored encrypted dataset: any k of n shares reconstruct me";
 
@@ -170,14 +168,6 @@ fn reads_degrade_at_exactly_k_live_shares() {
     let (bytes, stats) = net.retrieve_with_stats(&cid).unwrap();
     assert_eq!(&bytes[..], BLOB);
     assert!(stats.degraded, "read at exactly k shares must be flagged");
-    // A policy that refuses degraded service fails transiently instead.
-    let strict = RetrievalPolicy {
-        allow_degraded: false,
-        ..RetrievalPolicy::default()
-    };
-    let err = net.retrieve_resilient(&cid, &strict).unwrap_err();
-    assert_eq!(err, StorageError::Unavailable(cid));
-    assert!(err.is_transient());
     // Losing one more share exceeds the fault budget.
     let survivors = net.replica_nodes(&cid);
     net.kill_node(survivors[0]);
@@ -286,12 +276,7 @@ fn quorum_runs_replay_byte_identical_under_a_fixed_seed() {
             .with_latency(ids[5], 20);
         let net = quorum_net(10, plan);
         let cid = net.publish(PinOwner(1), BLOB).unwrap();
-        let policy = RetrievalPolicy {
-            max_attempts: 8,
-            jitter_ticks: 3,
-            ..RetrievalPolicy::default()
-        };
-        let (bytes, stats) = net.retrieve_resilient(&cid, &policy).unwrap();
+        let (bytes, stats) = net.retrieve_with_stats(&cid).unwrap();
         let repair = net.run_pending_repairs();
         (
             bytes.to_vec(),

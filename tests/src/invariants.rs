@@ -114,10 +114,6 @@ pub fn assert_audit_coherent<R: Rng + ?Sized>(m: &mut Marketplace, token: TokenI
 /// (e.g. a test hook corrupting every replica at once) — which is outside
 /// the contract the quorum makes.
 pub fn assert_acked_publishes_durable(m: &Marketplace) {
-    let policy = zkdet_storage::RetrievalPolicy {
-        max_attempts: 8,
-        ..zkdet_storage::RetrievalPolicy::default()
-    };
     for cid in m.storage.acknowledged_publishes() {
         let Some(report) = m.storage.durability_report(&cid) else {
             continue; // unpinned since the ack — garbage collection is fine
@@ -126,7 +122,7 @@ pub fn assert_acked_publishes_durable(m: &Marketplace) {
             continue; // adversary exceeded the n − k budget; out of contract
         }
         assert!(
-            m.storage.retrieve_resilient(&cid, &policy).is_ok(),
+            m.storage.retrieve(&cid).is_ok(),
             "acked publish {cid} with {}/{} intact shares must reconstruct",
             report.intact_shares,
             report.required_shares,

@@ -78,7 +78,7 @@ impl Mutation {
                 out.truncate(*len);
             }
             Mutation::Extend { extra } => {
-                out.extend(std::iter::repeat(0u8).take(*extra));
+                out.extend(std::iter::repeat_n(0u8, *extra));
             }
         }
         out

@@ -414,7 +414,7 @@ fn byzantine_double_settle_moves_funds_once() {
     );
     assert!(matches!(
         listing_state(&ex.m, ex.listing.listing),
-        ListingState::Settled
+        ListingState::Settled { .. }
     ));
 
     // The buyer still recovers normally.

@@ -26,7 +26,7 @@ use proptest::prelude::*;
 use zkdet_analyzer::{check_accesses, Severity};
 use zkdet_core::throughput::{run_load, LoadConfig};
 use zkdet_core::{DataOwner, Dataset, Marketplace};
-use zkdet_exec::{ExecConfig, Executor, Step, Task, TaskCx, TaskError};
+use zkdet_exec::{Executor, Step, Task, TaskCx, TaskError};
 use zkdet_field::Fr;
 use zkdet_tests::rng;
 
@@ -74,7 +74,7 @@ impl Task<()> for EscrowWriter {
 
 #[test]
 fn same_tick_writers_of_one_escrow_key_are_reported() {
-    let mut ex: Executor<()> = Executor::new(0xbeef, ExecConfig::with_workers(2));
+    let mut ex: Executor<()> = Executor::new(0xbeef, 2);
     ex.spawn(EscrowWriter::new("seller-settle", 0));
     ex.spawn(EscrowWriter::new("buyer-refund", 0));
     ex.run(&mut ()).expect("toy schedule");
@@ -100,7 +100,7 @@ fn tick_separated_writers_of_one_key_are_ordered() {
     // Same key, but the second writer runs a tick later: the tick clock
     // orders them, so the seed tiebreak never decides and the schedule is
     // race-free.
-    let mut ex: Executor<()> = Executor::new(0xbeef, ExecConfig::with_workers(2));
+    let mut ex: Executor<()> = Executor::new(0xbeef, 2);
     ex.spawn(EscrowWriter::new("seller-settle", 0));
     ex.spawn(EscrowWriter::new("late-refund", 1));
     ex.run(&mut ()).expect("toy schedule");
@@ -129,7 +129,7 @@ fn same_task_rewrites_are_program_ordered() {
             Ok(Step::Done)
         }
     }
-    let mut ex: Executor<()> = Executor::new(1, ExecConfig::with_workers(2));
+    let mut ex: Executor<()> = Executor::new(1, 2);
     ex.spawn(Box::new(DoubleWriter));
     ex.run(&mut ()).expect("toy schedule");
     let race = check_accesses(ex.access_log());
